@@ -101,7 +101,11 @@ def _random_error(rng: random.Random, n: int, weight: int) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0; got {args.trials}")
     code = build_code(args.n, args.t)
+    if not 0 <= args.weight <= code.n:
+        raise ValueError(f"--weight must be in 0..{code.n}; got {args.weight}")
     rng = random.Random(args.seed)
     ok = 0
     for _ in range(args.trials):

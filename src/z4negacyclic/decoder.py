@@ -8,6 +8,11 @@ re-runs the pipeline on the corrected word, where the solution pair is
 unique over the full ring and the locator's roots at alpha^-j versus
 alpha^(n-j) separate the errors +1 and -1.
 
+Both passes find the roots of a residue locator the same way: one sweep
+of GF(2^m) log-table lookups evaluates it at the residues of all n
+points alpha^-j, and only the few roots it finds get a multiplicity
+(pass one) or an evaluation over the full ring (pass two).
+
 A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
 codeword has zero syndromes and lies within Lee distance t of the
@@ -16,7 +21,10 @@ input guards against garbage output on uncorrectable words.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
 from .negacyclic import Code, lee_weight, word_to_str
@@ -72,6 +80,22 @@ def residue_locator(pair: PairVector, field) -> list:
     return locator_from_pair(field, mu_g, mu_h)
 
 
+def _root_positions(mu_sigma: list, code: Code) -> list[int]:
+    """Positions j, ascending, where mu_sigma vanishes at the residue of
+    alpha^-j: one sweep over the n points, by log-table lookups."""
+    field = code.field()
+    exp, log, order = field.exp, field.log, field.order
+    terms = [(log[c], i) for i, c in enumerate(mu_sigma) if c]
+    roots = []
+    for j, point in enumerate(code.residue_logs):
+        acc = 0
+        for lc, i in terms:
+            acc ^= exp[(lc + i * point) % order]
+        if not acc:
+            roots.append(j)
+    return roots
+
+
 def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     """Split positions by root multiplicity of the residue locator.
 
@@ -85,7 +109,7 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
         raise _StageFailure("residue locator has zero constant term")
     doubles, singles = set(), set()
     covered = 0
-    for j in range(code.n):
+    for j in _root_positions(mu_sigma, code):
         point = code.alpha_pow(-j).residue()
         mult = root_multiplicity(field, mu_sigma, point)
         if mult > 2:
@@ -108,15 +132,11 @@ def resolve_unit_errors(sigma: list, code: Code) -> list:
     error, which pass two has already removed.
     """
     ring, n = code.ring, code.n
-    field = code.field()
-    mu_sigma = [c.residue() for c in sigma]
     error = [0] * n
     found = 0
-    for j in range(n):
-        # alpha^-j and alpha^(n-j) share their residue, so a nonzero
-        # value there rules the position out without ring arithmetic
-        if poly_eval(field, mu_sigma, code.alpha_pow(-j).residue()):
-            continue
+    # alpha^-j and alpha^(n-j) share their residue, so only the residue
+    # roots need ring arithmetic
+    for j in _root_positions([c.residue() for c in sigma], code):
         plus = poly_eval(ring, sigma, code.alpha_pow(-j))
         minus = poly_eval(ring, sigma, code.alpha_pow(n - j))
         if not plus and not minus:
@@ -140,9 +160,32 @@ def _solve_pass(ring, synd: list, t: int,
     return minimal_regular(ring, basis, t), u, series
 
 
+def _read_word(word) -> list[int]:
+    """The symbols of word as ints; _StageFailure names the first one
+    that is not a Python or numpy integer in 0..3."""
+    try:
+        symbols = iter(word)
+    except TypeError:
+        raise _StageFailure(f"word of type {type(word).__name__} is not a sequence") from None
+    out = []
+    for j, c in enumerate(symbols):
+        if not (isinstance(c, (int, np.integer)) and 0 <= c <= 3):
+            raise _StageFailure(
+                f"symbol {reprlib.repr(c)} at position {j} is not an integer in 0..3")
+        out.append(int(c))
+    return out
+
+
 def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
-    """Decode a received word; corrects any error of Lee weight <= t."""
-    word = [int(c) % 4 for c in word]
+    """Decode a received word; corrects any error of Lee weight <= t.
+
+    The word is a sequence of n symbols, each a Python or numpy integer
+    in 0..3; anything else is reported as a failure.
+    """
+    try:
+        word = _read_word(word)
+    except _StageFailure as exc:
+        return DecodeOutcome(False, reason=str(exc))
     if len(word) != code.n:
         return DecodeOutcome(False, reason=f"word length {len(word)} != n={code.n}")
     ring, t, n = code.ring, code.t, code.n

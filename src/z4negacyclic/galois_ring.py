@@ -118,7 +118,12 @@ def graeffe_lift(p: list[int]) -> list[int]:
 
 
 class GaloisField:
-    """GF(2^m) with int elements; bit i of an element is the x^i coefficient."""
+    """GF(2^m) with int elements; bit i of an element is the x^i coefficient.
+
+    Multiplication, inversion and powers go through log/antilog tables
+    built once from the powers of x, so the modulus must be primitive
+    (x of order 2^m - 1); every GaloisRing modulus is, by its order check.
+    """
 
     def __init__(self, m: int, modulus_bits: int):
         self.m = m
@@ -126,6 +131,22 @@ class GaloisField:
         self.size = 1 << m
         self.zero = 0
         self.one = 1
+        order = self.size - 1
+        exp = [0] * order
+        log = [0] * self.size
+        a = 1
+        for i in range(order):
+            exp[i] = a
+            log[a] = i
+            a <<= 1
+            if a & self.size:
+                a ^= modulus_bits
+        if a != 1 or len(set(exp)) != order:
+            raise ValueError(f"x is not primitive modulo {modulus_bits:#b}; "
+                             "the log tables need a primitive modulus")
+        self.order = order
+        self.exp = exp + exp  # exp[i + j] for i, j < order needs no reduction
+        self.log = log
 
     def __eq__(self, other):
         return (isinstance(other, GaloisField)
@@ -146,25 +167,16 @@ class GaloisField:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        r = 0
-        top = 1 << self.m
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= self.modulus_bits
-        return r
+        if a and b:
+            return self.exp[self.log[a] + self.log[b]]
+        return 0
 
     def pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("0 is not invertible in GF(2^m)")
+            return 0 if n else 1
+        return self.exp[self.log[a] * n % self.order]
 
     def is_unit(self, a: int) -> bool:
         return a != 0
@@ -172,7 +184,7 @@ class GaloisField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 is not invertible in GF(2^m)")
-        return self.pow(a, self.size - 2)
+        return self.exp[self.order - self.log[a]]
 
     def from_int(self, k: int) -> int:
         return k & 1
@@ -385,13 +397,15 @@ class GaloisRing:
         self.one = RingElement(self, [1] + [0] * (m - 1))
         self.two = RingElement(self, [2] + [0] * (m - 1))
         self.gen = RingElement(self, [0, 1] + [0] * (m - 2))
-        self._field = GaloisField(m, sum((c & 1) << i for i, c in enumerate(modulus)))
         self._inv_cache: dict[tuple, tuple] = {}
 
         order = self.gen.multiplicative_order()
         if order not in ((1 << m) - 1, 2 * ((1 << m) - 1)):
             raise ValueError(
                 f"[x] must have order 2^m-1 or 2(2^m-1); got {order}")
+        # the odd part of that order is the order of the residue of [x],
+        # so x is primitive in the residue field
+        self._field = GaloisField(m, sum((c & 1) << i for i, c in enumerate(modulus)))
 
     def _mul_raw(self, a: tuple, b: tuple) -> tuple:
         m = self.m
@@ -472,13 +486,27 @@ class GaloisRing:
 
 
 def _load_modulus_override(m: int):
+    """The override entry for m, or None; ValueError on a bad table file."""
     path = os.environ.get(MODULUS_TABLE_ENV)
     if not path:
         return None
-    with open(path) as fh:
-        table = json.load(fh)
+    where = f"{MODULUS_TABLE_ENV}={path}"
+    try:
+        with open(path) as fh:
+            table = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{where}: cannot read the file ({exc.strerror})") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(table, dict):
+        raise ValueError(f"{where}: expected a JSON object {{\"m\": [digits...]}}")
     entry = table.get(str(m))
-    return [int(c) for c in entry] if entry is not None else None
+    if entry is None:
+        return None
+    try:
+        return [int(c) for c in entry]
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: entry for m={m} is not a list of digits") from None
 
 
 @lru_cache(maxsize=None)

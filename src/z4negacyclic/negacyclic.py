@@ -39,6 +39,11 @@ class Code:
     generator: tuple[int, ...]
     k: int
     _alpha_pows: tuple = field(repr=False, default=())
+    # n x t*m Z4 matrix: row j holds the coefficients of alpha^(j*k),
+    # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4
+    syndrome_matrix: np.ndarray = field(compare=False, repr=False, default=None)
+    # GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
+    residue_logs: tuple = field(compare=False, repr=False, default=())
 
     def alpha_pow(self, j: int) -> RingElement:
         """alpha^j from the cached table (j taken mod 2n)."""
@@ -115,9 +120,17 @@ def build_code(n: int, t: int) -> Code:
     for _ in range(2 * n - 1):
         alpha_pows.append(alpha_pows[-1] * alpha)
 
+    syndrome_matrix = np.array(
+        [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
+         for j in range(n)], dtype=np.int64)
+    syndrome_matrix.setflags(write=False)
+    log = ring.residue_field().log
+    residue_logs = tuple(log[alpha_pows[-j % (2 * n)].residue()] for j in range(n))
+
     code = Code(n=n, t=t, ring=ring, alpha=alpha,
                 generator=tuple(g), k=n - (len(g) - 1),
-                _alpha_pows=tuple(alpha_pows))
+                _alpha_pows=tuple(alpha_pows),
+                syndrome_matrix=syndrome_matrix, residue_logs=residue_logs)
 
     for i in range(1, 2 * t, 2):
         root_val = sum((code.alpha_pow(i * j) * int(c) for j, c in enumerate(g)),

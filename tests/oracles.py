@@ -3,8 +3,10 @@
 Everything here recomputes expected values by brute force or by a
 different route than the code under test: linear solving over Z4,
 direct locator construction from error patterns, exhaustive
-nearest-codeword search, and exhaustive enumeration of key-equation
-solution modules.
+nearest-codeword search, exhaustive enumeration of key-equation
+solution modules, and the plain loops that the table-driven kernels
+replaced (bit-loop GF(2^m) arithmetic, per-position syndrome sums and
+per-position root scans).
 """
 
 from __future__ import annotations
@@ -12,8 +14,100 @@ from __future__ import annotations
 import itertools
 import random
 
+from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
-from z4negacyclic.polynomial import poly_coeff, poly_mul, poly_strip
+from z4negacyclic.polynomial import (poly_coeff, poly_eval, poly_mul, poly_strip,
+                                     root_multiplicity)
+
+
+# ---------------------------------------------------------------- reference kernels
+
+def gf_mul_bitloop(field, a: int, b: int) -> int:
+    """Shift-and-add product in GF(2^m), reducing by the field modulus."""
+    r = 0
+    top = 1 << field.m
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= field.modulus_bits
+    return r
+
+
+def gf_inv_bitloop(field, a: int) -> int:
+    """a^(2^m - 2) by square and multiply with gf_mul_bitloop."""
+    if a == 0:
+        raise ZeroDivisionError("0 is not invertible in GF(2^m)")
+    r, n = 1, field.size - 2
+    while n:
+        if n & 1:
+            r = gf_mul_bitloop(field, r, a)
+        a = gf_mul_bitloop(field, a, a)
+        n >>= 1
+    return r
+
+
+def syndromes_by_loop(word, code: Code) -> list:
+    """The t odd syndromes as ring sums over the nonzero positions."""
+    ring = code.ring
+    out = []
+    for k in range(1, 2 * code.t, 2):
+        acc = ring.zero
+        for j, c in enumerate(word):
+            c = int(c) % 4
+            if c:
+                acc = acc + code.alpha_pow(j * k) * c
+        out.append(acc)
+    return out
+
+
+def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
+    """locate_error_positions by a root_multiplicity call at every position."""
+    field = code.field()
+    if not mu_sigma or not mu_sigma[0]:
+        raise _StageFailure("residue locator has zero constant term")
+    doubles, singles = set(), set()
+    covered = 0
+    for j in range(code.n):
+        point = code.alpha_pow(-j).residue()
+        mult = root_multiplicity(field, mu_sigma, point)
+        if mult > 2:
+            raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
+        if mult == 2:
+            doubles.add(j)
+        elif mult == 1:
+            singles.add(j)
+        covered += mult
+    if covered != len(mu_sigma) - 1:
+        raise _StageFailure("residue locator does not split over the error positions")
+    return doubles, singles
+
+
+def resolve_by_scan(sigma: list, code: Code) -> list:
+    """resolve_unit_errors by a residue evaluation at every position."""
+    ring, n = code.ring, code.n
+    field = code.field()
+    mu_sigma = [c.residue() for c in sigma]
+    error = [0] * n
+    found = 0
+    for j in range(n):
+        if poly_eval(field, mu_sigma, code.alpha_pow(-j).residue()):
+            continue
+        plus = poly_eval(ring, sigma, code.alpha_pow(-j))
+        minus = poly_eval(ring, sigma, code.alpha_pow(n - j))
+        if not plus and not minus:
+            raise _StageFailure(f"locator vanishes at both units for position {j}")
+        if not plus:
+            error[j] = 1
+            found += 1
+        elif not minus:
+            error[j] = 3
+            found += 1
+    if found != len(sigma) - 1:
+        raise _StageFailure("locator degree does not match the resolved error count")
+    return error
 
 
 # ---------------------------------------------------------------- Z4 linear algebra

@@ -129,3 +129,40 @@ def test_modulus_override_is_validated(tmp_path, monkeypatch, capsys):
     code, _, err = run(capsys, "code-info", "-n", "15", "-t", "2")
     assert code == 2
     assert "irreducible" in err
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read"),
+    ("{\"4\": [1, 3,", "invalid JSON"),
+    ("[1, 3, 2, 0, 1]", "JSON object"),
+    ("{\"4\": 7}", "list of digits"),
+])
+def test_modulus_override_bad_file(tmp_path, monkeypatch, capsys, content, message):
+    override = tmp_path / "moduli.json"
+    if content is not None:
+        override.write_text(content)
+    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
+    code, _, err = run(capsys, "code-info", "-n", "15", "-t", "2")
+    assert code == 2
+    assert "Traceback" not in err
+    assert message in err
+    assert "Z4NEGACYCLIC_MODULI" in err and str(override) in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "-5"), ("--weight", "-1"), ("--weight", "16"),
+])
+def test_simulate_rejects_bad_arguments(capsys, flag, value):
+    args = {"--trials": "10", "--weight": "1", flag: value}
+    code, out, err = run(capsys, "simulate", "-n", "15", "-t", "2",
+                         "--weight", args["--weight"], "--trials", args["--trials"])
+    assert code == 2
+    assert out == ""
+    assert flag in err and value in err
+
+
+def test_simulate_accepts_the_full_weight_range(capsys):
+    code, out, _ = run(capsys, "simulate", "-n", "15", "-t", "2",
+                       "--weight", "15", "--trials", "0")
+    assert code == 0
+    assert "0/0 decoded exactly" in out

@@ -1,15 +1,23 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_error_patterns, locator_from_error, random_error
-from z4negacyclic.decoder import (decode, locate_error_positions,
+from oracles import (all_error_patterns, locate_by_scan, locator_from_error,
+                     random_error, resolve_by_scan, syndromes_by_loop)
+from z4negacyclic.decoder import (_StageFailure, decode, locate_error_positions,
                                   locator_from_pair, residue_locator,
                                   resolve_unit_errors)
 from z4negacyclic.keyeq import key_pair_from_locator, syndromes
-from z4negacyclic.negacyclic import build_code, encode, lee_weight
+from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
+
+CODE_15_2 = build_code(15, 2)
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
 
 
 def test_locator_from_pair_identity():
@@ -175,3 +183,127 @@ def test_trace_fields_stable():
     assert out.trace["solverpair"] == ["1,0,0,0;2,1,0,1", "1,0,0,0;0,0,1,0"]
     assert out.trace["doubles"] == [] and out.trace["singles"] == [4, 13]
     assert out.trace["error"] == "000010000000030"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except _StageFailure as exc:
+        return ("failure", str(exc))
+
+
+def _residue_locators(code, rng):
+    """Seeded residue locators: products of (1 + X z)^mult with X the
+    residue of alpha^j and mult in 1..3, times factors that may not
+    split over the code's points, plus a zero constant term."""
+    field = code.field()
+    out = [[0, 1], [1]]
+    for _ in range(40):
+        mu = [1]
+        for j in rng.sample(range(code.n), rng.randint(1, 3)):
+            x = code.alpha_pow(j).residue()
+            for _ in range(rng.choice((1, 1, 2, 2, 3))):
+                mu = poly_mul(field, mu, [1, x])
+        if rng.random() < 0.4:
+            tail = [rng.randrange(1, field.size)]
+            tail += [rng.randrange(field.size) for _ in range(rng.randint(1, 2))]
+            mu = poly_mul(field, mu, tail + [rng.randrange(1, field.size)])
+        out.append(mu)
+    return out
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4)])
+def test_locate_sweep_matches_per_position_scan(n, t):
+    code = build_code(n, t)
+    rng = random.Random(n + t)
+    outcomes = []
+    for mu in _residue_locators(code, rng):
+        got = _outcome(locate_error_positions, mu, code)
+        assert got == _outcome(locate_by_scan, mu, code)
+        outcomes.append(got[0] if isinstance(got[0], str) else "split")
+    assert "failure" in outcomes and "split" in outcomes
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4)])
+def test_resolve_sweep_matches_per_position_scan(n, t):
+    code = build_code(n, t)
+    ring = code.ring
+    rng = random.Random(2 * n + t)
+    sigmas = [[], [ring.one]]
+    for _ in range(30):
+        err = random_error(rng, n, rng.randint(1, t))
+        sigma = locator_from_error(code, err)
+        sigmas.append(sigma)
+        # same residues, broken ring roots
+        bumped = list(sigma)
+        bumped[-1] = bumped[-1] + 2
+        sigmas.append(bumped)
+        # an extra factor at a point off the code's roots
+        x = ring.element([rng.randrange(4) for _ in range(ring.m)])
+        sigmas.append(poly_mul(ring, sigma, [ring.one, x]))
+    outcomes = []
+    for sigma in sigmas:
+        got = _outcome(resolve_unit_errors, sigma, code)
+        assert got == _outcome(resolve_by_scan, sigma, code)
+        outcomes.append(got[0] if got and isinstance(got[0], str) else "resolved")
+    assert "failure" in outcomes and "resolved" in outcomes
+
+
+@pytest.mark.parametrize("symbol,position", [
+    ("x", 3), (None, 0), (7, 14), (-1, 5), (2.7, 8), (2.0, 1), ("2", 2),
+])
+def test_decode_rejects_bad_symbols(symbol, position):
+    word = [0] * 15
+    word[position] = symbol
+    out = decode(word, CODE_15_2)
+    assert not out.success
+    assert f"position {position}" in out.reason
+
+
+def test_decode_accepts_numpy_integers():
+    word = [3, 1, 3, 0, 2, 3, 2, 2, 1, 0, 1, 0, 0, 3, 0]
+    expected = decode(word, CODE_15_2)
+    for dtype in (np.int8, np.uint8, np.int64):
+        out = decode(np.array(word, dtype=dtype), CODE_15_2)
+        assert out == expected
+        assert all(type(c) is int for c in out.codeword)
+    assert not decode(None, CODE_15_2).success
+
+
+_ANY_SYMBOL = st.one_of(st.integers(0, 3), st.integers(), st.none(),
+                        st.text(max_size=3), st.floats())
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(_ANY_SYMBOL, max_size=20))
+def test_decode_never_raises(word):
+    out = decode(word, CODE_15_2)
+    valid = len(word) == 15 and all(type(c) is int and 0 <= c <= 3 for c in word)
+    assert out.success or out.reason
+    if not valid:
+        assert not out.success
+
+
+@st.composite
+def _received_words(draw):
+    """A codeword plus a sparse error, or a uniform word."""
+    code = CODE_15_2
+    if draw(st.booleans()):
+        word = draw(st.lists(st.integers(0, 3), min_size=code.n, max_size=code.n))
+        return word, None
+    sent = encode(draw(st.lists(st.integers(0, 3), min_size=code.k, max_size=code.k)), code)
+    noise = draw(st.dictionaries(st.integers(0, code.n - 1), st.integers(1, 3), max_size=4))
+    return [(c + noise.get(j, 0)) % 4 for j, c in enumerate(sent)], sent
+
+
+@PROPERTY_SETTINGS
+@given(_received_words())
+def test_decode_success_is_honest(case):
+    word, sent = case
+    code = CODE_15_2
+    out = decode(word, code)
+    if out.success:
+        assert not any(syndromes_by_loop(out.codeword, code))
+        assert lee_distance(word, out.codeword) <= code.t
+    if sent is not None and lee_distance(word, sent) <= code.t:
+        assert out.success and out.codeword == sent

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from z4negacyclic.galois_ring import (GaloisRing, graeffe_lift, make_ring,
+from oracles import gf_inv_bitloop, gf_mul_bitloop
+from z4negacyclic.galois_ring import (GaloisField, GaloisRing, graeffe_lift, make_ring,
                                       negacyclic_root)
 from z4negacyclic.polynomial import Z4, poly_divmod
 
@@ -208,3 +209,34 @@ def test_element_serialization_round_trip():
     el = ring.element([3, 0, 1, 2])
     assert el.to_str() == "3,0,1,2"
     assert ring.from_str(el.to_str()) == el
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_field_tables_match_bit_loop(m):
+    field = make_ring(m).residue_field()
+    if m <= 6:
+        pairs = list(itertools.product(range(field.size), repeat=2))
+        units = range(1, field.size)
+    else:
+        rng = random.Random(m)
+        pairs = [(rng.randrange(field.size), rng.randrange(field.size))
+                 for _ in range(4000)]
+        units = [rng.randrange(1, field.size) for _ in range(500)]
+    for a, b in pairs:
+        assert field.mul(a, b) == gf_mul_bitloop(field, a, b)
+    for a in units:
+        assert field.inv(a) == gf_inv_bitloop(field, a)
+        assert field.pow(a, -1) == field.inv(a)
+        assert field.pow(a, 5) == gf_mul_bitloop(field, field.pow(a, 4), a)
+    assert field.pow(0, 0) == 1 and field.pow(0, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
+def test_field_tables_need_a_primitive_modulus():
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 in GF(16)
+    with pytest.raises(ValueError, match="primitive"):
+        GaloisField(4, 0b11111)
+    # the ring's own order check rejects its Graeffe lift first
+    with pytest.raises(ValueError, match="order"):
+        GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from oracles import locator_from_error, power_sums, random_error, z4_solve
+import numpy as np
+
+from oracles import (locator_from_error, power_sums, random_error, syndromes_by_loop,
+                     z4_solve)
 from z4negacyclic.keyeq import (key_pair_from_locator, key_series,
                                 odd_ratio_coefficients, syndromes)
 from z4negacyclic.negacyclic import build_code, encode
@@ -34,6 +37,28 @@ def test_single_error_syndromes_are_root_powers():
         err[j] = 1
         synd = syndromes(err, code)
         assert synd == [code.alpha_pow(j), code.alpha_pow(3 * j)]
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
+def test_syndromes_match_the_loop(n, t):
+    code = build_code(n, t)
+    rng = random.Random(100 * n + t)
+    words = [[3] * n, [0] * n]
+    words += [[rng.randrange(4) for _ in range(n)] for _ in range(6)]
+    words += [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(4)]
+    for word in words:
+        assert syndromes(word, code) == syndromes_by_loop(word, code)
+
+
+def test_syndromes_reduce_symbols_mod_4():
+    code = build_code(15, 2)
+    rng = random.Random(5)
+    word = [rng.randrange(-8, 12) for _ in range(15)]
+    expected = syndromes_by_loop(word, code)
+    assert syndromes(word, code) == expected
+    assert syndromes(np.array(word, dtype=np.int16), code) == expected
+    with pytest.raises(ValueError, match="length"):
+        syndromes(word[:-1], code)
 
 
 def test_recursion_first_coefficients():

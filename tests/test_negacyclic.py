@@ -123,3 +123,14 @@ def test_word_string_round_trip():
     assert "position 4" in str(err.value)
     with pytest.raises(ValueError):
         word_from_str("012", 4)
+
+
+def test_code_equality_and_hash_ignore_the_tables():
+    a, b = build_code(15, 2), build_code(15, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_code(15, 3)
+    assert a.syndrome_matrix.shape == (15, 2 * 4)
+    assert not a.syndrome_matrix.flags.writeable
+    field = a.field()
+    assert [field.exp[lg] for lg in a.residue_logs] == [
+        a.alpha_pow(-j).residue() for j in range(15)]
