@@ -1,16 +1,21 @@
 """Exact arithmetic in the Galois ring GR(4,m) = Z4[x]/<h(x)>.
 
-Ring elements are dense coefficient vectors over Z4 (constant term
-first), reduced modulo a monic basic irreducible polynomial h of
-degree m.  "Basic irreducible" means h stays irreducible after
-reducing its coefficients mod 2; the quotient is then a local ring
-with maximal ideal 2R and residue field K = GF(2^m).
-
-Residue field elements are plain ints whose bits are the GF(2)
-coefficients (bit i = coefficient of x^i), in the style of most
+h is a monic basic irreducible polynomial of degree m: it stays
+irreducible after reducing its coefficients mod 2.  The quotient R is
+then a local ring with maximal ideal 2R and residue field
+K = GF(2^m).  Residue field elements are plain ints whose bits are the
+GF(2) coefficients (bit i = coefficient of x^i), in the style of most
 GF(2^m) libraries; the GaloisField object carries the modulus and the
-arithmetic.  The zero element of R is the all-zero vector and every
-element has a unique representation, so == on elements is exact.
+log/antilog tables.
+
+Ring elements use the 2-adic (Teichmuller) form: every element of R is
+uniquely tau(a) + 2 tau(b) with a, b in K, where tau lifts K onto the
+Teichmuller set {0} u {roots of unity of order dividing 2^m - 1}.
+Products, sums, negations and inverses are closed formulas in a and b
+(see RingElement), so each ring operation costs a few GF(2^m) table
+lookups.  The Z4 coefficient vector of an element (constant term
+first, reduced modulo h) is its external form: elements are built from
+it and convert back to it on demand.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -21,6 +26,7 @@ table entries for m = 2 and m = 4 are x^2+x+1 and x^4+2x^2+3x+1.
 from __future__ import annotations
 
 import json
+import math
 import os
 from functools import lru_cache
 
@@ -194,70 +200,112 @@ class GaloisField:
         return tuple((a >> i) & 1 for i in range(self.m))
 
 
-class RingElement:
-    """An element of GR(4,m): immutable Z4 coefficient vector plus its ring."""
+_new = object.__new__
 
-    __slots__ = ("ring", "coeffs")
+
+def _make(ring: "GaloisRing", a: int, b: int) -> "RingElement":
+    """The element tau(a) + 2 tau(b); a and b must be field elements."""
+    el = _new(RingElement)
+    _set_ring(el, ring)
+    _set_a(el, a)
+    _set_b(el, b)
+    return el
+
+
+class RingElement:
+    """An element tau(a) + 2 tau(b) of GR(4,m), held as the pair (a, b).
+
+    a and b are GF(2^m) elements (bit-packed ints) and tau is the
+    Teichmuller lift; a is the residue, and the element is a unit
+    exactly when a != 0.  Every ring operation is a closed formula over
+    GF(2^m), read off the tables of the ring:
+
+        (a, b) * (c, d) = (ac, ad + bc)
+        (a, b) + (c, d) = (a + c, b + d + sqrt(ac))
+        -(a, b) = (a, a + b),   (a, b)^-1 = (a^-1, b a^-2)
+
+    The sum uses the carry identity tau(x) + tau(y) = tau(x + y) +
+    2 tau(sqrt(xy)).  The Z4 digits in the polynomial basis (`coeffs`,
+    `to_str`) are converted on demand.  Elements are immutable; they
+    hash and compare by (a, b, modulus).
+    """
+
+    __slots__ = ("ring", "a", "b")
 
     def __init__(self, ring: "GaloisRing", coeffs):
-        coeffs = tuple(int(c) % 4 for c in coeffs)
+        coeffs = [int(c) % 4 for c in coeffs]
         if len(coeffs) != ring.m:
             raise ValueError(f"expected {ring.m} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _make(cls, ring: "GaloisRing", coeffs: tuple) -> "RingElement":
-        # fast path for arithmetic results: coefficients already reduced
-        el = object.__new__(cls)
-        object.__setattr__(el, "ring", ring)
-        object.__setattr__(el, "coeffs", coeffs)
-        return el
+        low = high = 0
+        for i, c in enumerate(coeffs):
+            low |= (c & 1) << i
+            high |= (c >> 1) << i
+        # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
+        _set_ring(self, ring)
+        _set_a(self, low)
+        _set_b(self, high ^ ring._corr[low])
 
     def __setattr__(self, *a):
         raise AttributeError("RingElement is immutable")
 
-    def _check(self, other) -> "RingElement":
-        if not isinstance(other, RingElement):
-            if isinstance(other, int):
-                return self.ring.from_int(other)
-            return NotImplemented
-        if other.ring.modulus != self.ring.modulus:
-            raise ValueError("elements belong to different rings")
-        return other
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Z4 digits in the polynomial basis, constant term first."""
+        a = self.a
+        high = self.b ^ self.ring._corr[a]
+        return tuple((a >> i & 1) | (high >> i & 1) << 1 for i in range(self.ring.m))
+
+    def _coerce(self, other):
+        """other as an element of this ring; NotImplemented for other types."""
+        if isinstance(other, RingElement):
+            if other.ring.modulus != self.ring.modulus:
+                raise ValueError("elements belong to different rings")
+            return other
+        if isinstance(other, int):
+            return self.ring.from_int(other)
+        return NotImplemented
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement._make(
-            self.ring, tuple((a + b) & 3 for a, b in zip(self.coeffs, other.coeffs)))
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, c = self.a, other.a
+        hlog = ring._hlog
+        return _make(ring, a ^ c, self.b ^ other.b ^ ring._exp[hlog[a] + hlog[c]])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement._make(
-            self.ring, tuple((a - b) & 3 for a, b in zip(self.coeffs, other.coeffs)))
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # self + (c, c + d)
+        a, c = self.a, other.a
+        hlog = ring._hlog
+        return _make(ring, a ^ c, self.b ^ c ^ other.b ^ ring._exp[hlog[a] + hlog[c]])
 
     def __rsub__(self, other):
-        other = self._check(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return RingElement._make(self.ring, tuple((-a) & 3 for a in self.coeffs))
+        return _make(self.ring, self.a, self.a ^ self.b)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return RingElement._make(self.ring, tuple(a * other & 3 for a in self.coeffs))
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement._make(self.ring, self.ring._mul_raw(self.coeffs, other.coeffs))
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        log, exp = ring._log, ring._exp
+        la, lc = log[self.a], log[other.a]
+        return _make(ring, exp[la + lc], exp[la + log[other.b]] ^ exp[log[self.b] + lc])
 
     __rmul__ = __mul__
 
@@ -275,96 +323,127 @@ class RingElement:
 
     def __eq__(self, other):
         return (isinstance(other, RingElement)
-                and self.coeffs == other.coeffs
+                and self.a == other.a and self.b == other.b
                 and self.ring.modulus == other.ring.modulus)
 
     def __hash__(self):
-        return hash((self.coeffs, self.ring.modulus))
+        return hash((self.a, self.b, self.ring.modulus))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.a or self.b)
 
     def __repr__(self):
         return f"RingElement({list(self.coeffs)})"
 
     def is_unit(self) -> bool:
         """Units are exactly the elements outside 2R."""
-        return any(c % 2 for c in self.coeffs)
+        return self.a != 0
 
     def inverse(self) -> "RingElement":
-        """Multiplicative inverse; raises for elements of 2R."""
-        if not self.is_unit():
+        """Multiplicative inverse; raises for elements of 2R.
+
+        tau(a) + 2 tau(b) = tau(a) (1 + 2 tau(b/a)), and 1 + 2y is its
+        own inverse.
+        """
+        if not self.a:
             raise ZeroDivisionError("element is not a unit (residue is zero)")
-        cached = self.ring._inv_cache.get(self.coeffs)
-        if cached is not None:
-            return RingElement._make(self.ring, cached)
-        # the unit group has exponent 2 (2^m - 1)
-        k = 2 * ((1 << self.ring.m) - 1) - 1
-        inv = self ** k
-        assert inv * self == self.ring.one
-        self.ring._inv_cache[self.coeffs] = inv.coeffs
-        return inv
+        ring = self.ring
+        q, log, exp = ring._field.order, ring._log, ring._exp
+        la = log[self.a]
+        return _make(ring, exp[q - la], exp[log[self.b] + (-2 * la) % q])
 
     def residue(self) -> int:
         """Image in the residue field K = GF(2^m), as a bit-packed int."""
-        bits = 0
-        for i, c in enumerate(self.coeffs):
-            bits |= (c & 1) << i
-        return bits
+        return self.a
 
     def frobenius(self) -> "RingElement":
-        """The ring automorphism a0 + 2 a1 -> a0^2 + 2 a1^2."""
-        a0, a1 = self.teichmuller_decompose()
-        return a0 * a0 + self.ring.from_int(2) * (a1 * a1)
+        """The ring automorphism tau(a) + 2 tau(b) -> tau(a^2) + 2 tau(b^2)."""
+        field = self.ring._field
+        return _make(self.ring, field.mul(self.a, self.a), field.mul(self.b, self.b))
 
     def teichmuller_decompose(self) -> tuple["RingElement", "RingElement"]:
-        """Write self = a0 + 2 a1 with a0, a1 in the Teichmuller set.
-
-        Squaring m times fixes the Teichmuller component: for a unit
-        theta(1+2d) it kills the 1+2d factor, and it sends 2R to 0.
-        """
-        a0 = self
-        for _ in range(self.ring.m):
-            a0 = a0 * a0
-        rest = self - a0
-        assert all(c % 2 == 0 for c in rest.coeffs)
-        a1 = RingElement(self.ring, [c // 2 for c in rest.coeffs])
-        for _ in range(self.ring.m):
-            a1 = a1 * a1
-        return a0, a1
+        """The Teichmuller elements (tau(a), tau(b)) with self = tau(a) + 2 tau(b)."""
+        return _make(self.ring, self.a, 0), _make(self.ring, self.b, 0)
 
     def multiplicative_order(self) -> int:
-        """Order in the unit group (raises for non-units)."""
-        if not self.is_unit():
+        """Order in the unit group (raises for non-units).
+
+        tau(a) has the odd order of a, and 1 + 2 tau(b/a) has order 2
+        unless b = 0.
+        """
+        if not self.a:
             raise ValueError("order is defined for units only")
-        group = (1 << self.ring.m) * ((1 << self.ring.m) - 1)
-        order = group
-        for p in _prime_factors(group):
-            while order % p == 0 and self ** (order // p) == self.ring.one:
-                order //= p
-        return order
+        field = self.ring._field
+        odd = field.order // math.gcd(field.log[self.a], field.order)
+        return 2 * odd if self.b else odd
 
     def to_str(self) -> str:
         """Serialize as comma-separated Z4 digits, constant term first."""
         return ",".join(str(c) for c in self.coeffs)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# RingElement refuses attribute assignment; construction writes its slots
+_set_ring, _set_a, _set_b = (RingElement.ring.__set__, RingElement.a.__set__,
+                            RingElement.b.__set__)
+
+
+def _digit_corrections(modulus: tuple, field: GaloisField) -> list[int]:
+    """corr with P(c) = tau(c) + 2 tau(corr[c]) for every c in GF(2^m),
+    where P(c) is the element whose Z4 digits are the bits of c.
+
+    theta = [x]^(2^m) is the Teichmuller lift of x: m squarings send the
+    1 + 2R factor of a unit to 1.  So tau(x^k) = theta^k, and one digit
+    multiplication per k walks the whole Teichmuller group, also when
+    [x] itself has order 2(2^m - 1).  This setup step is the only digit
+    arithmetic left.
+    """
+    m = field.m
+    # x^(m+i) mod h for i = 0..m-2, used to fold products
+    folds = [tuple((-c) % 4 for c in modulus[:-1])]
+    for _ in range(m - 2):
+        row = [0] + list(folds[-1])
+        carry = row.pop()
+        folds.append(tuple((a + carry * b) % 4 for a, b in zip(row, folds[0])))
+
+    def mul(a: tuple, b: tuple) -> tuple:
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        out = prod[:m]
+        for d in range(m, 2 * m - 1):
+            c = prod[d] & 3
+            if c:
+                out = [o + c * f for o, f in zip(out, folds[d - m])]
+        return tuple(o & 3 for o in out)
+
+    one = (1,) + (0,) * (m - 1)
+    theta = (0, 1) + (0,) * (m - 2)
+    for _ in range(m):
+        theta = mul(theta, theta)
+    corr = [0] * field.size
+    lift = one
+    for k in range(field.order):
+        c = field.exp[k]
+        # the digits of P(c) - tau(c) = 2 tau(corr[c]) are twice the bits of corr[c]
+        corr[c] = sum((((c >> i & 1) - d) & 3) >> 1 << i for i, d in enumerate(lift))
+        lift = mul(lift, theta)
+    assert lift == one
+    return corr
 
 
 class GaloisRing:
-    """GR(4,m) descriptor: extension degree, modulus, and element arithmetic.
+    """GR(4,m) descriptor: extension degree, modulus, residue field and
+    the GF(2^m) tables of the element arithmetic.
+
+    The tables, each indexed by field elements or their logs:
+    - `_log`: discrete log, with the sentinel 2(2^m - 1) for 0;
+    - `_exp`: antilog over two periods, then zeros, so that a sum of
+      two logs needs no reduction and any sum with the sentinel reads 0;
+    - `_hlog`: the log of the square root (the sentinel for 0);
+    - `_corr`: the digit correction that converts between the Z4
+      digits of an element and its (a, b) pair.
 
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
@@ -382,45 +461,28 @@ class GaloisRing:
         self.m = m
         self.modulus = tuple(modulus)
 
-        # x^(m+i) mod h for i = 0..m-2, used to fold products
-        rows = []
-        row = [(-c) % 4 for c in modulus[:-1]]
-        rows.append(tuple(row))
-        for _ in range(m - 2):
-            row = [0] + row
-            carry = row.pop()
-            row = [(a + carry * b) % 4 for a, b in zip(row, rows[0])]
-            rows.append(tuple(row))
-        self._fold = rows
+        # The unit group is the Teichmuller group times 1 + 2R, which has
+        # exponent 2, so [x] has order 2^m-1 or 2(2^m-1) exactly when its
+        # residue x is primitive, which the field tables require.
+        try:
+            field = GaloisField(m, sum((c & 1) << i for i, c in enumerate(modulus)))
+        except ValueError:
+            raise ValueError("[x] must have order 2^m-1 or 2(2^m-1), "
+                             "but its residue x is not primitive") from None
+        self._field = field
+        q = field.order
+        zero_log = 2 * q
+        self._log = [zero_log] + field.log[1:]
+        self._exp = field.exp + [0] * (2 * q + 1)
+        half = (q + 1) // 2  # the inverse of 2 mod q
+        self._hlog = [zero_log] + [lg * half % q for lg in field.log[1:]]
+        self._corr = _digit_corrections(self.modulus, field)
 
-        self.zero = RingElement(self, [0] * m)
-        self.one = RingElement(self, [1] + [0] * (m - 1))
-        self.two = RingElement(self, [2] + [0] * (m - 1))
-        self.gen = RingElement(self, [0, 1] + [0] * (m - 2))
-        self._inv_cache: dict[tuple, tuple] = {}
-
-        order = self.gen.multiplicative_order()
-        if order not in ((1 << m) - 1, 2 * ((1 << m) - 1)):
-            raise ValueError(
-                f"[x] must have order 2^m-1 or 2(2^m-1); got {order}")
-        # the odd part of that order is the order of the residue of [x],
-        # so x is primitive in the residue field
-        self._field = GaloisField(m, sum((c & 1) << i for i, c in enumerate(modulus)))
-
-    def _mul_raw(self, a: tuple, b: tuple) -> tuple:
-        m = self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:m]
-        for d in range(m, 2 * m - 1):
-            c = prod[d] & 3
-            if c:
-                fold = self._fold[d - m]
-                out = [o + c * f for o, f in zip(out, fold)]
-        return tuple(o & 3 for o in out)
+        self.zero = _make(self, 0, 0)
+        self.one = _make(self, 1, 0)
+        self.two = _make(self, 0, 1)
+        self._small = (self.zero, self.one, self.two, -self.one)
+        self.gen = self.element([0, 1] + [0] * (m - 2))
 
     def __eq__(self, other):
         return isinstance(other, GaloisRing) and self.modulus == other.modulus
@@ -435,7 +497,11 @@ class GaloisRing:
         return RingElement(self, coeffs)
 
     def from_int(self, k: int) -> RingElement:
-        return RingElement(self, [k % 4] + [0] * (self.m - 1))
+        return self._small[k % 4]
+
+    def from_bits(self, bits: int) -> RingElement:
+        """The element whose Z4 digits are the bits of `bits` (bit i the x^i digit)."""
+        return _make(self, bits, self._corr[bits])
 
     def from_str(self, text: str) -> RingElement:
         return RingElement(self, [int(t) for t in text.split(",")])
@@ -445,25 +511,12 @@ class GaloisRing:
 
     def teichmuller_set(self) -> list[RingElement]:
         """All 2^m Teichmuller representatives, ordered by residue value."""
-        out = []
-        for bits in range(1 << self.m):
-            lift = RingElement(self, [(bits >> i) & 1 for i in range(self.m)])
-            theta = lift
-            for _ in range(self.m):
-                theta = theta * theta
-            out.append(theta)
-        return out
+        return [_make(self, c, 0) for c in range(1 << self.m)]
 
     def teichmuller_generator(self) -> RingElement:
-        """A Teichmuller element of full order 2^m - 1 (deterministic pick)."""
-        theta, _ = self.gen.teichmuller_decompose()
-        full = (1 << self.m) - 1
-        if theta and theta.multiplicative_order() == full:
-            return theta
-        for theta in self.teichmuller_set():
-            if theta and theta.multiplicative_order() == full:
-                return theta
-        raise AssertionError("Teichmuller group must be cyclic of order 2^m - 1")
+        """The Teichmuller lift of x, of full order 2^m - 1 because x is
+        primitive (checked at construction)."""
+        return _make(self, 2, 0)
 
     # domain protocol
     def add(self, a, b):

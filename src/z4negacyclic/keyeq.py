@@ -17,13 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .negacyclic import Code
-from .polynomial import poly_coeff, poly_strip, series_inverse
+from .polynomial import poly_coeff, series_inverse
 
 __all__ = [
     "syndromes",
     "odd_ratio_coefficients",
     "key_series",
-    "key_pair_from_locator",
 ]
 
 
@@ -76,21 +75,3 @@ def key_series(u: list, t: int) -> list:
     w = [ring.one] + list(u)  # 1 + u_1 y + u_3 y^2 + ...
     inv = series_inverse(ring, w, t + 1)
     return [poly_coeff(ring, inv, j) for j in range(1, t + 1)]
-
-
-def key_pair_from_locator(sigma: list) -> tuple[list, list]:
-    """The pair (phi, omega) with omega(z^2) = sigma_e and
-    phi(z^2) = sigma_e + z sigma_o, given the locator sigma over R.
-
-    Test-side utility for generating ground-truth key-equation
-    instances: phi's y^j coefficient is sigma_(2j) + sigma_(2j-1) and
-    omega's is sigma_(2j).  Requires sigma(0) = 1.
-    """
-    if not sigma or sigma[0] != sigma[0] ** 0:
-        raise ValueError("locator must have constant term 1")
-    ring = sigma[0].ring
-    half = len(sigma) // 2 + 1
-    omega = [poly_coeff(ring, sigma, 2 * j) for j in range(half)]
-    phi = [poly_coeff(ring, sigma, 2 * j) + poly_coeff(ring, sigma, 2 * j - 1)
-           for j in range(half)]
-    return poly_strip(phi), poly_strip(omega)

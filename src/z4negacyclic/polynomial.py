@@ -18,8 +18,7 @@ __all__ = [
     "poly_strip", "poly_deg", "poly_coeff",
     "poly_add", "poly_sub", "poly_neg", "poly_scale", "poly_mul",
     "poly_divmod", "poly_eval", "poly_shift",
-    "derivative", "even_odd_split", "series_inverse",
-    "field_gcd", "root_multiplicity",
+    "derivative", "series_inverse", "root_multiplicity",
 ]
 
 
@@ -150,13 +149,6 @@ def derivative(dom, f: list) -> list:
     return poly_strip([dom.mul(dom.from_int(k), c) for k, c in enumerate(f)][1:])
 
 
-def even_odd_split(dom, f: list) -> tuple[list, list]:
-    """Split f = f_e + f_o into even-degree and odd-degree parts."""
-    fe = [c if i % 2 == 0 else dom.zero for i, c in enumerate(f)]
-    fo = [c if i % 2 == 1 else dom.zero for i, c in enumerate(f)]
-    return poly_strip(fe), poly_strip(fo)
-
-
 def series_inverse(dom, f: list, order: int) -> list:
     """h with f*h = 1 mod z^order, by the standard coefficient recurrence.
 
@@ -172,27 +164,6 @@ def series_inverse(dom, f: list, order: int) -> list:
             acc = dom.add(acc, dom.mul(f[i], h[k - i]))
         h.append(dom.neg(dom.mul(c0inv, acc)))
     return poly_strip(h)
-
-
-def field_gcd(dom, f: list, g: list) -> tuple[list, list, list]:
-    """Extended Euclid over a field: returns (gcd, a, b) with a f + b g = gcd.
-
-    The gcd is normalized monic.  Intended for K[z]; any field domain works.
-    """
-    r0, r1 = poly_strip(list(f)), poly_strip(list(g))
-    a0, a1 = [dom.one], []
-    b0, b1 = [], [dom.one]
-    if not r0 and not r1:
-        raise ValueError("gcd(0, 0) is undefined")
-    while r1:
-        q, r = poly_divmod(dom, r0, r1)
-        r0, r1 = r1, r
-        a0, a1 = a1, poly_sub(dom, a0, poly_mul(dom, q, a1))
-        b0, b1 = b1, poly_sub(dom, b0, poly_mul(dom, q, b1))
-    lead_inv = dom.inv(r0[-1])
-    return (poly_scale(dom, lead_inv, r0),
-            poly_scale(dom, lead_inv, a0),
-            poly_scale(dom, lead_inv, b0))
 
 
 def root_multiplicity(dom, f: list, c) -> int:

@@ -7,12 +7,13 @@ by cancellation against a strictly smaller element (when the
 discrepancy divides) or by multiplication with z.  Four elements are
 tracked, one per leading-monomial shape [z^i,0], [2z^j,0], [0,z^r],
 [0,2z^s]; the update rules preserve each element's leading monomial,
-so the shapes (and leading coefficients 1, 2, 1, 2) persist.
+so the shapes (and leading coefficients 1, 2, 1, 2) persist, and the
+solver carries the four leading terms instead of rescanning them.
 
-Terms of R[z]^2 are ordered by <_offset: within one side by degree,
-across sides [0,z^j] < [z^i,0] iff j <= i + offset.  The decoder uses
-offset -1, under which the sought locator pair is the minimal element
-of M outside 2R[z]^2.
+Terms of R[z]^2 are ordered by <_l: within one side by degree, across
+sides [0,z^j] < [z^i,0] iff j <= i + l.  term_less implements the
+whole family; the solver uses l = -1, under which the sought locator
+pair is the minimal element of M outside 2R[z]^2.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def term_less(t1: tuple[int, int], t2: tuple[int, int], offset: int = -1) -> boo
     return d2 > d1 + offset
 
 
-def leading(ring, pair: PairVector, offset: int = -1):
+def leading(ring, pair: PairVector):
     """Greatest term of a nonzero pair with its coefficient."""
     best_term = None
     best_coeff = None
@@ -63,7 +64,7 @@ def leading(ring, pair: PairVector, offset: int = -1):
         for d, c in enumerate(poly):
             if c:
                 term = (side, d)
-                if best_term is None or term_less(best_term, term, offset):
+                if best_term is None or term_less(best_term, term):
                     best_term, best_coeff = term, c
     if best_term is None:
         raise ValueError("the zero pair has no leading term")
@@ -88,25 +89,20 @@ class GroebnerBasis:
 
 
 def _halve(ring, c):
-    return ring.element([d // 2 for d in c.coeffs])
+    """The element with 0/1 digits whose double is c, for c = 2 tau(b)."""
+    return ring.from_bits(c.b)
 
 
-class _TermKey:
-    """Sort key: ascending leading term, units before zero divisors on ties."""
-
-    __slots__ = ("term", "tie", "offset")
-
-    def __init__(self, term, tie, offset):
-        self.term, self.tie, self.offset = term, tie, offset
-
-    def __lt__(self, other):
-        if self.term != other.term:
-            return term_less(self.term, other.term, self.offset)
-        return self.tie < other.tie
+def _order_key(term: tuple[int, int], slot: int) -> tuple[int, int, int]:
+    """Sort key of a tracked element: its leading term under <_-1, where
+    [z^d,0] < [0,z^d] < [z^(d+1),0], then the unit-led element (slot 0
+    or 2) before the one led by 2 (slot 1 or 3) on equal terms."""
+    side, d = term
+    return (d, side, slot)
 
 
 def solve_by_approximations(ring, series: list, precision: int,
-                            offset: int = -1, trace_log: list | None = None) -> GroebnerBasis:
+                            trace_log: list | None = None) -> GroebnerBasis:
     """Groebner basis of {[a,b] in R[z]^2 : a * series = b mod z^precision}.
 
     Per round k, the discrepancy of [f,g] is the k-th coefficient of
@@ -123,45 +119,38 @@ def solve_by_approximations(ring, series: list, precision: int,
         PairVector([one], []), PairVector([two], []),
         PairVector([], [one]), PairVector([], [two]),
     ]
+    # leading terms: a cancellation keeps them, a z-shift raises the degree
+    lts = [(LEFT, 0), (LEFT, 0), (RIGHT, 0), (RIGHT, 0)]
     for k in range(precision):
         zetas = []
-        lts = []
         for f, g in slots:
             coeff = ring.zero
             for i in range(max(0, k - len(series) + 1), min(k, len(f) - 1) + 1):
                 coeff = coeff + f[i] * series[k - i]
             zeta = coeff - poly_coeff(ring, g, k)
             zetas.append(zeta)
-        for el in slots:
-            lts.append(leading(ring, el, offset))
         if trace_log is not None:
+            order = sorted(range(4), key=lambda i: _order_key(lts[i], i))
             trace_log.append({
                 "round": k,
-                "basis": [_pair_strs(el) for el in _ordered(ring, slots, lts, offset)],
+                "basis": [_pair_strs(slots[i]) for i in order],
                 "discrepancies": [z.to_str() for z in zetas],
             })
         new_slots = []
+        new_lts = list(lts)
         for i, (f, g) in enumerate(slots):
             zi = zetas[i]
             if not zi:
                 new_slots.append(slots[i])
                 continue
-            zi_even = all(c % 2 == 0 for c in zi.coeffs)
-            candidates = []
-            for j in range(4):
-                if j == i or not zetas[j]:
-                    continue
-                if not term_less(lts[j][0], lts[i][0], offset):
-                    continue
-                if ring.is_unit(zetas[j]) or zi_even:
-                    candidates.append(j)
+            zi_even = not zi.is_unit()
+            candidates = [j for j in range(4)
+                          if j != i and zetas[j] and term_less(lts[j], lts[i])
+                          and (zetas[j].is_unit() or zi_even)]
             if candidates:
-                j = min(candidates,
-                        key=lambda jj: _TermKey(lts[jj][0],
-                                                0 if ring.is_unit(lts[jj][1]) else 1,
-                                                offset))
+                j = min(candidates, key=lambda jj: _order_key(lts[jj], jj))
                 zj = zetas[j]
-                if ring.is_unit(zj):
+                if zj.is_unit():
                     factor = zi * zj.inverse()
                 else:
                     factor = _halve(ring, zi) * _halve(ring, zj).inverse()
@@ -175,19 +164,12 @@ def solve_by_approximations(ring, series: list, precision: int,
             else:
                 new_slots.append(PairVector(poly_shift(ring, f, 1),
                                             poly_shift(ring, g, 1)))
-        slots = new_slots
-    basis = GroebnerBasis(*slots)
-    i, j, r, s = basis.shape(ring)
+                side, d = lts[i]
+                new_lts[i] = (side, d + 1)
+        slots, lts = new_slots, new_lts
+    i, j, r, s = (d for _, d in lts)
     assert i >= j and r >= s, f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s"
-    return basis
-
-
-def _ordered(ring, slots, lts, offset):
-    order = sorted(range(4),
-                   key=lambda i: _TermKey(lts[i][0],
-                                          0 if ring.is_unit(lts[i][1]) else 1,
-                                          offset))
-    return [slots[i] for i in order]
+    return GroebnerBasis(*slots)
 
 
 def _pair_strs(pair: PairVector) -> list[str]:
@@ -195,15 +177,15 @@ def _pair_strs(pair: PairVector) -> list[str]:
             ";".join(c.to_str() for c in pair.b)]
 
 
-def select_minimal_regular(ring, basis: GroebnerBasis, offset: int = -1) -> PairVector:
+def select_minimal_regular(ring, basis: GroebnerBasis) -> PairVector:
     """The <-smallest basis element with a unit leading coefficient."""
     best = None
     best_term = None
     for el in basis.elements():
-        term, coeff = leading(ring, el, offset)
+        term, coeff = leading(ring, el)
         if not ring.is_unit(coeff):
             continue
-        if best is None or term_less(term, best_term, offset):
+        if best is None or term_less(term, best_term):
             best, best_term = el, term
     assert best is not None  # unit_left and unit_right always qualify
     return best

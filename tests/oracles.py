@@ -5,8 +5,9 @@ different route than the code under test: linear solving over Z4,
 direct locator construction from error patterns, exhaustive
 nearest-codeword search, exhaustive enumeration of key-equation
 solution modules, and the plain loops that the table-driven kernels
-replaced (bit-loop GF(2^m) arithmetic, per-position syndrome sums and
-per-position root scans).
+replaced (bit-loop GF(2^m) arithmetic, Z4 digit-vector ring arithmetic,
+per-position syndrome sums and per-position root scans).  It also holds
+the polynomial helpers that only tests need.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import random
 
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
-from z4negacyclic.polynomial import (poly_coeff, poly_eval, poly_mul, poly_strip,
-                                     root_multiplicity)
+from z4negacyclic.polynomial import (Z4, poly_coeff, poly_divmod, poly_eval, poly_mul,
+                                     poly_scale, poly_strip, poly_sub, root_multiplicity)
 
 
 # ---------------------------------------------------------------- reference kernels
@@ -47,6 +48,26 @@ def gf_inv_bitloop(field, a: int) -> int:
         a = gf_mul_bitloop(field, a, a)
         n >>= 1
     return r
+
+
+def digit_add(x: tuple, y: tuple) -> tuple:
+    """Sum of two GR(4,m) elements given as Z4 digit vectors."""
+    return tuple((a + b) & 3 for a, b in zip(x, y))
+
+
+def digit_sub(x: tuple, y: tuple) -> tuple:
+    return tuple((a - b) & 3 for a, b in zip(x, y))
+
+
+def digit_neg(x: tuple) -> tuple:
+    return tuple(-a & 3 for a in x)
+
+
+def digit_mul(ring, x: tuple, y: tuple) -> tuple:
+    """Product of two digit vectors: the Z4[x] product reduced by long
+    division by the ring's modulus."""
+    _, rem = poly_divmod(Z4, poly_mul(Z4, list(x), list(y)), list(ring.modulus))
+    return tuple(rem) + (0,) * (ring.m - len(rem))
 
 
 def syndromes_by_loop(word, code: Code) -> list:
@@ -246,26 +267,24 @@ def random_error(rng: random.Random, n: int, weight: int) -> list[int]:
 
 
 def all_error_patterns(n: int, max_weight: int) -> list[list[int]]:
-    """Every pattern of Lee weight <= max_weight (desk scale: max_weight <= 2)."""
-    assert max_weight <= 2
-    out = [[0] * n]
-    if max_weight >= 1:
-        for p in range(n):
-            for val in (1, 3):
-                e = [0] * n
-                e[p] = val
-                out.append(e)
-    if max_weight >= 2:
-        for p in range(n):
-            e = [0] * n
-            e[p] = 2
-            out.append(e)
-        for p1 in range(n):
-            for p2 in range(p1 + 1, n):
-                for v1 in (1, 3):
-                    for v2 in (1, 3):
+    """Every pattern of Lee weight <= max_weight, by increasing weight.
+
+    A pattern of weight w has some number d of 2s and w - 2d symbols
+    +-1 on distinct positions.
+    """
+    out = []
+    for weight in range(max_weight + 1):
+        for doubles in range(weight // 2 + 1):
+            singles = weight - 2 * doubles
+            for support in itertools.combinations(range(n), doubles + singles):
+                for twos in itertools.combinations(support, doubles):
+                    ones = [p for p in support if p not in twos]
+                    for signs in itertools.product((1, 3), repeat=singles):
                         e = [0] * n
-                        e[p1], e[p2] = v1, v2
+                        for p in twos:
+                            e[p] = 2
+                        for p, v in zip(ones, signs):
+                            e[p] = v
                         out.append(e)
     return out
 
@@ -318,3 +337,51 @@ def lm_divides(lm1, lm2, ring) -> bool:
     if ring.is_unit(c1):
         return True
     return all(v % 2 == 0 for v in c2.coeffs)  # c1 in 2R: needs c2 in 2R
+
+
+# ---------------------------------------------------------------- test-only helpers
+
+def even_odd_split(dom, f: list) -> tuple[list, list]:
+    """Split f = f_e + f_o into even-degree and odd-degree parts."""
+    fe = [c if i % 2 == 0 else dom.zero for i, c in enumerate(f)]
+    fo = [c if i % 2 == 1 else dom.zero for i, c in enumerate(f)]
+    return poly_strip(fe), poly_strip(fo)
+
+
+def field_gcd(dom, f: list, g: list) -> tuple[list, list, list]:
+    """Extended Euclid over a field: returns (gcd, a, b) with a f + b g = gcd.
+
+    The gcd is normalized monic.  Intended for K[z]; any field domain works.
+    """
+    r0, r1 = poly_strip(list(f)), poly_strip(list(g))
+    a0, a1 = [dom.one], []
+    b0, b1 = [], [dom.one]
+    if not r0 and not r1:
+        raise ValueError("gcd(0, 0) is undefined")
+    while r1:
+        q, r = poly_divmod(dom, r0, r1)
+        r0, r1 = r1, r
+        a0, a1 = a1, poly_sub(dom, a0, poly_mul(dom, q, a1))
+        b0, b1 = b1, poly_sub(dom, b0, poly_mul(dom, q, b1))
+    lead_inv = dom.inv(r0[-1])
+    return (poly_scale(dom, lead_inv, r0),
+            poly_scale(dom, lead_inv, a0),
+            poly_scale(dom, lead_inv, b0))
+
+
+def key_pair_from_locator(sigma: list) -> tuple[list, list]:
+    """The pair (phi, omega) with omega(z^2) = sigma_e and
+    phi(z^2) = sigma_e + z sigma_o, given the locator sigma over R.
+
+    Generates ground-truth key-equation instances: phi's y^j
+    coefficient is sigma_(2j) + sigma_(2j-1) and omega's is sigma_(2j).
+    Requires sigma(0) = 1.
+    """
+    if not sigma or sigma[0] != sigma[0] ** 0:
+        raise ValueError("locator must have constant term 1")
+    ring = sigma[0].ring
+    half = len(sigma) // 2 + 1
+    omega = [poly_coeff(ring, sigma, 2 * j) for j in range(half)]
+    phi = [poly_coeff(ring, sigma, 2 * j) + poly_coeff(ring, sigma, 2 * j - 1)
+           for j in range(half)]
+    return poly_strip(phi), poly_strip(omega)

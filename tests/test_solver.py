@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from oracles import (lm_divides, locator_from_error, module_members,
-                     random_error)
+from oracles import (key_pair_from_locator, lm_divides, locator_from_error,
+                     module_members, random_error)
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.keyeq import (key_pair_from_locator, key_series,
-                                odd_ratio_coefficients, syndromes)
+from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code
 from z4negacyclic.polynomial import poly_mul, poly_strip, poly_sub
 from z4negacyclic.solver import (LEFT, RIGHT, PairVector, SolutionNotFound,
-                                 leading, minimal_regular, select_minimal_regular,
-                                 solve_by_approximations, term_less)
+                                 _order_key, leading, minimal_regular,
+                                 select_minimal_regular, solve_by_approximations,
+                                 term_less)
 
 
 def test_term_less_examples():
@@ -35,6 +35,14 @@ def test_term_less_total_order():
         for t1, t2, t3 in itertools.product(terms, repeat=3):
             if term_less(t1, t2, ell) and term_less(t2, t3, ell):
                 assert term_less(t1, t3, ell)
+
+
+def test_order_key_follows_term_less():
+    terms = [(side, d) for side in (LEFT, RIGHT) for d in range(5)]
+    for t1, t2 in itertools.product(terms, terms):
+        assert (_order_key(t1, 0) < _order_key(t2, 0)) == term_less(t1, t2)
+        # equal terms: the unit-led slot (0 or 2) before the one led by 2
+        assert _order_key(t1, 0) < _order_key(t1, 1)
 
 
 def test_leading_examples():
