@@ -4,7 +4,7 @@ from .galois_ring import GaloisRing, RingElement, GaloisField, make_ring, graeff
 from .negacyclic import (Code, build_code, encode, lee_weight, lee_distance,
                          min_distance_exhaustive, lambda_map, word_to_str, word_from_str)
 from .keyeq import syndromes, odd_ratio_coefficients, key_series
-from .solver import (PairVector, GroebnerBasis, SolutionNotFound, term_less, leading,
+from .solver import (PairVector, GroebnerBasis, SolutionNotFound,
                      solve_by_approximations, select_minimal_regular, minimal_regular)
 from .decoder import DecodeOutcome, decode
 

@@ -110,7 +110,7 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     doubles, singles = set(), set()
     covered = 0
     for j in _root_positions(mu_sigma, code):
-        point = code.alpha_pow(-j).residue()
+        point = field.exp[code.residue_logs[j]]
         mult = root_multiplicity(field, mu_sigma, point)
         if mult > 2:
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")

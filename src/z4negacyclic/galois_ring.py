@@ -126,9 +126,14 @@ def graeffe_lift(p: list[int]) -> list[int]:
 class GaloisField:
     """GF(2^m) with int elements; bit i of an element is the x^i coefficient.
 
-    Multiplication, inversion and powers go through log/antilog tables
-    built once from the powers of x, so the modulus must be primitive
-    (x of order 2^m - 1); every GaloisRing modulus is, by its order check.
+    Multiplication, inversion and powers go through tables built once
+    from the powers of x, so the modulus must be primitive (x of order
+    2^m - 1); every GaloisRing modulus is, by its order check.  The
+    tables, which GaloisRing shares for its element arithmetic:
+    - `log`: discrete log, with the sentinel 2(2^m - 1) for 0;
+    - `exp`: antilog over two periods, then zeros, so that a sum of
+      two logs needs no reduction and any sum with the sentinel reads 0;
+    - `hlog`: the log of the square root (the sentinel for 0).
     """
 
     def __init__(self, m: int, modulus_bits: int):
@@ -138,8 +143,9 @@ class GaloisField:
         self.zero = 0
         self.one = 1
         order = self.size - 1
+        zero_log = 2 * order
         exp = [0] * order
-        log = [0] * self.size
+        log = [zero_log] * self.size
         a = 1
         for i in range(order):
             exp[i] = a
@@ -151,8 +157,10 @@ class GaloisField:
             raise ValueError(f"x is not primitive modulo {modulus_bits:#b}; "
                              "the log tables need a primitive modulus")
         self.order = order
-        self.exp = exp + exp  # exp[i + j] for i, j < order needs no reduction
+        self.exp = exp + exp + [0] * (zero_log + 1)
         self.log = log
+        half = (order + 1) // 2  # the inverse of 2 mod order
+        self.hlog = [zero_log] + [lg * half % order for lg in log[1:]]
 
     def __eq__(self, other):
         return (isinstance(other, GaloisField)
@@ -173,9 +181,7 @@ class GaloisField:
         return a
 
     def mul(self, a: int, b: int) -> int:
-        if a and b:
-            return self.exp[self.log[a] + self.log[b]]
-        return 0
+        return self.exp[self.log[a] + self.log[b]]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -194,10 +200,6 @@ class GaloisField:
 
     def from_int(self, k: int) -> int:
         return k & 1
-
-    def element_coeffs(self, a: int) -> tuple[int, ...]:
-        """Bit vector of an element, constant term first."""
-        return tuple((a >> i) & 1 for i in range(self.m))
 
 
 _new = object.__new__
@@ -437,13 +439,9 @@ class GaloisRing:
     """GR(4,m) descriptor: extension degree, modulus, residue field and
     the GF(2^m) tables of the element arithmetic.
 
-    The tables, each indexed by field elements or their logs:
-    - `_log`: discrete log, with the sentinel 2(2^m - 1) for 0;
-    - `_exp`: antilog over two periods, then zeros, so that a sum of
-      two logs needs no reduction and any sum with the sentinel reads 0;
-    - `_hlog`: the log of the square root (the sentinel for 0);
-    - `_corr`: the digit correction that converts between the Z4
-      digits of an element and its (a, b) pair.
+    `_log`, `_exp` and `_hlog` are the residue field's `log`, `exp` and
+    `hlog` lists (see GaloisField); `_corr` is the digit correction that
+    converts between the Z4 digits of an element and its (a, b) pair.
 
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
@@ -470,12 +468,7 @@ class GaloisRing:
             raise ValueError("[x] must have order 2^m-1 or 2(2^m-1), "
                              "but its residue x is not primitive") from None
         self._field = field
-        q = field.order
-        zero_log = 2 * q
-        self._log = [zero_log] + field.log[1:]
-        self._exp = field.exp + [0] * (2 * q + 1)
-        half = (q + 1) // 2  # the inverse of 2 mod q
-        self._hlog = [zero_log] + [lg * half % q for lg in field.log[1:]]
+        self._log, self._exp, self._hlog = field.log, field.exp, field.hlog
         self._corr = _digit_corrections(self.modulus, field)
 
         self.zero = _make(self, 0, 0)

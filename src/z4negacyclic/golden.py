@@ -54,7 +54,7 @@ def solver_example_checks() -> list[tuple[str, bool, str, str]]:
         PairVector([ring.zero, ring.two], [ring.zero, ring.two]),
     )
     checks = [_check("solver-example basis", expected, basis.elements())]
-    checks.append(_check("solver-example shape", (1, 1, 1, 1), basis.shape(ring)))
+    checks.append(_check("solver-example shape", (1, 1, 1, 1), basis.shape))
     return checks
 
 
@@ -80,7 +80,7 @@ def decode_example_checks() -> list[tuple[str, bool, str, str]]:
 
     basis = solve_by_approximations(ring, series, code.t + 1)
     checks.append(_check("decode-example solver pair", exp_pair,
-                         select_minimal_regular(ring, basis)))
+                         select_minimal_regular(basis)))
 
     outcome = decode(word, code)
     checks.append(_check("decode-example error", DECODE_EXAMPLE_ERROR,

@@ -16,7 +16,7 @@ from __future__ import annotations
 __all__ = [
     "Z4",
     "poly_strip", "poly_deg", "poly_coeff",
-    "poly_add", "poly_sub", "poly_neg", "poly_scale", "poly_mul",
+    "poly_add", "poly_sub", "poly_scale", "poly_mul",
     "poly_divmod", "poly_eval", "poly_shift",
     "derivative", "series_inverse", "root_multiplicity",
 ]
@@ -84,10 +84,6 @@ def poly_sub(dom, f: list, g: list) -> list:
     n = max(len(f), len(g))
     return poly_strip([dom.sub(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
                        for i in range(n)])
-
-
-def poly_neg(dom, f: list) -> list:
-    return [dom.neg(c) for c in f]
 
 
 def poly_scale(dom, c, f: list) -> list:

@@ -8,12 +8,13 @@ discrepancy divides) or by multiplication with z.  Four elements are
 tracked, one per leading-monomial shape [z^i,0], [2z^j,0], [0,z^r],
 [0,2z^s]; the update rules preserve each element's leading monomial,
 so the shapes (and leading coefficients 1, 2, 1, 2) persist, and the
-solver carries the four leading terms instead of rescanning them.
+solver carries the four leading degrees instead of rescanning them.
 
-Terms of R[z]^2 are ordered by <_l: within one side by degree, across
-sides [0,z^j] < [z^i,0] iff j <= i + l.  term_less implements the
-whole family; the solver uses l = -1, under which the sought locator
-pair is the minimal element of M outside 2R[z]^2.
+Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
+[0,z^j] < [z^i,0] iff j < i.  That is the native order of the tuples
+(degree, side), with side 0 for the left component and 1 for the
+right; slot k of the basis leads on side k // 2.  Under this order the
+sought locator pair is the minimal element of M outside 2R[z]^2.
 """
 
 from __future__ import annotations
@@ -24,14 +25,10 @@ from typing import NamedTuple
 from .polynomial import poly_coeff, poly_scale, poly_shift, poly_sub
 
 __all__ = [
-    "LEFT", "RIGHT",
     "PairVector", "GroebnerBasis", "SolutionNotFound",
-    "term_less", "leading",
     "solve_by_approximations",
     "select_minimal_regular", "minimal_regular",
 ]
-
-LEFT, RIGHT = 0, 1
 
 
 class PairVector(NamedTuple):
@@ -45,60 +42,19 @@ class SolutionNotFound(ValueError):
     """No admissible key-equation solution: error weight exceeded t."""
 
 
-def term_less(t1: tuple[int, int], t2: tuple[int, int], offset: int = -1) -> bool:
-    """Strict comparison of module terms (side, degree) under <_offset."""
-    s1, d1 = t1
-    s2, d2 = t2
-    if s1 == s2:
-        return d1 < d2
-    if s1 == RIGHT:  # [0,z^d1] vs [z^d2,0]
-        return d1 <= d2 + offset
-    return d2 > d1 + offset
-
-
-def leading(ring, pair: PairVector):
-    """Greatest term of a nonzero pair with its coefficient."""
-    best_term = None
-    best_coeff = None
-    for side, poly in ((LEFT, pair.a), (RIGHT, pair.b)):
-        for d, c in enumerate(poly):
-            if c:
-                term = (side, d)
-                if best_term is None or term_less(best_term, term):
-                    best_term, best_coeff = term, c
-    if best_term is None:
-        raise ValueError("the zero pair has no leading term")
-    return best_term, best_coeff
-
-
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """The four tracked elements, keyed by leading-monomial shape."""
+    """The four tracked elements, keyed by leading-monomial shape, and
+    their leading degrees (i, j, r, s)."""
 
     unit_left: PairVector   # lm = [z^i, 0]
     two_left: PairVector    # lm = [2 z^j, 0]
     unit_right: PairVector  # lm = [0, z^r]
     two_right: PairVector   # lm = [0, 2 z^s]
+    shape: tuple[int, int, int, int]
 
     def elements(self) -> tuple[PairVector, PairVector, PairVector, PairVector]:
         return (self.unit_left, self.two_left, self.unit_right, self.two_right)
-
-    def shape(self, ring) -> tuple[int, int, int, int]:
-        """Leading degrees (i, j, r, s)."""
-        return tuple(leading(ring, el)[0][1] for el in self.elements())
-
-
-def _halve(ring, c):
-    """The element with 0/1 digits whose double is c, for c = 2 tau(b)."""
-    return ring.from_bits(c.b)
-
-
-def _order_key(term: tuple[int, int], slot: int) -> tuple[int, int, int]:
-    """Sort key of a tracked element: its leading term under <_-1, where
-    [z^d,0] < [0,z^d] < [z^(d+1),0], then the unit-led element (slot 0
-    or 2) before the one led by 2 (slot 1 or 3) on equal terms."""
-    side, d = term
-    return (d, side, slot)
 
 
 def solve_by_approximations(ring, series: list, precision: int,
@@ -110,7 +66,8 @@ def solve_by_approximations(ring, series: list, precision: int,
     <-smallest strictly smaller element whose discrepancy divides it
     (unit discrepancies divide everything; a discrepancy 2e divides 2e'
     via e' e^-1), otherwise the element is multiplied by z.  Lookups
-    within a round always use the round's starting basis.
+    within a round always use the round's starting basis.  On equal
+    leading terms the unit-led element (slot 0 or 2) comes first.
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
@@ -119,8 +76,8 @@ def solve_by_approximations(ring, series: list, precision: int,
         PairVector([one], []), PairVector([two], []),
         PairVector([], [one]), PairVector([], [two]),
     ]
-    # leading terms: a cancellation keeps them, a z-shift raises the degree
-    lts = [(LEFT, 0), (LEFT, 0), (RIGHT, 0), (RIGHT, 0)]
+    # leading degrees: a cancellation keeps them, a z-shift adds 1
+    degs = [0, 0, 0, 0]
     for k in range(precision):
         zetas = []
         for f, g in slots:
@@ -130,14 +87,14 @@ def solve_by_approximations(ring, series: list, precision: int,
             zeta = coeff - poly_coeff(ring, g, k)
             zetas.append(zeta)
         if trace_log is not None:
-            order = sorted(range(4), key=lambda i: _order_key(lts[i], i))
+            order = sorted(range(4), key=lambda i: (degs[i], i))
             trace_log.append({
                 "round": k,
                 "basis": [_pair_strs(slots[i]) for i in order],
                 "discrepancies": [z.to_str() for z in zetas],
             })
         new_slots = []
-        new_lts = list(lts)
+        new_degs = list(degs)
         for i, (f, g) in enumerate(slots):
             zi = zetas[i]
             if not zi:
@@ -145,15 +102,16 @@ def solve_by_approximations(ring, series: list, precision: int,
                 continue
             zi_even = not zi.is_unit()
             candidates = [j for j in range(4)
-                          if j != i and zetas[j] and term_less(lts[j], lts[i])
+                          if j != i and zetas[j] and (degs[j], j // 2) < (degs[i], i // 2)
                           and (zetas[j].is_unit() or zi_even)]
             if candidates:
-                j = min(candidates, key=lambda jj: _order_key(lts[jj], jj))
+                j = min(candidates, key=lambda jj: (degs[jj], jj))
                 zj = zetas[j]
                 if zj.is_unit():
                     factor = zi * zj.inverse()
                 else:
-                    factor = _halve(ring, zi) * _halve(ring, zj).inverse()
+                    # zi = 2 tau(bi), zj = 2 tau(bj): divide the 0/1-digit halves
+                    factor = ring.from_bits(zi.b) * ring.from_bits(zj.b).inverse()
                 fj, gj = slots[j]
                 updated = PairVector(poly_sub(ring, f, poly_scale(ring, factor, fj)),
                                      poly_sub(ring, g, poly_scale(ring, factor, gj)))
@@ -164,12 +122,11 @@ def solve_by_approximations(ring, series: list, precision: int,
             else:
                 new_slots.append(PairVector(poly_shift(ring, f, 1),
                                             poly_shift(ring, g, 1)))
-                side, d = lts[i]
-                new_lts[i] = (side, d + 1)
-        slots, lts = new_slots, new_lts
-    i, j, r, s = (d for _, d in lts)
+                new_degs[i] += 1
+        slots, degs = new_slots, new_degs
+    i, j, r, s = degs
     assert i >= j and r >= s, f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s"
-    return GroebnerBasis(*slots)
+    return GroebnerBasis(*slots, shape=(i, j, r, s))
 
 
 def _pair_strs(pair: PairVector) -> list[str]:
@@ -177,18 +134,11 @@ def _pair_strs(pair: PairVector) -> list[str]:
             ";".join(c.to_str() for c in pair.b)]
 
 
-def select_minimal_regular(ring, basis: GroebnerBasis) -> PairVector:
-    """The <-smallest basis element with a unit leading coefficient."""
-    best = None
-    best_term = None
-    for el in basis.elements():
-        term, coeff = leading(ring, el)
-        if not ring.is_unit(coeff):
-            continue
-        if best is None or term_less(term, best_term):
-            best, best_term = el, term
-    assert best is not None  # unit_left and unit_right always qualify
-    return best
+def select_minimal_regular(basis: GroebnerBasis) -> PairVector:
+    """The <-smallest basis element with a unit leading coefficient:
+    unit_right when [0,z^r] < [z^i,0], that is r < i, else unit_left."""
+    i, _, r, _ = basis.shape
+    return basis.unit_right if r < i else basis.unit_left
 
 
 def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
@@ -198,7 +148,7 @@ def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
     constraints 2 deg a <= t+1, 2 deg b <= t, and scales by a(0)^-1 so
     that a(0) = b(0) = 1.
     """
-    pair = select_minimal_regular(ring, basis)
+    pair = select_minimal_regular(basis)
     a, b = pair
     if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
         raise SolutionNotFound(

@@ -4,10 +4,12 @@ Everything here recomputes expected values by brute force or by a
 different route than the code under test: linear solving over Z4,
 direct locator construction from error patterns, exhaustive
 nearest-codeword search, exhaustive enumeration of key-equation
-solution modules, and the plain loops that the table-driven kernels
-replaced (bit-loop GF(2^m) arithmetic, Z4 digit-vector ring arithmetic,
-per-position syndrome sums and per-position root scans).  It also holds
-the polynomial helpers that only tests need.
+solution modules, the whole <_l family of module term orders with a
+leading-term scan (the solver only carries four degrees), and the
+plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
+arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
+sums and per-position root scans).  It also holds the polynomial
+helpers that only tests need.
 """
 
 from __future__ import annotations
@@ -304,6 +306,49 @@ def nearest_codeword_distance(code: Code, word) -> int:
 
 
 # ---------------------------------------------------------------- solution modules
+
+LEFT, RIGHT = 0, 1
+
+
+def term_less(t1: tuple[int, int], t2: tuple[int, int], offset: int = -1) -> bool:
+    """Strict comparison of module terms (side, degree) under <_offset:
+    within one side by degree, across sides [0,z^j] < [z^i,0] iff
+    j <= i + offset.  The solver uses offset -1."""
+    s1, d1 = t1
+    s2, d2 = t2
+    if s1 == s2:
+        return d1 < d2
+    if s1 == RIGHT:  # [0,z^d1] vs [z^d2,0]
+        return d1 <= d2 + offset
+    return d2 > d1 + offset
+
+
+def leading(pair) -> tuple[tuple[int, int], object]:
+    """Greatest term (side, degree) of a nonzero pair under <_-1, with
+    its coefficient, by a scan of every coefficient."""
+    best_term = None
+    best_coeff = None
+    for side, poly in ((LEFT, pair.a), (RIGHT, pair.b)):
+        for d, c in enumerate(poly):
+            if c:
+                term = (side, d)
+                if best_term is None or term_less(best_term, term):
+                    best_term, best_coeff = term, c
+    if best_term is None:
+        raise ValueError("the zero pair has no leading term")
+    return best_term, best_coeff
+
+
+def select_by_scan(ring, basis):
+    """The <_-1-smallest basis element whose scanned leading coefficient
+    is a unit."""
+    best = best_term = None
+    for el in basis.elements():
+        term, coeff = leading(el)
+        if ring.is_unit(coeff) and (best is None or term_less(term, best_term)):
+            best, best_term = el, term
+    return best
+
 
 def module_members(ring, series: list, precision: int, deg_limit: int):
     """All [a, b] with component degrees <= deg_limit and a*series = b mod z^precision.

@@ -3,16 +3,15 @@ import random
 
 import pytest
 
-from oracles import (key_pair_from_locator, lm_divides, locator_from_error,
-                     module_members, random_error)
+from oracles import (LEFT, RIGHT, key_pair_from_locator, leading, lm_divides,
+                     locator_from_error, module_members, random_error, select_by_scan,
+                     term_less)
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code
 from z4negacyclic.polynomial import poly_mul, poly_strip, poly_sub
-from z4negacyclic.solver import (LEFT, RIGHT, PairVector, SolutionNotFound,
-                                 _order_key, leading, minimal_regular,
-                                 select_minimal_regular, solve_by_approximations,
-                                 term_less)
+from z4negacyclic.solver import (PairVector, SolutionNotFound, minimal_regular,
+                                 select_minimal_regular, solve_by_approximations)
 
 
 def test_term_less_examples():
@@ -37,25 +36,24 @@ def test_term_less_total_order():
                 assert term_less(t1, t3, ell)
 
 
-def test_order_key_follows_term_less():
+def test_degree_side_tuples_follow_term_less():
+    # the solver compares terms as (degree, side) tuples
     terms = [(side, d) for side in (LEFT, RIGHT) for d in range(5)]
-    for t1, t2 in itertools.product(terms, terms):
-        assert (_order_key(t1, 0) < _order_key(t2, 0)) == term_less(t1, t2)
-        # equal terms: the unit-led slot (0 or 2) before the one led by 2
-        assert _order_key(t1, 0) < _order_key(t1, 1)
+    for (s1, d1), (s2, d2) in itertools.product(terms, terms):
+        assert ((d1, s1) < (d2, s2)) == term_less((s1, d1), (s2, d2), -1)
 
 
 def test_leading_examples():
     ring = make_ring(2)
     a = ring.gen
     pair = PairVector([a * 3, ring.one], [a * 3])  # [z + 3a, 3a]
-    assert leading(ring, pair) == ((LEFT, 1), ring.one)
+    assert leading(pair) == ((LEFT, 1), ring.one)
     pair = PairVector([ring.one], [ring.one])
-    assert leading(ring, pair) == ((RIGHT, 0), ring.one)
+    assert leading(pair) == ((RIGHT, 0), ring.one)
     pair = PairVector([ring.zero, ring.two], [ring.zero, ring.two])  # [2z, 2z]
-    assert leading(ring, pair) == ((RIGHT, 1), ring.two)
+    assert leading(pair) == ((RIGHT, 1), ring.two)
     with pytest.raises(ValueError):
-        leading(ring, PairVector([], []))
+        leading(PairVector([], []))
 
 
 def test_sba_reference_run():
@@ -68,7 +66,7 @@ def test_sba_reference_run():
         PairVector([ring.zero, ring.one], [ring.zero, ring.one]),
         PairVector([ring.zero, ring.two], [ring.zero, ring.two]),
     )
-    assert basis.shape(ring) == (1, 1, 1, 1)
+    assert basis.shape == (1, 1, 1, 1)
 
 
 def test_sba_constant_one():
@@ -89,6 +87,20 @@ def test_sba_zero_series():
         PairVector([], [ring.zero, ring.one]),
         PairVector([], [ring.zero, ring.two]),
     )
+
+
+def test_sba_repairs_against_smallest_candidate():
+    # round 4 can repair unit_left against two_left, led by [2z^2,0], or
+    # against unit_right, led by [0,z^2]; the smaller one is two_left
+    ring = make_ring(2)
+
+    def poly(text):
+        return [ring.from_str(c) for c in text.split(";")]
+
+    series = poly("1,3;0,2;0,2;3,3")
+    basis = solve_by_approximations(ring, series, 5)
+    assert basis.shape == (3, 3, 2, 2)
+    assert basis.unit_left == PairVector(poly("3,2;2,2;2,2;1,0"), poly("1,1"))
 
 
 def test_sba_rejects_zero_precision():
@@ -113,10 +125,38 @@ def test_sba_members_and_shape():
             prod = poly_mul(ring, pair.a, series)
             residue = poly_sub(ring, prod[:precision], pair.b[:precision])
             assert not any(residue[:precision])
-        i, j, r, s = basis.shape(ring)
+        i, j, r, s = basis.shape
         assert i >= j and r >= s
-        lcs = [leading(ring, el)[1] for el in basis.elements()]
-        assert lcs == [ring.one, ring.two, ring.one, ring.two]
+        _assert_carried_shape_matches_rescan(ring, basis)
+
+
+def _assert_carried_shape_matches_rescan(ring, basis):
+    scanned = [leading(el) for el in basis.elements()]
+    assert [term for term, _ in scanned] == [(k // 2, d) for k, d in enumerate(basis.shape)]
+    assert [lc for _, lc in scanned] == [ring.one, ring.two, ring.one, ring.two]
+    assert select_minimal_regular(basis) is select_by_scan(ring, basis)
+
+
+def test_carried_shape_matches_rescan():
+    rng = random.Random(26)
+    for m in (2, 3, 4):
+        ring = make_ring(m)
+        for _ in range(200):
+            precision = rng.randrange(1, 7)
+            series = _random_series(ring, rng, rng.randrange(0, precision + 1))
+            _assert_carried_shape_matches_rescan(
+                ring, solve_by_approximations(ring, series, precision))
+    # key series of both passes: any error, and the same error without its 2s
+    for n, t in ((15, 2), (15, 3), (31, 5), (63, 4)):
+        code = build_code(n, t)
+        ring = code.ring
+        for _ in range(60):
+            err = random_error(rng, n, rng.randint(1, t + 2))
+            for e in (err, [0 if v == 2 else v for v in err]):
+                synd = syndromes(e, code)
+                series = [ring.one] + key_series(odd_ratio_coefficients(synd, t), t)
+                _assert_carried_shape_matches_rescan(
+                    ring, solve_by_approximations(ring, series, t + 1))
 
 
 def test_sba_zero_divisor_cancellations():
@@ -133,7 +173,7 @@ def test_sba_zero_divisor_cancellations():
         for pair in basis.elements():
             prod = poly_mul(ring, pair.a, series)
             assert not any(poly_sub(ring, prod[:precision], pair.b[:precision])[:precision])
-        i, j, r, s = basis.shape(ring)
+        i, j, r, s = basis.shape
         assert i >= j and r >= s
 
 
@@ -157,13 +197,13 @@ def test_groebner_property_shallow():
         precision = rng.randrange(1, 5)
         series = _random_series(ring, rng, rng.randrange(0, precision + 1))
         basis = solve_by_approximations(ring, series, precision)
-        basis_lms = [leading(ring, el) for el in basis.elements()]
+        basis_lms = [leading(el) for el in basis.elements()]
         deg_limit = min(2, precision - 1)
         checked = 0
         for a, b in module_members(ring, series, precision, deg_limit):
             if not a and not b:
                 continue
-            lm = leading(ring, PairVector(a, b))
+            lm = leading(PairVector(a, b))
             assert any(lm_divides(base, lm, ring) for base in basis_lms), (
                 series, precision, a, b)
             checked += 1
@@ -178,11 +218,11 @@ def test_groebner_property_full_degree():
     for _ in range(2):
         series = _random_series(ring, rng, 3)
         basis = solve_by_approximations(ring, series, 4)
-        basis_lms = [leading(ring, el) for el in basis.elements()]
+        basis_lms = [leading(el) for el in basis.elements()]
         for a, b in module_members(ring, series, 4, 3):
             if not a and not b:
                 continue
-            lm = leading(ring, PairVector(a, b))
+            lm = leading(PairVector(a, b))
             assert any(lm_divides(base, lm, ring) for base in basis_lms)
 
 
@@ -191,7 +231,7 @@ def test_minimal_regular_reference_runs():
     a = ring.gen
     series = [ring.one, a * 3 + 3]
     basis = solve_by_approximations(ring, series, 2)
-    raw = select_minimal_regular(ring, basis)
+    raw = select_minimal_regular(basis)
     assert raw == PairVector([a * 3, ring.one], [a * 3])
     norm = minimal_regular(ring, basis, 1)
     assert norm.a[0] == ring.one and norm.b == [ring.one]
@@ -210,7 +250,7 @@ def test_minimal_regular_decode_example():
     u = odd_ratio_coefficients(syndromes(word, code), 2)
     series = [ring.one] + key_series(u, 2)
     basis = solve_by_approximations(ring, series, 3)
-    assert select_minimal_regular(ring, basis) == PairVector(
+    assert select_minimal_regular(basis) == PairVector(
         [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
         [ring.element([3, 2, 3, 3]), ring.one])
 
