@@ -54,7 +54,7 @@ def cmd_code_info(args) -> int:
 
 def cmd_encode(args) -> int:
     code = build_code(args.n, args.t)
-    msg = word_from_str(args.msg, code.k)
+    msg = word_from_str(args.msg)
     word = encode(msg, code)
     _emit(args, {"word": word_to_str(word)}, word_to_str(word))
     return 0

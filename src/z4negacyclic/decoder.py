@@ -28,7 +28,7 @@ import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
 from .negacyclic import Code, lee_weight, word_to_str
-from .polynomial import poly_coeff, poly_eval, poly_strip, root_multiplicity
+from .polynomial import poly_coeff, poly_strip, root_multiplicity
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
 __all__ = [
@@ -129,22 +129,36 @@ def resolve_unit_errors(sigma: list, code: Code) -> list:
 
     sigma(alpha^-j) = 0 marks the error +1 at position j and
     sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
-    error, which pass two has already removed.
+    error, which pass two has already removed.  Both evaluations run
+    Horner's rule on the (a, b) pairs of sigma's coefficients.
     """
     ring, n = code.ring, code.n
+    log, exp, hlog = ring._log, ring._exp, ring._hlog
+    # sigma's (a, b) pairs, highest degree first, for Horner's rule
+    ca = [c.a for c in reversed(sigma)]
+    cb = [c.b for c in reversed(sigma)]
     error = [0] * n
     found = 0
     # alpha^-j and alpha^(n-j) share their residue, so only the residue
     # roots need ring arithmetic
-    for j in _root_positions([c.residue() for c in sigma], code):
-        plus = poly_eval(ring, sigma, code.alpha_pow(-j))
-        minus = poly_eval(ring, sigma, code.alpha_pow(n - j))
-        if not plus and not minus:
+    for j in _root_positions([c.a for c in sigma], code):
+        vanishes = []
+        for x in (code.alpha_pow(-j), code.alpha_pow(n - j)):
+            lxa, lxb = log[x.a], log[x.b]
+            va = vb = 0
+            for a, b in zip(ca, cb):  # v = v x + (a, b)
+                lva = log[va]
+                pa = exp[lva + lxa]
+                pb = exp[lva + lxb] ^ exp[log[vb] + lxa]
+                va, vb = pa ^ a, pb ^ b ^ exp[hlog[pa] + hlog[a]]
+            vanishes.append(not (va or vb))
+        plus, minus = vanishes
+        if plus and minus:
             raise _StageFailure(f"locator vanishes at both units for position {j}")
-        if not plus:
+        if plus:
             error[j] = 1
             found += 1
-        elif not minus:
+        elif minus:
             error[j] = 3
             found += 1
     if found != len(sigma) - 1:

@@ -17,6 +17,14 @@ lookups.  The Z4 coefficient vector of an element (constant term
 first, reduced modulo h) is its external form: elements are built from
 it and convert back to it on demand.
 
+The decoder's per-word stages (keyeq's odd-ratio recursion and series
+inverse, the solver, and the +-1 resolution in decoder) do not call
+the RingElement operators: they read each element once into its pair
+(a, b), run the same formulas inline on the ring's shared tables
+`_log`, `_exp` and `_hlog`, and build elements (`from_pair`) only for
+what they return.  The operators and the GaloisRing domain protocol
+serve everything else: code construction, locator assembly, tests.
+
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
 over GF(2), which makes [x] a generator of the Teichmuller group; the
@@ -442,9 +450,15 @@ class GaloisRing:
     `_log`, `_exp` and `_hlog` are the residue field's `log`, `exp` and
     `hlog` lists (see GaloisField); `_corr` is the digit correction that
     converts between the Z4 digits of an element and its (a, b) pair.
+    The int-pair kernels of keyeq, solver and decoder read these tables
+    directly.
 
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
+    Over R it serves only build_code's generator products and the
+    decoder's locator assembly; the other polynomial work runs over Z4
+    (encoding, the generator check) or GF(2^m) (root_multiplicity on the
+    residue locator), with their own domains.
     """
 
     def __init__(self, modulus: list[int]):
@@ -492,9 +506,8 @@ class GaloisRing:
     def from_int(self, k: int) -> RingElement:
         return self._small[k % 4]
 
-    def from_bits(self, bits: int) -> RingElement:
-        """The element whose Z4 digits are the bits of `bits` (bit i the x^i digit)."""
-        return _make(self, bits, self._corr[bits])
+    # ring.from_pair(a, b): the element tau(a) + 2 tau(b) of GF(2^m) ints a, b
+    from_pair = _make
 
     def from_str(self, text: str) -> RingElement:
         return RingElement(self, [int(t) for t in text.split(",")])

@@ -10,6 +10,12 @@ s_o (u^2 - 1) = z u'; the divisions are by odd integers, which
 are always units here.  The series 1 + T with T(z^2) = (1+z u)^-1 - 1
 then feeds the solver: solutions [a, b] of a (1+T) = b mod z^(t+1)
 recover the even/odd split of sigma.
+
+The recursion and the series inverse read each input element once as
+its GF(2^m) pair (a, b), the element tau(a) + 2 tau(b), and run every
+ring product and sum inline on the ring's log, antilog and half-log
+tables (the formulas of galois_ring.RingElement); ring elements are
+built only for the coefficients they return.
 """
 
 from __future__ import annotations
@@ -17,12 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from .negacyclic import Code
-from .polynomial import poly_coeff, series_inverse
 
 __all__ = [
     "syndromes",
     "odd_ratio_coefficients",
     "key_series",
+    "series_inverse",
 ]
 
 
@@ -43,21 +49,82 @@ def odd_ratio_coefficients(synd: list, t: int) -> list:
     For odd k the recursion reads
         k * u_k = -s_k + sum_j s_(k-2j) (u^2)_(2j),
     and k mod 4 is 1 or 3, hence self-inverse, so the division is the
-    multiplication by k mod 4 lifted to the ring.
+    multiplication by k mod 4 lifted to the ring, a negation for k = 3
+    mod 4.  Each (u^2)_(2j) = sum over odd i < 2j of u_i u_(2j-i) is
+    formed once, as soon as its u_i are known.
     """
     if len(synd) != t:
         raise ValueError(f"expected {t} syndromes, got {len(synd)}")
-    u: dict[int, object] = {}
-    for k in range(1, 2 * t, 2):
-        acc = -synd[(k - 1) // 2]
-        for j in range(1, (k - 1) // 2 + 1):
-            sq = None  # (u^2)_(2j) = sum over odd i < 2j of u_i u_(2j-i)
-            for i in range(1, 2 * j, 2):
-                term = u[i] * u[2 * j - i]
-                sq = term if sq is None else sq + term
-            acc = acc + synd[(k - 2 * j - 1) // 2] * sq
-        u[k] = acc * (k % 4)
-    return [u[k] for k in range(1, 2 * t, 2)]
+    if not t:
+        return []
+    ring = synd[0].ring
+    log, exp, hlog = ring._log, ring._exp, ring._hlog
+    s_la = [log[s.a] for s in synd]
+    s_lb = [log[s.b] for s in synd]
+    ua, ub = [], []  # u_1, u_3, ... as (a, b) pairs
+    q_la, q_lb = [], []  # logs of the pairs of (u^2)_2, (u^2)_4, ...
+    for idx in range(t):  # k = 2 idx + 1
+        if idx:
+            # (u^2)_(2 idx) sums u_(2p+1) u_(2q+1) over p + q = idx - 1:
+            # twice the product for each p < q, plus the middle square
+            # when idx is odd.  As 2 (a, b) = (0, a) and (a, b)^2 =
+            # (a^2, 0), its pair is (a_mid^2, sum over p < q of a_p a_q),
+            # with a_p the residue of u_(2p+1): no high part enters.
+            mid = ua[idx // 2] if idx & 1 else 0
+            half = 0
+            for p in range(idx // 2):
+                half ^= exp[log[ua[p]] + log[ua[idx - 1 - p]]]
+            q_la.append(log[exp[2 * log[mid]]])
+            q_lb.append(log[half])
+        a = synd[idx].a
+        xa, xb = a, a ^ synd[idx].b  # -s_k
+        for j in range(1, idx + 1):
+            ls_a, ls_b = s_la[idx - j], s_lb[idx - j]
+            lq_a, lq_b = q_la[j - 1], q_lb[j - 1]
+            ya = exp[ls_a + lq_a]
+            yb = exp[ls_a + lq_b] ^ exp[ls_b + lq_a]
+            xa, xb = xa ^ ya, xb ^ yb ^ exp[hlog[xa] + hlog[ya]]
+        if idx & 1:  # k = 3 mod 4: u_k = -acc
+            xb ^= xa
+        ua.append(xa)
+        ub.append(xb)
+    return [ring.from_pair(a, b) for a, b in zip(ua, ub)]
+
+
+def series_inverse(ring, f: list, order: int) -> list:
+    """h with f*h = 1 mod z^order over GR(4,m), stripped of trailing zeros.
+
+    The coefficient recurrence h_0 = f_0^-1, h_k = -f_0^-1 sum_(i>=1)
+    f_i h_(k-i).  Requires a unit constant term.
+    """
+    if not f or not f[0].a:
+        raise ValueError("series inverse needs a unit constant term")
+    log, exp, hlog, q = ring._log, ring._exp, ring._hlog, ring._field.order
+    f_la = [log[c.a] for c in f]
+    f_lb = [log[c.b] for c in f]
+    la0 = f_la[0]
+    ia, ib = exp[q - la0], exp[f_lb[0] + (-2 * la0) % q]  # f_0^-1
+    lia, lib = log[ia], log[ib]
+    ha, hb = [ia], [ib]
+    h_la, h_lb = [lia], [lib]
+    for k in range(1, order):
+        xa = xb = 0
+        for i in range(1, min(k, len(f) - 1) + 1):
+            l1a, l2a = f_la[i], h_la[k - i]
+            ya = exp[l1a + l2a]
+            yb = exp[l1a + h_lb[k - i]] ^ exp[f_lb[i] + l2a]
+            xa, xb = xa ^ ya, xb ^ yb ^ exp[hlog[xa] + hlog[ya]]
+        lxa = log[xa]
+        ya = exp[lia + lxa]
+        yb = exp[lia + log[xb]] ^ exp[lib + lxa] ^ ya  # -(f_0^-1 x)
+        ha.append(ya)
+        hb.append(yb)
+        h_la.append(log[ya])
+        h_lb.append(log[yb])
+    while ha and not (ha[-1] or hb[-1]):
+        ha.pop()
+        hb.pop()
+    return [ring.from_pair(a, b) for a, b in zip(ha, hb)]
 
 
 def key_series(u: list, t: int) -> list:
@@ -72,6 +139,5 @@ def key_series(u: list, t: int) -> list:
     if t == 0:
         return []
     ring = u[0].ring
-    w = [ring.one] + list(u)  # 1 + u_1 y + u_3 y^2 + ...
-    inv = series_inverse(ring, w, t + 1)
-    return [poly_coeff(ring, inv, j) for j in range(1, t + 1)]
+    inv = series_inverse(ring, [ring.one] + list(u), t + 1)  # 1 + u_1 y + u_3 y^2 + ...
+    return inv[1:] + [ring.zero] * (t + 1 - len(inv))

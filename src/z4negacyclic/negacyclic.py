@@ -154,7 +154,7 @@ def encode(msg, code: Code) -> list[int]:
     """Multiply the message polynomial by the generator, reduced mod x^n + 1."""
     msg = [int(c) % 4 for c in msg]
     if len(msg) != code.k:
-        raise ValueError(f"message length {len(msg)} != rank {code.k}")
+        raise ValueError(f"message length {len(msg)} != rank k={code.k}")
     prod = poly_mul(Z4, msg, list(code.generator))
     return negacyclic_reduce(prod, code.n)
 

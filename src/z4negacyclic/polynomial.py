@@ -7,18 +7,19 @@ domain provides zero, one, add, sub, neg, mul, is_unit, inv and
 from_int; GaloisRing, GaloisField and the Z4 singleton below all
 qualify, so the same code serves R[z], K[z] and Z4[x].
 
-Truncated power series are ordinary polynomials carried together with
-an explicit truncation order at the call site (see series_inverse).
+The decoder's per-word ring arithmetic does not come through here: the
+key-equation stages run on GF(2^m) int pairs (see keyeq and solver).
+What remains serves code construction (products over R and Z4,
+division over Z4), the assembly of a locator from a solution pair and
+the residue-field root multiplicities.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "Z4",
-    "poly_strip", "poly_deg", "poly_coeff",
-    "poly_add", "poly_sub", "poly_scale", "poly_mul",
-    "poly_divmod", "poly_eval", "poly_shift",
-    "derivative", "series_inverse", "root_multiplicity",
+    "poly_strip", "poly_coeff", "poly_mul",
+    "poly_divmod", "poly_eval", "root_multiplicity",
 ]
 
 
@@ -65,29 +66,8 @@ def poly_strip(f: list) -> list:
     return f
 
 
-def poly_deg(f: list) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(f) - 1
-
-
 def poly_coeff(dom, f: list, k: int):
     return f[k] if 0 <= k < len(f) else dom.zero
-
-
-def poly_add(dom, f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    return poly_strip([dom.add(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
-                       for i in range(n)])
-
-
-def poly_sub(dom, f: list, g: list) -> list:
-    n = max(len(f), len(g))
-    return poly_strip([dom.sub(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
-                       for i in range(n)])
-
-
-def poly_scale(dom, c, f: list) -> list:
-    return poly_strip([dom.mul(c, a) for a in f])
 
 
 def poly_mul(dom, f: list, g: list) -> list:
@@ -99,11 +79,6 @@ def poly_mul(dom, f: list, g: list) -> list:
             for j, b in enumerate(g):
                 out[i + j] = dom.add(out[i + j], dom.mul(a, b))
     return poly_strip(out)
-
-
-def poly_shift(dom, f: list, k: int) -> list:
-    """Multiply by z^k."""
-    return [dom.zero] * k + f if f else []
 
 
 def poly_divmod(dom, f: list, g: list) -> tuple[list, list]:
@@ -138,28 +113,6 @@ def poly_eval(dom, f: list, x):
     for c in reversed(f):
         acc = dom.add(dom.mul(acc, x), c)
     return acc
-
-
-def derivative(dom, f: list) -> list:
-    """Formal derivative; integer multiples land back in the domain."""
-    return poly_strip([dom.mul(dom.from_int(k), c) for k, c in enumerate(f)][1:])
-
-
-def series_inverse(dom, f: list, order: int) -> list:
-    """h with f*h = 1 mod z^order, by the standard coefficient recurrence.
-
-    Requires a unit constant term.
-    """
-    if not f or not dom.is_unit(f[0]):
-        raise ValueError("series inverse needs a unit constant term")
-    c0inv = dom.inv(f[0])
-    h = [c0inv]
-    for k in range(1, order):
-        acc = dom.zero
-        for i in range(1, min(k, len(f) - 1) + 1):
-            acc = dom.add(acc, dom.mul(f[i], h[k - i]))
-        h.append(dom.neg(dom.mul(c0inv, acc)))
-    return poly_strip(h)
 
 
 def root_multiplicity(dom, f: list, c) -> int:

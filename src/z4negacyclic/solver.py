@@ -15,14 +15,21 @@ Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
 (degree, side), with side 0 for the left component and 1 for the
 right; slot k of the basis leads on side k // 2.  Under this order the
 sought locator pair is the minimal element of M outside 2R[z]^2.
+
+The solver reads the series once into the GF(2^m) pairs (a, b) of its
+coefficients, the elements tau(a) + 2 tau(b), and holds each tracked
+polynomial as two parallel int lists.  Discrepancies, cancellation
+factors, cancellations and z-shifts run inline on the ring's log,
+antilog and half-log tables (the formulas of galois_ring.RingElement);
+ring elements are built only for the returned basis, and for the trace
+strings when a trace_log is given.  minimal_regular scales its pair
+the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .polynomial import poly_coeff, poly_scale, poly_shift, poly_sub
 
 __all__ = [
     "PairVector", "GroebnerBasis", "SolutionNotFound",
@@ -71,67 +78,107 @@ def solve_by_approximations(ring, series: list, precision: int,
     """
     if precision < 1:
         raise ValueError("precision must be at least 1")
-    one, two = ring.one, ring.two
-    slots = [
-        PairVector([one], []), PairVector([two], []),
-        PairVector([], [one]), PairVector([], [two]),
-    ]
+    log, exp, hlog, q = ring._log, ring._exp, ring._hlog, ring._field.order
+    corr = ring._corr
+    s_la = [log[c.a] for c in series]
+    s_lb = [log[c.b] for c in series]
+    # slot k holds [f, g] as the (a, b) lists fa[k], fb[k], ga[k], gb[k]:
+    # [1, 0], [2, 0], [0, 1], [0, 2]
+    fa, fb = [[1], [0], [], []], [[0], [1], [], []]
+    ga, gb = [[], [], [1], [0]], [[], [], [0], [1]]
     # leading degrees: a cancellation keeps them, a z-shift adds 1
     degs = [0, 0, 0, 0]
     for k in range(precision):
-        zetas = []
-        for f, g in slots:
-            coeff = ring.zero
-            for i in range(max(0, k - len(series) + 1), min(k, len(f) - 1) + 1):
-                coeff = coeff + f[i] * series[k - i]
-            zeta = coeff - poly_coeff(ring, g, k)
-            zetas.append(zeta)
+        za, zb = [0, 0, 0, 0], [0, 0, 0, 0]
+        for s in range(4):
+            xa = xb = 0
+            f_a, f_b = fa[s], fb[s]
+            for i in range(max(0, k - len(series) + 1), min(k, len(f_a) - 1) + 1):
+                la, l2a = log[f_a[i]], s_la[k - i]
+                ya = exp[la + l2a]
+                yb = exp[la + s_lb[k - i]] ^ exp[log[f_b[i]] + l2a]
+                xa, xb = xa ^ ya, xb ^ yb ^ exp[hlog[xa] + hlog[ya]]
+            if k < len(ga[s]):  # minus g_k
+                c = ga[s][k]
+                xa, xb = xa ^ c, xb ^ c ^ gb[s][k] ^ exp[hlog[xa] + hlog[c]]
+            za[s], zb[s] = xa, xb
+        order = sorted(range(4), key=lambda i: (degs[i], i))
         if trace_log is not None:
-            order = sorted(range(4), key=lambda i: (degs[i], i))
             trace_log.append({
                 "round": k,
-                "basis": [_pair_strs(slots[i]) for i in order],
-                "discrepancies": [z.to_str() for z in zetas],
+                "basis": [[_poly_str(ring, fa[i], fb[i]), _poly_str(ring, ga[i], gb[i])]
+                          for i in order],
+                "discrepancies": [ring.from_pair(a, b).to_str() for a, b in zip(za, zb)],
             })
-        new_slots = []
+        new_fa, new_fb, new_ga, new_gb = list(fa), list(fb), list(ga), list(gb)
         new_degs = list(degs)
-        for i, (f, g) in enumerate(slots):
-            zi = zetas[i]
-            if not zi:
-                new_slots.append(slots[i])
+        for s in range(4):
+            ai, bi = za[s], zb[s]
+            if not (ai or bi):
                 continue
-            zi_even = not zi.is_unit()
-            candidates = [j for j in range(4)
-                          if j != i and zetas[j] and (degs[j], j // 2) < (degs[i], i // 2)
-                          and (zetas[j].is_unit() or zi_even)]
-            if candidates:
-                j = min(candidates, key=lambda jj: (degs[jj], jj))
-                zj = zetas[j]
-                if zj.is_unit():
-                    factor = zi * zj.inverse()
-                else:
-                    # zi = 2 tau(bi), zj = 2 tau(bj): divide the 0/1-digit halves
-                    factor = ring.from_bits(zi.b) * ring.from_bits(zj.b).inverse()
-                fj, gj = slots[j]
-                updated = PairVector(poly_sub(ring, f, poly_scale(ring, factor, fj)),
-                                     poly_sub(ring, g, poly_scale(ring, factor, gj)))
-                # cancellation against a strictly smaller element keeps
-                # the leading monomial, so the result is never zero
-                assert updated.a or updated.b
-                new_slots.append(updated)
+            # in ascending order, the first strictly smaller element whose
+            # discrepancy divides: a unit divides everything, 2R only 2R
+            for j in order:
+                if (degs[j], j // 2) < (degs[s], s // 2) and (za[j] or zb[j] and not ai):
+                    break
             else:
-                new_slots.append(PairVector(poly_shift(ring, f, 1),
-                                            poly_shift(ring, g, 1)))
-                new_degs[i] += 1
-        slots, degs = new_slots, new_degs
+                if fa[s]:
+                    new_fa[s], new_fb[s] = [0] + fa[s], [0] + fb[s]
+                if ga[s]:
+                    new_ga[s], new_gb[s] = [0] + ga[s], [0] + gb[s]
+                new_degs[s] += 1
+                continue
+            aj, bj = za[j], zb[j]
+            if not aj:
+                # zeta_s = 2 tau(bi), zeta_j = 2 tau(bj): divide the
+                # elements whose Z4 digits are the bits of bi and bj
+                ai, bi, aj, bj = bi, corr[bi], bj, corr[bj]
+            # factor = (ai, bi) (aj, bj)^-1, with (a, b)^-1 = (a^-1, b a^-2);
+            # q - laj in 1..q is a log of aj^-1, as exp spans two periods
+            laj = log[aj]
+            lia, lib = q - laj, log[exp[log[bj] + (-2 * laj) % q]]
+            lai = log[ai]
+            ca = exp[lai + lia]
+            cb = exp[lai + lib] ^ exp[log[bi] + lia]
+            new_fa[s], new_fb[s] = _sub_scaled(ring, fa[s], fb[s], ca, cb, fa[j], fb[j])
+            new_ga[s], new_gb[s] = _sub_scaled(ring, ga[s], gb[s], ca, cb, ga[j], gb[j])
+            # cancellation against a strictly smaller element keeps
+            # the leading monomial, so the result is never zero
+            assert new_fa[s] or new_ga[s]
+        fa, fb, ga, gb, degs = new_fa, new_fb, new_ga, new_gb, new_degs
     i, j, r, s = degs
     assert i >= j and r >= s, f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s"
-    return GroebnerBasis(*slots, shape=(i, j, r, s))
+    return GroebnerBasis(*(PairVector(_elements(ring, fa[k], fb[k]),
+                                      _elements(ring, ga[k], gb[k])) for k in range(4)),
+                         shape=(i, j, r, s))
 
 
-def _pair_strs(pair: PairVector) -> list[str]:
-    return [";".join(c.to_str() for c in pair.a),
-            ";".join(c.to_str() for c in pair.b)]
+def _sub_scaled(ring, xa: list, xb: list, c: int, d: int, ya: list, yb: list):
+    """x - (c, d) y for polynomials x, y held as (a, b) coefficient lists;
+    the result is new lists, stripped of trailing zeros."""
+    log, exp, hlog = ring._log, ring._exp, ring._hlog
+    lc, ld = log[c], log[d]
+    pad = [0] * (len(ya) - len(xa))
+    ra, rb = xa + pad, xb + pad
+    for i, (ea, eb) in enumerate(zip(ya, yb)):
+        le = log[ea]
+        pa = exp[lc + le]
+        pb = exp[lc + log[eb]] ^ exp[ld + le]
+        a = ra[i]  # r_i - (pa, pb) = r_i + (pa, pa + pb)
+        ra[i] = a ^ pa
+        rb[i] ^= pa ^ pb ^ exp[hlog[a] + hlog[pa]]
+    while ra and not (ra[-1] or rb[-1]):
+        ra.pop()
+        rb.pop()
+    return ra, rb
+
+
+def _elements(ring, xa: list, xb: list) -> list:
+    return [ring.from_pair(a, b) for a, b in zip(xa, xb)]
+
+
+def _poly_str(ring, xa: list, xb: list) -> str:
+    return ";".join(ring.from_pair(a, b).to_str() for a, b in zip(xa, xb))
 
 
 def select_minimal_regular(basis: GroebnerBasis) -> PairVector:
@@ -153,11 +200,17 @@ def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
     if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
         raise SolutionNotFound(
             f"solution degrees ({len(a) - 1}, {len(b) - 1}) exceed the bounds for t={t}")
-    if not a or not ring.is_unit(a[0]):
+    if not a or not a[0].a:
         raise SolutionNotFound("solution constant term is not a unit")
-    scale = a[0].inverse()
-    a = poly_scale(ring, scale, a)
-    b = poly_scale(ring, scale, b)
-    if not b or b[0] != ring.one:
+    log, exp, q = ring._log, ring._exp, ring._field.order
+    la0 = log[a[0].a]
+    lia, lib = q - la0, log[exp[log[a[0].b] + (-2 * la0) % q]]  # a(0)^-1
+
+    def scaled(poly):
+        return [ring.from_pair(exp[lia + log[c.a]], exp[lia + log[c.b]] ^ exp[lib + log[c.a]])
+                for c in poly]
+
+    a, b = scaled(a), scaled(b)
+    if not b or b[0].a != 1 or b[0].b:
         raise SolutionNotFound("pair cannot be normalized to unit constant terms")
     return PairVector(a, b)

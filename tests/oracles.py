@@ -8,8 +8,10 @@ solution modules, the whole <_l family of module term orders with a
 leading-term scan (the solver only carries four degrees), and the
 plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
 arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
-sums and per-position root scans).  It also holds the polynomial
-helpers that only tests need.
+sums and per-position root scans).  The key-equation stages appear
+here once more on RingElement objects and the polynomial domain
+protocol, the form the int-pair kernels of keyeq and solver replaced.
+It also holds the polynomial helpers that only tests need.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import random
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
 from z4negacyclic.polynomial import (Z4, poly_coeff, poly_divmod, poly_eval, poly_mul,
-                                     poly_scale, poly_strip, poly_sub, root_multiplicity)
+                                     poly_strip, root_multiplicity)
+from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
 
 # ---------------------------------------------------------------- reference kernels
@@ -131,6 +134,132 @@ def resolve_by_scan(sigma: list, code: Code) -> list:
     if found != len(sigma) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
     return error
+
+
+# ---------------------------------------------------------------- object-based key equation
+
+def odd_ratio_by_objects(synd: list, t: int) -> list:
+    """keyeq.odd_ratio_coefficients on RingElement operators:
+    k u_k = -s_k + sum_j s_(k-2j) (u^2)_(2j), with (u^2)_(2j) summed
+    afresh for every k."""
+    if len(synd) != t:
+        raise ValueError(f"expected {t} syndromes, got {len(synd)}")
+    u: dict[int, object] = {}
+    for k in range(1, 2 * t, 2):
+        acc = -synd[(k - 1) // 2]
+        for j in range(1, (k - 1) // 2 + 1):
+            sq = None  # (u^2)_(2j) = sum over odd i < 2j of u_i u_(2j-i)
+            for i in range(1, 2 * j, 2):
+                term = u[i] * u[2 * j - i]
+                sq = term if sq is None else sq + term
+            acc = acc + synd[(k - 2 * j - 1) // 2] * sq
+        u[k] = acc * (k % 4)
+    return [u[k] for k in range(1, 2 * t, 2)]
+
+
+def series_inverse(dom, f: list, order: int) -> list:
+    """h with f*h = 1 mod z^order over any coefficient domain, by the
+    standard coefficient recurrence.  Requires a unit constant term."""
+    if not f or not dom.is_unit(f[0]):
+        raise ValueError("series inverse needs a unit constant term")
+    c0inv = dom.inv(f[0])
+    h = [c0inv]
+    for k in range(1, order):
+        acc = dom.zero
+        for i in range(1, min(k, len(f) - 1) + 1):
+            acc = dom.add(acc, dom.mul(f[i], h[k - i]))
+        h.append(dom.neg(dom.mul(c0inv, acc)))
+    return poly_strip(h)
+
+
+def key_series_by_objects(u: list, t: int) -> list:
+    """keyeq.key_series through the domain-protocol series_inverse."""
+    if t == 0:
+        return []
+    ring = u[0].ring
+    inv = series_inverse(ring, [ring.one] + list(u), t + 1)
+    return [poly_coeff(ring, inv, j) for j in range(1, t + 1)]
+
+
+def solve_by_objects(ring, series: list, precision: int,
+                     trace_log: list | None = None) -> GroebnerBasis:
+    """solver.solve_by_approximations on RingElement lists and the
+    polynomial domain protocol, with the same repair rules, candidate
+    order, carried degrees and trace records."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
+    one, two = ring.one, ring.two
+    slots = [
+        PairVector([one], []), PairVector([two], []),
+        PairVector([], [one]), PairVector([], [two]),
+    ]
+    degs = [0, 0, 0, 0]
+    for k in range(precision):
+        zetas = []
+        for f, g in slots:
+            coeff = ring.zero
+            for i in range(max(0, k - len(series) + 1), min(k, len(f) - 1) + 1):
+                coeff = coeff + f[i] * series[k - i]
+            zetas.append(coeff - poly_coeff(ring, g, k))
+        if trace_log is not None:
+            order = sorted(range(4), key=lambda i: (degs[i], i))
+            trace_log.append({
+                "round": k,
+                "basis": [[";".join(c.to_str() for c in part) for part in slots[i]]
+                          for i in order],
+                "discrepancies": [z.to_str() for z in zetas],
+            })
+        new_slots = []
+        new_degs = list(degs)
+        for i, (f, g) in enumerate(slots):
+            zi = zetas[i]
+            if not zi:
+                new_slots.append(slots[i])
+                continue
+            zi_even = not zi.is_unit()
+            candidates = [j for j in range(4)
+                          if j != i and zetas[j] and (degs[j], j // 2) < (degs[i], i // 2)
+                          and (zetas[j].is_unit() or zi_even)]
+            if candidates:
+                j = min(candidates, key=lambda jj: (degs[jj], jj))
+                zj = zetas[j]
+                if zj.is_unit():
+                    factor = zi * zj.inverse()
+                else:
+                    # zi = 2 tau(bi), zj = 2 tau(bj): divide the elements
+                    # whose Z4 digits are the bits of bi and bj
+                    factor = _bits_element(ring, zi.b) * _bits_element(ring, zj.b).inverse()
+                fj, gj = slots[j]
+                updated = PairVector(poly_sub(ring, f, poly_scale(ring, factor, fj)),
+                                     poly_sub(ring, g, poly_scale(ring, factor, gj)))
+                assert updated.a or updated.b
+                new_slots.append(updated)
+            else:
+                new_slots.append(PairVector(poly_shift(ring, f, 1), poly_shift(ring, g, 1)))
+                new_degs[i] += 1
+        slots, degs = new_slots, new_degs
+    return GroebnerBasis(*slots, shape=tuple(degs))
+
+
+def _bits_element(ring, bits: int):
+    return ring.element([bits >> i & 1 for i in range(ring.m)])
+
+
+def minimal_regular_by_objects(ring, basis: GroebnerBasis, t: int) -> PairVector:
+    """solver.minimal_regular with the scaling by a(0)^-1 done by
+    RingElement.inverse and poly_scale."""
+    a, b = select_minimal_regular(basis)
+    if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
+        raise SolutionNotFound(
+            f"solution degrees ({len(a) - 1}, {len(b) - 1}) exceed the bounds for t={t}")
+    if not a or not ring.is_unit(a[0]):
+        raise SolutionNotFound("solution constant term is not a unit")
+    scale = a[0].inverse()
+    a = poly_scale(ring, scale, a)
+    b = poly_scale(ring, scale, b)
+    if not b or b[0] != ring.one:
+        raise SolutionNotFound("pair cannot be normalized to unit constant terms")
+    return PairVector(a, b)
 
 
 # ---------------------------------------------------------------- Z4 linear algebra
@@ -385,6 +514,32 @@ def lm_divides(lm1, lm2, ring) -> bool:
 
 
 # ---------------------------------------------------------------- test-only helpers
+
+def poly_add(dom, f: list, g: list) -> list:
+    n = max(len(f), len(g))
+    return poly_strip([dom.add(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
+                       for i in range(n)])
+
+
+def poly_sub(dom, f: list, g: list) -> list:
+    n = max(len(f), len(g))
+    return poly_strip([dom.sub(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
+                       for i in range(n)])
+
+
+def poly_scale(dom, c, f: list) -> list:
+    return poly_strip([dom.mul(c, a) for a in f])
+
+
+def poly_shift(dom, f: list, k: int) -> list:
+    """Multiply by z^k."""
+    return [dom.zero] * k + f if f else []
+
+
+def derivative(dom, f: list) -> list:
+    """Formal derivative; integer multiples land back in the domain."""
+    return poly_strip([dom.mul(dom.from_int(k), c) for k, c in enumerate(f)][1:])
+
 
 def even_odd_split(dom, f: list) -> tuple[list, list]:
     """Split f = f_e + f_o into even-degree and odd-degree parts."""

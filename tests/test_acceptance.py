@@ -6,17 +6,16 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from oracles import (all_codewords, all_error_patterns, key_pair_from_locator,
+from oracles import (all_codewords, all_error_patterns, derivative, key_pair_from_locator,
                      leading, lm_divides, locator_from_error, module_members,
-                     power_sums, random_error)
+                     poly_add, poly_shift, poly_sub, power_sums, random_error)
 from test_keyeq import _bezout_reaches_two
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import (build_code, encode, lee_distance, lee_weight,
                                      min_distance_exhaustive)
-from z4negacyclic.polynomial import (derivative, poly_add, poly_mul, poly_shift,
-                                     poly_strip, poly_sub)
+from z4negacyclic.polynomial import poly_mul, poly_strip
 from z4negacyclic.solver import (PairVector, select_minimal_regular,
                                  solve_by_approximations)
 

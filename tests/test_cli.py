@@ -39,6 +39,13 @@ def test_encode_decode_round_trip(capsys):
     assert "error:    " + "0" * 15 in out
 
 
+def test_encode_rejects_a_message_of_the_wrong_length(capsys):
+    # the message must have k = 7 symbols; n = 15 is the codeword length
+    code, out, err = run(capsys, "encode", "-n", "15", "-t", "2", "--msg", "12")
+    assert code == 2 and out == ""
+    assert err == "error: message length 2 != rank k=7\n"
+
+
 def test_decode_reference_word(capsys):
     code, out, _ = run(capsys, "--json", "decode", "-n", "15", "-t", "2",
                        "--word", REFERENCE_WORD)

@@ -105,7 +105,7 @@ def test_decode_all_low_weight_patterns_one_codeword():
         assert out.success and out.codeword == codeword and out.error == err
 
 
-@pytest.mark.parametrize("n, t, count", [(15, 3, 4526), (31, 2, 1954)])
+@pytest.mark.parametrize("n, t, count", [(15, 3, 4526), (31, 2, 1954), (31, 3, 39774)])
 def test_decode_every_pattern_within_radius(n, t, count):
     # the decoder reads the error only through syndromes, which do not
     # depend on the codeword, so decoding every pattern of Lee weight

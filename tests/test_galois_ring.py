@@ -301,7 +301,8 @@ def test_digit_round_trip_all_elements(m):
         assert el.coeffs == x
         assert el.residue() == sum((c & 1) << i for i, c in enumerate(x))
     for bits in range(1 << m):
-        assert ring.from_bits(bits).coeffs == tuple(bits >> i & 1 for i in range(m))
+        assert (ring.from_pair(bits, ring._corr[bits]).coeffs
+                == tuple(bits >> i & 1 for i in range(m)))
 
 
 def test_hash_and_eq_agree_between_digits_and_arithmetic():

@@ -4,12 +4,12 @@ import pytest
 
 import numpy as np
 
-from oracles import (even_odd_split, key_pair_from_locator, locator_from_error,
-                     power_sums, random_error, syndromes_by_loop, z4_solve)
+from oracles import (derivative, even_odd_split, key_pair_from_locator, locator_from_error,
+                     poly_add, poly_shift, poly_sub, power_sums, random_error,
+                     syndromes_by_loop, z4_solve)
 from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code, encode
-from z4negacyclic.polynomial import (derivative, poly_add, poly_coeff, poly_mul,
-                                     poly_shift, poly_strip, poly_sub)
+from z4negacyclic.polynomial import poly_mul, poly_strip
 
 
 def test_syndromes_reference_word():

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from oracles import even_odd_split, field_gcd, key_pair_from_locator
+from oracles import (derivative, even_odd_split, field_gcd, key_pair_from_locator,
+                     poly_add, poly_sub, series_inverse)
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.polynomial import (Z4, derivative, poly_add, poly_divmod, poly_eval,
-                                     poly_mul, poly_strip, poly_sub, root_multiplicity,
-                                     series_inverse)
+from z4negacyclic.polynomial import (Z4, poly_divmod, poly_eval, poly_mul, poly_strip,
+                                     root_multiplicity)
 
 
 def rand_poly(rng, ring, deg):

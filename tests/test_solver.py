@@ -4,12 +4,12 @@ import random
 import pytest
 
 from oracles import (LEFT, RIGHT, key_pair_from_locator, leading, lm_divides,
-                     locator_from_error, module_members, random_error, select_by_scan,
-                     term_less)
+                     locator_from_error, module_members, poly_sub, random_error,
+                     select_by_scan, term_less)
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code
-from z4negacyclic.polynomial import poly_mul, poly_strip, poly_sub
+from z4negacyclic.polynomial import poly_mul, poly_strip
 from z4negacyclic.solver import (PairVector, SolutionNotFound, minimal_regular,
                                  select_minimal_regular, solve_by_approximations)
 
