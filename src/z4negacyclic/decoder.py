@@ -8,10 +8,15 @@ re-runs the pipeline on the corrected word, where the solution pair is
 unique over the full ring and the locator's roots at alpha^-j versus
 alpha^(n-j) separate the errors +1 and -1.
 
-Both passes find the roots of a residue locator the same way: one sweep
-of GF(2^m) log-table lookups evaluates it at the residues of all n
-points alpha^-j, and only the few roots it finds get a multiplicity
-(pass one) or an evaluation over the full ring (pass two).
+The word is held as one int64 NumPy array from intake to outcome:
+reading it, doubling off the 2s, forming the codeword and error and
+their Lee weight are whole-array operations, and the outcome converts
+to lists of Python ints only when it is built.  Both passes find the
+roots of a residue locator the same way: one gather from the antilog
+table gives every term c_i X^i at the residues X of all n points
+alpha^-j, and an XOR-reduce over the terms evaluates the locator there.
+Only the few roots it finds get a multiplicity (pass one) or an
+evaluation over the full ring (pass two).
 
 A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
-from .negacyclic import Code, lee_weight, word_to_str
+from .negacyclic import LEE, Code, word_to_str
 from .polynomial import poly_coeff, poly_strip, root_multiplicity
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
@@ -36,6 +41,8 @@ __all__ = [
     "locator_from_pair", "residue_locator",
     "locate_error_positions", "resolve_unit_errors",
 ]
+
+_LEE = np.array(LEE, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,18 +89,15 @@ def residue_locator(pair: PairVector, field) -> list:
 
 def _root_positions(mu_sigma: list, code: Code) -> list[int]:
     """Positions j, ascending, where mu_sigma vanishes at the residue of
-    alpha^-j: one sweep over the n points, by log-table lookups."""
+    alpha^-j: one gather of the terms c_i X^i at all n points from the
+    antilog table, XOR-reduced over the terms."""
     field = code.field()
-    exp, log, order = field.exp, field.log, field.order
-    terms = [(log[c], i) for i, c in enumerate(mu_sigma) if c]
-    roots = []
-    for j, point in enumerate(code.residue_logs):
-        acc = 0
-        for lc, i in terms:
-            acc ^= exp[(lc + i * point) % order]
-        if not acc:
-            roots.append(j)
-    return roots
+    log = field.log
+    deg = np.array([i for i, c in enumerate(mu_sigma) if c], dtype=np.int64)
+    logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
+    # log of c_i X^i at point j: log c_i + i log X_j, both below the order
+    terms = code.field_exp[(deg[:, None] * code.residue_logs) % field.order + logc[:, None]]
+    return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0).tolist()
 
 
 def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
@@ -174,9 +178,24 @@ def _solve_pass(ring, synd: list, t: int,
     return minimal_regular(ring, basis, t), u, series
 
 
-def _read_word(word) -> list[int]:
-    """The symbols of word as ints; _StageFailure names the first one
-    that is not a Python or numpy integer in 0..3."""
+def _read_word(word) -> np.ndarray:
+    """The symbols of word as a fresh int64 array.
+
+    A 1-D integer or bool array in 0..3, or anything np.asarray turns
+    into one, is taken as a whole.  Anything else goes through a loop
+    whose only job is to find the symbol to blame: _StageFailure names
+    the first one that is not a Python or numpy integer in 0..3.
+    """
+    try:
+        arr = np.asarray(word)
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iub":
+        ints = arr.astype(np.int64)
+        # a value outside 0..3 sets a bit above the lowest two, also
+        # when a uint64 above 2^63 wraps to a negative int64
+        if not (ints & -4).any():
+            return ints
     try:
         symbols = iter(word)
     except TypeError:
@@ -187,14 +206,15 @@ def _read_word(word) -> list[int]:
             raise _StageFailure(
                 f"symbol {reprlib.repr(c)} at position {j} is not an integer in 0..3")
         out.append(int(c))
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
     """Decode a received word; corrects any error of Lee weight <= t.
 
     The word is a sequence of n symbols, each a Python or numpy integer
-    in 0..3; anything else is reported as a failure.
+    in 0..3; anything else is reported as a failure.  The outcome holds
+    lists of Python ints.
     """
     try:
         word = _read_word(word)
@@ -209,10 +229,10 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
     if trace is not None:
         trace["syndromes"] = [s.to_str() for s in synd]
     if not any(synd):
-        zero_err = [0] * n
+        codeword, zero_err = word.tolist(), [0] * n
         if trace is not None:
-            trace.update(error=word_to_str(zero_err), codeword=word_to_str(word))
-        return DecodeOutcome(True, codeword=word, error=zero_err, trace=trace)
+            trace.update(error=word_to_str(zero_err), codeword=word_to_str(codeword))
+        return DecodeOutcome(True, codeword=codeword, error=zero_err, trace=trace)
 
     try:
         rounds: list | None = [] if with_trace else None
@@ -231,9 +251,8 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
             trace["doubles"] = sorted(doubles)
             trace["singles"] = sorted(singles)
 
-        prime = list(word)
-        for j in doubles:
-            prime[j] = (prime[j] - 2) % 4
+        prime = word.copy()
+        prime[list(doubles)] ^= 2  # p - 2 mod 4 on 0..3
 
         # the second pass always reruns the pipeline on the corrected word,
         # even when no double errors were found
@@ -245,16 +264,17 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
     except (SolutionNotFound, _StageFailure) as exc:
         return DecodeOutcome(False, reason=str(exc), trace=trace)
 
-    codeword = [(p - e) % 4 for p, e in zip(prime, unit_err)]
-    error = [(v - c) % 4 for v, c in zip(word, codeword)]
+    codeword = (prime - unit_err) & 3
+    error = (word - codeword) & 3
 
     if any(syndromes(codeword, code)):
         return DecodeOutcome(False, reason="candidate codeword has residual syndromes",
                              trace=trace)
-    if lee_weight(error) > t:
+    if _LEE[error].sum() > t:
         return DecodeOutcome(False,
                              reason=f"nearest candidate lies at Lee distance > {t}",
                              trace=trace)
+    codeword, error = codeword.tolist(), error.tolist()
     if trace is not None:
         trace.update(error=word_to_str(error), codeword=word_to_str(codeword))
     return DecodeOutcome(True, codeword=codeword, error=error, trace=trace)

@@ -31,16 +31,34 @@ __all__ = [
     "series_inverse",
 ]
 
+# 2^i for packing bit i of a GF(2^m) element, m < 63
+_BITS = 1 << np.arange(63, dtype=np.int64)
+
 
 def syndromes(word, code: Code) -> list:
-    """The t odd syndromes [v(alpha), v(alpha^3), ..., v(alpha^(2t-1))]."""
+    """The t odd syndromes [v(alpha), v(alpha^3), ..., v(alpha^(2t-1))].
+
+    An integer ndarray word is reduced mod 4 as one array; any other
+    sequence symbol by symbol, with int(c) % 4.  The Z4 digits of each
+    syndrome come out of one product with the code's syndrome matrix and
+    are bit-packed into the (a, b) pair of the element directly.
+    """
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != code length {code.n}")
-    # entries stay below n * 3 * 3 <= 9207: no int64 overflow before the mask
-    w = np.array([int(c) % 4 for c in word], dtype=np.int64)
-    flat = ((w @ code.syndrome_matrix) & 3).tolist()
+    if isinstance(word, np.ndarray) and word.ndim == 1 and word.dtype.kind in "iu":
+        # & 3 is mod 4 in two's complement, also after a uint64 -> int64 wrap
+        w = word.astype(np.int64, copy=False) & 3
+    else:
+        w = np.array([int(c) % 4 for c in word], dtype=np.int64)
     ring, m = code.ring, code.ring.m
-    return [ring.element(flat[i:i + m]) for i in range(0, code.t * m, m)]
+    # entries stay below n * 3 * 3 <= 9207: no int64 overflow before the mask
+    digits = ((w @ code.syndrome_matrix) & 3).reshape(code.t, m)
+    bits = _BITS[:m]
+    # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
+    low = ((digits & 1) @ bits).tolist()
+    high = ((digits >> 1) @ bits).tolist()
+    corr = ring._corr
+    return [ring.from_pair(a, h ^ corr[a]) for a, h in zip(low, high)]
 
 
 def odd_ratio_coefficients(synd: list, t: int) -> list:

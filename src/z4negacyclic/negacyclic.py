@@ -42,8 +42,11 @@ class Code:
     # n x t*m Z4 matrix: row j holds the coefficients of alpha^(j*k),
     # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4
     syndrome_matrix: np.ndarray = field(compare=False, repr=False, default=None)
-    # GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
-    residue_logs: tuple = field(compare=False, repr=False, default=())
+    # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
+    residue_logs: np.ndarray = field(compare=False, repr=False, default=None)
+    # read-only int64 copy of the residue field's antilog table `exp`, for
+    # the decoder's root sweep over all n points at once
+    field_exp: np.ndarray = field(compare=False, repr=False, default=None)
 
     def alpha_pow(self, j: int) -> RingElement:
         """alpha^j from the cached table (j taken mod 2n)."""
@@ -123,14 +126,18 @@ def build_code(n: int, t: int) -> Code:
     syndrome_matrix = np.array(
         [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
          for j in range(n)], dtype=np.int64)
-    syndrome_matrix.setflags(write=False)
     log = ring.residue_field().log
-    residue_logs = tuple(log[alpha_pows[-j % (2 * n)].residue()] for j in range(n))
+    residue_logs = np.array([log[alpha_pows[-j % (2 * n)].residue()] for j in range(n)],
+                            dtype=np.int64)
+    field_exp = np.array(ring.residue_field().exp, dtype=np.int64)
+    for table in (syndrome_matrix, residue_logs, field_exp):
+        table.setflags(write=False)
 
     code = Code(n=n, t=t, ring=ring, alpha=alpha,
                 generator=tuple(g), k=n - (len(g) - 1),
                 _alpha_pows=tuple(alpha_pows),
-                syndrome_matrix=syndrome_matrix, residue_logs=residue_logs)
+                syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
+                field_exp=field_exp)
 
     for i in range(1, 2 * t, 2):
         root_val = sum((code.alpha_pow(i * j) * int(c) for j, c in enumerate(g)),

@@ -8,9 +8,11 @@ solution modules, the whole <_l family of module term orders with a
 leading-term scan (the solver only carries four degrees), and the
 plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
 arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
-sums and per-position root scans).  The key-equation stages appear
-here once more on RingElement objects and the polynomial domain
-protocol, the form the int-pair kernels of keyeq and solver replaced.
+sums, per-position root scans, and the per-point log-table loop that
+the decoder's one-gather root sweep replaced).  The key-equation
+stages appear here once more on RingElement objects and the polynomial
+domain protocol, the form the int-pair kernels of keyeq and solver
+replaced.
 It also holds the polynomial helpers that only tests need.
 """
 
@@ -87,6 +89,23 @@ def syndromes_by_loop(word, code: Code) -> list:
                 acc = acc + code.alpha_pow(j * k) * c
         out.append(acc)
     return out
+
+
+def root_positions_by_loop(mu_sigma: list, code: Code) -> list[int]:
+    """decoder._root_positions as a Python loop over the n points and,
+    at each, over the nonzero terms, summing log-table products."""
+    field = code.field()
+    exp, log, order = field.exp, field.log, field.order
+    terms = [(log[c], i) for i, c in enumerate(mu_sigma) if c]
+    roots = []
+    for j in range(code.n):
+        point = int(code.residue_logs[j])
+        acc = 0
+        for lc, i in terms:
+            acc ^= exp[(lc + i * point) % order]
+        if not acc:
+            roots.append(j)
+    return roots
 
 
 def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
                      locator_from_error, random_error, resolve_by_scan,
-                     syndromes_by_loop)
-from z4negacyclic.decoder import (_StageFailure, decode, locate_error_positions,
-                                  locator_from_pair, residue_locator,
-                                  resolve_unit_errors)
+                     root_positions_by_loop, syndromes_by_loop)
+from z4negacyclic.decoder import (_root_positions, _StageFailure, decode,
+                                  locate_error_positions, locator_from_pair,
+                                  residue_locator, resolve_unit_errors)
 from z4negacyclic.keyeq import syndromes
 from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
@@ -268,6 +269,103 @@ def test_resolve_sweep_matches_per_position_scan(n, t):
         assert got == _outcome(resolve_by_scan, sigma, code)
         outcomes.append(got[0] if got and isinstance(got[0], str) else "resolved")
     assert "failure" in outcomes and "resolved" in outcomes
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
+def test_root_sweep_matches_per_point_loop(n, t):
+    code = build_code(n, t)
+    field = code.field()
+    rng = random.Random(3 * n + t)
+    locators = _residue_locators(code, rng)
+    # the empty list and the zero polynomial vanish everywhere, nonzero
+    # constants nowhere; resolve_unit_errors may pass a degree above t
+    locators += [[], [0], [0, 0], [1], [field.size - 1], [0, 0, 1]]
+    locators += [[rng.randrange(field.size) for _ in range(rng.randint(t + 2, 3 * t))]
+                 for _ in range(20)]
+    found = 0
+    for mu in locators:
+        got = _root_positions(mu, code)
+        assert got == root_positions_by_loop(mu, code)
+        assert all(type(j) is int for j in got)
+        found += bool(got) and len(got) < n
+    assert found >= 20
+
+
+def _contract_words(code, rng):
+    """A codeword (zero-syndrome exit) and the same word with one double
+    and t - 2 unit errors (full pipeline, doubles subtracted off), as
+    (word, expected codeword)."""
+    sent = encode([rng.randrange(4) for _ in range(code.k)], code)
+    noisy = list(sent)
+    for k, j in enumerate(rng.sample(range(code.n), code.t - 1)):
+        noisy[j] = (noisy[j] + (2 if k == 0 else rng.choice((1, 3)))) % 4
+    return [(sent, sent), (noisy, sent)]
+
+
+@pytest.mark.parametrize("form", ["list", "tuple", "int8", "uint8", "int64"])
+def test_decode_outcome_holds_python_ints(form):
+    code = build_code(31, 3)
+    rng = random.Random(17)
+    convert = {"list": list, "tuple": tuple}.get(form) or (
+        lambda w: np.array(w, dtype=getattr(np, form)))
+    for word, sent in _contract_words(code, rng):
+        given = convert(word)
+        before = np.array(given, copy=True)
+        for with_trace in (False, True):
+            out = decode(given, code, with_trace=with_trace)
+            assert out.success and out.codeword == sent
+            if with_trace:
+                assert bool(out.trace.get("doubles")) == (word != sent)
+            for vec in (out.codeword, out.error):
+                assert type(vec) is list and all(type(c) is int for c in vec)
+            json.dumps([out.success, out.reason, out.codeword, out.error, out.trace])
+            assert np.array_equal(np.asarray(given), before)
+    assert not code.residue_logs.flags.writeable
+    assert not code.field_exp.flags.writeable
+    assert code.field_exp.tolist() == code.field().exp
+
+
+def test_decode_reads_numpy_bools_as_bits():
+    word = [1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 0]
+    expected = decode(word, CODE_15_2, with_trace=True)
+    assert decode(np.array(word, dtype=bool), CODE_15_2, with_trace=True) == expected
+    assert decode([bool(c) for c in word], CODE_15_2, with_trace=True) == expected
+
+
+def _negacyclic_shift(word: list) -> list:
+    return [-word[-1] % 4] + list(word[:-1])
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (15, 3), (31, 3), (63, 4)])
+def test_decode_commutes_with_negacyclic_shift(n, t):
+    """decode(x w) = x decode(w) for the shift w -> x w mod x^n + 1.
+
+    The shift multiplies the syndrome s_k by alpha^k, so pass one sees
+    the key equation with z scaled to alpha z.  That scaling keeps the
+    degree of every term and maps units to units and 2R to 2R, so the
+    solver takes the same branches, every discrepancy test gives the
+    same answer and the solution pair is the original one with z scaled.
+    Its residue locator then has each root moved from alpha^-j to
+    alpha^-(j+1), which moves doubled positions by one (position n-1
+    wraps to 0 with a sign flip, and -2 = 2), and pass two and the
+    final checks (zero syndromes, Lee distance <= t) are shift-invariant
+    in the same way.  So success agrees and a success returns the
+    shifted codeword; a failure reason may name a shifted position.
+    """
+    code = build_code(n, t)
+    rng = random.Random(7 * n + t)
+    mismatches, failures = [], 0
+    for _ in range(300):
+        word = encode([rng.randrange(4) for _ in range(code.k)], code)
+        for j in rng.sample(range(n), rng.randint(1, 2 * t + 2)):
+            word[j] = (word[j] + rng.randrange(1, 4)) % 4
+        out, shifted = decode(word, code), decode(_negacyclic_shift(word), code)
+        failures += not out.success
+        if out.success != shifted.success or (
+                out.success and shifted.codeword != _negacyclic_shift(out.codeword)):
+            mismatches.append(word)
+    assert not mismatches, f"{len(mismatches)} words, first {mismatches[0]}"
+    assert 0 < failures < 300
 
 
 @pytest.mark.parametrize("symbol,position", [
