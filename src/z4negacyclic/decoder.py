@@ -8,6 +8,11 @@ re-runs the pipeline on the corrected word, where the solution pair is
 unique over the full ring and the locator's roots at alpha^-j versus
 alpha^(n-j) separate the errors +1 and -1.
 
+Every stage boundary carries int lists: a polynomial or sequence over
+GR(4,m) is its two lists (a, b) of GF(2^m) ints (see keyeq), one over
+the residue field K = GF(2^m) a single list.  Ring elements are built
+only for the trace strings.
+
 The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, forming the codeword and error and
 their Lee weight are whole-array operations, and the outcome converts
@@ -15,8 +20,9 @@ to lists of Python ints only when it is built.  Both passes find the
 roots of a residue locator the same way: one gather from the antilog
 table gives every term c_i X^i at the residues X of all n points
 alpha^-j, and an XOR-reduce over the terms evaluates the locator there.
-Only the few roots it finds get a multiplicity (pass one) or an
-evaluation over the full ring (pass two).
+Pass one reads the root multiplicities off the same terms (Hasse
+derivatives, see locate_error_positions); pass two evaluates the
+locator over the full ring at its few roots only.
 
 A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
@@ -33,13 +39,12 @@ import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
 from .negacyclic import LEE, Code, word_to_str
-from .polynomial import poly_coeff, poly_strip, root_multiplicity
+from .polynomial import poly_strip, root_multiplicity
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
 __all__ = [
     "DecodeOutcome", "decode",
-    "locator_from_pair", "residue_locator",
-    "locate_error_positions", "resolve_unit_errors",
+    "residue_locator", "locate_error_positions", "resolve_unit_errors",
 ]
 
 _LEE = np.array(LEE, dtype=np.int64)
@@ -60,43 +65,68 @@ class _StageFailure(Exception):
     """Internal: aborts the pipeline with a reason for DecodeOutcome."""
 
 
-def locator_from_pair(dom, g: list, h: list) -> list:
-    """sigma(z) = h(z^2) + z^-1 (g(z^2) - h(z^2)) over the given domain.
+def _padded(*polys: list) -> list[list]:
+    """The lists padded with zeros to a common length."""
+    width = max(map(len, polys))
+    return [p + [0] * (width - len(p)) for p in polys]
 
-    The division by z is exact exactly when g and h share their
-    constant term; anything else signals an inadmissible pair.
+
+def _interleave(h: list, d: list) -> list:
+    """h_0, d_1, h_1, d_2, ..., d_(w-1), h_(w-1) for lists of one length w:
+    the coefficients of h(z^2) + z^-1 d(z^2) when d_0 = 0."""
+    out = [0] * (2 * len(h) - 1)
+    out[0::2] = h
+    out[1::2] = d[1:]
+    return out
+
+
+def residue_locator(pair: PairVector) -> list:
+    """The mod-2 error locator of a solution pair [g, h], over K = GF(2^m):
+    h(z^2) + z^-1 (g(z^2) - h(z^2)) on the residue lists of g and h.
+
+    The division by z is exact exactly when g and h share their constant
+    term; anything else signals an inadmissible pair.
     """
-    diff = [dom.sub(poly_coeff(dom, g, j), poly_coeff(dom, h, j))
-            for j in range(max(len(g), len(h)))]
-    if diff and diff[0]:
+    g, h = _padded(pair.a[0], pair.b[0])
+    if g and g[0] != h[0]:
         raise _StageFailure("locator pair has mismatched constant terms")
-    width = 2 * max(len(g), len(h))
-    out = []
-    for k in range(width):
-        if k % 2 == 0:
-            out.append(poly_coeff(dom, h, k // 2))
-        else:
-            out.append(poly_coeff(dom, diff, (k + 1) // 2))
-    return poly_strip(out)
+    return poly_strip(_interleave(h, [x ^ y for x, y in zip(g, h)]))
 
 
-def residue_locator(pair: PairVector, field) -> list:
-    """The mod-2 error locator of a solution pair, over K = GF(2^m)."""
-    mu_g = [c.residue() for c in pair.a]
-    mu_h = [c.residue() for c in pair.b]
-    return locator_from_pair(field, mu_g, mu_h)
+def _ring_locator(ring, pair: PairVector) -> tuple[list, list]:
+    """residue_locator over R: the (a, b) lists of
+    h(z^2) + z^-1 (g(z^2) - h(z^2)) for a solution pair [g, h]."""
+    ga, gb, ha, hb = _padded(*pair.a, *pair.b)
+    exp, hlog = ring._exp, ring._hlog
+    # g - h = g + (ha, ha + hb), coefficient by coefficient
+    da = [a ^ c for a, c in zip(ga, ha)]
+    db = [b ^ c ^ d ^ exp[hlog[a] + hlog[c]] for a, b, c, d in zip(ga, gb, ha, hb)]
+    if da and (da[0] or db[0]):
+        raise _StageFailure("locator pair has mismatched constant terms")
+    sa, sb = _interleave(ha, da), _interleave(hb, db)
+    while sa and not (sa[-1] or sb[-1]):
+        sa.pop()
+        sb.pop()
+    return sa, sb
+
+
+def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray]:
+    """The degrees i of the nonzero terms c_i X^i of mu_sigma, and the
+    terms x n gather of those terms at the residues X of all n points
+    alpha^-j from the antilog table."""
+    field = code.field()
+    log = field.log
+    deg = [i for i, c in enumerate(mu_sigma) if c]
+    logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
+    # log of c_i X^i at point j: log c_i + i log X_j, both below the order
+    index = np.array(deg, dtype=np.int64)[:, None] * code.residue_logs % field.order
+    return deg, code.field_exp[index + logc[:, None]]
 
 
 def _root_positions(mu_sigma: list, code: Code) -> list[int]:
     """Positions j, ascending, where mu_sigma vanishes at the residue of
-    alpha^-j: one gather of the terms c_i X^i at all n points from the
-    antilog table, XOR-reduced over the terms."""
-    field = code.field()
-    log = field.log
-    deg = np.array([i for i, c in enumerate(mu_sigma) if c], dtype=np.int64)
-    logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
-    # log of c_i X^i at point j: log c_i + i log X_j, both below the order
-    terms = code.field_exp[(deg[:, None] * code.residue_logs) % field.order + logc[:, None]]
+    alpha^-j: the gather of _sweep, XOR-reduced over the terms."""
+    _, terms = _sweep(mu_sigma, code)
     return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0).tolist()
 
 
@@ -107,56 +137,79 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     double root, a +-1 error when it is simple.  The multiplicities
     must cover the locator degree exactly; any excess multiplicity or
     stray root means the word is uncorrectable.
+
+    The multiplicities come from the terms the root sweep gathers.
+    Over GF(2^m), X sigma'(X) is the sum of the odd-degree terms, so a
+    root is at least double exactly when those cancel too, and
+    X^2 D2(X), with D2 the second Hasse derivative, is the sum of the
+    terms of degree 2 or 3 mod 4, so it is at least triple only when
+    those also cancel.  Only then does root_multiplicity run, to name
+    the exact multiplicity in the failure.
     """
-    field = code.field()
     if not mu_sigma or not mu_sigma[0]:
         raise _StageFailure("residue locator has zero constant term")
+    deg, terms = _sweep(mu_sigma, code)
+    roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
     doubles, singles = set(), set()
-    covered = 0
-    for j in _root_positions(mu_sigma, code):
-        point = field.exp[code.residue_logs[j]]
-        mult = root_multiplicity(field, mu_sigma, point)
-        if mult > 2:
-            raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
-        if mult == 2:
-            doubles.add(j)
-        elif mult == 1:
+    # per root j, ascending, the terms c_i X^i at its point
+    for j, at_root in zip(roots.tolist(), terms[:, roots].T.tolist()):
+        odd = hasse2 = 0
+        for i, c in zip(deg, at_root):
+            if i & 1:
+                odd ^= c
+            if i & 2:
+                hasse2 ^= c
+        if odd:
             singles.add(j)
-        covered += mult
-    if covered != len(mu_sigma) - 1:
+        elif hasse2:
+            doubles.add(j)
+        else:
+            field = code.field()
+            mult = root_multiplicity(field, mu_sigma, field.exp[code.residue_logs[j]])
+            raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
+    if 2 * len(doubles) + len(singles) != len(mu_sigma) - 1:
         raise _StageFailure("residue locator does not split over the error positions")
     return doubles, singles
 
 
-def resolve_unit_errors(sigma: list, code: Code) -> list:
-    """Read a +-1 error word off a locator over R with no double roots.
+def resolve_unit_errors(sigma: tuple[list, list], code: Code) -> list:
+    """Read a +-1 error word off a locator over R with no double roots,
+    given as its (a, b) lists.
 
     sigma(alpha^-j) = 0 marks the error +1 at position j and
     sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
-    error, which pass two has already removed.  Both evaluations run
-    Horner's rule on the (a, b) pairs of sigma's coefficients.
+    error, which pass two has already removed.  With
+    sigma(x) = E(x^2) + x O(x^2) and alpha^(n-j) = -alpha^-j, one Horner
+    pass each for E and O at y = alpha^-2j gives both values,
+    E + x O and E - x O.  As (a, b)^2 = (a^2, 0), y is a Teichmuller
+    element, so each Horner step multiplies by one GF(2^m) element.
     """
-    ring, n = code.ring, code.n
-    log, exp, hlog = ring._log, ring._exp, ring._hlog
-    # sigma's (a, b) pairs, highest degree first, for Horner's rule
-    ca = [c.a for c in reversed(sigma)]
-    cb = [c.b for c in reversed(sigma)]
-    error = [0] * n
+    log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
+    sa, sb = sigma
+    # E and O as (a, b) pairs, highest degree first for Horner's rule
+    even = list(zip(sa[0::2], sb[0::2]))[::-1]
+    odd = list(zip(sa[1::2], sb[1::2]))[::-1]
+    error = [0] * code.n
     found = 0
     # alpha^-j and alpha^(n-j) share their residue, so only the residue
     # roots need ring arithmetic
-    for j in _root_positions([c.a for c in sigma], code):
-        vanishes = []
-        for x in (code.alpha_pow(-j), code.alpha_pow(n - j)):
-            lxa, lxb = log[x.a], log[x.b]
+    for j in _root_positions(sa, code):
+        xa, xb = code.alpha_inv_pairs[j]
+        lxa = log[xa]
+        ly = 2 * lxa % q  # the log of y = (xa^2, 0)
+        values = []
+        for poly in (even, odd):
             va = vb = 0
-            for a, b in zip(ca, cb):  # v = v x + (a, b)
-                lva = log[va]
-                pa = exp[lva + lxa]
-                pb = exp[lva + lxb] ^ exp[log[vb] + lxa]
-                va, vb = pa ^ a, pb ^ b ^ exp[hlog[pa] + hlog[a]]
-            vanishes.append(not (va or vb))
-        plus, minus = vanishes
+            for a, b in poly:  # v = v y + (a, b)
+                pa = exp[log[va] + ly]
+                va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
+            values.append((va, vb))
+        (ea, eb), (oa, ob) = values
+        # x O = (pa, pb); at a residue root ea = pa, so E + x O and
+        # E - x O = E + (pa, pa + pb) vanish by their high parts alone
+        pa = exp[lxa + log[oa]]
+        pb = exp[lxa + log[ob]] ^ exp[log[xb] + log[oa]]
+        plus, minus = eb == pa ^ pb, eb == pb
         if plus and minus:
             raise _StageFailure(f"locator vanishes at both units for position {j}")
         if plus:
@@ -165,17 +218,26 @@ def resolve_unit_errors(sigma: list, code: Code) -> list:
         elif minus:
             error[j] = 3
             found += 1
-    if found != len(sigma) - 1:
+    if found != len(sa) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
     return error
 
 
-def _solve_pass(ring, synd: list, t: int,
-                trace_log: list | None = None) -> tuple[PairVector, list, list]:
-    u = odd_ratio_coefficients(synd, t)
-    series = [ring.one] + key_series(u, t)
+def _solve_pass(ring, synd: tuple[list, list], t: int,
+                trace_log: list | None = None) -> tuple[PairVector, tuple, tuple]:
+    u = odd_ratio_coefficients(ring, synd, t)
+    ta, tb = key_series(ring, u, t)
+    series = ([1] + ta, [0] + tb)
     basis = solve_by_approximations(ring, series, t + 1, trace_log=trace_log)
     return minimal_regular(ring, basis, t), u, series
+
+
+def _nonzero(synd: tuple[list, list]) -> bool:
+    return any(synd[0]) or any(synd[1])
+
+
+def _strs(ring, poly: tuple[list, list]) -> list[str]:
+    return [c.to_str() for c in ring.elements(poly)]
 
 
 def _read_word(word) -> np.ndarray:
@@ -227,8 +289,8 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
 
     synd = syndromes(word, code)
     if trace is not None:
-        trace["syndromes"] = [s.to_str() for s in synd]
-    if not any(synd):
+        trace["syndromes"] = _strs(ring, synd)
+    if not _nonzero(synd):
         codeword, zero_err = word.tolist(), [0] * n
         if trace is not None:
             trace.update(error=word_to_str(zero_err), codeword=word_to_str(codeword))
@@ -238,12 +300,11 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         rounds: list | None = [] if with_trace else None
         pair, u, series = _solve_pass(ring, synd, t, trace_log=rounds)
         if trace is not None:
-            trace["u"] = [c.to_str() for c in u]
-            trace["oneplusT"] = [c.to_str() for c in series]
-            trace["solverpair"] = [";".join(c.to_str() for c in pair.a),
-                                   ";".join(c.to_str() for c in pair.b)]
+            trace["u"] = _strs(ring, u)
+            trace["oneplusT"] = _strs(ring, series)
+            trace["solverpair"] = [";".join(_strs(ring, pair.a)), ";".join(_strs(ring, pair.b))]
             trace["solver_rounds"] = rounds
-        mu_sigma = residue_locator(pair, code.field())
+        mu_sigma = residue_locator(pair)
         if trace is not None:
             trace["sigma_mod2"] = [str(c) for c in mu_sigma]
         doubles, singles = locate_error_positions(mu_sigma, code)
@@ -257,17 +318,17 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         # the second pass always reruns the pipeline on the corrected word,
         # even when no double errors were found
         pair2, _, _ = _solve_pass(ring, syndromes(prime, code), t)
-        sigma2 = locator_from_pair(ring, pair2.a, pair2.b)
+        sigma2 = _ring_locator(ring, pair2)
         unit_err = resolve_unit_errors(sigma2, code)
         if trace is not None:
-            trace["sigma_pass2"] = [c.to_str() for c in sigma2]
+            trace["sigma_pass2"] = _strs(ring, sigma2)
     except (SolutionNotFound, _StageFailure) as exc:
         return DecodeOutcome(False, reason=str(exc), trace=trace)
 
     codeword = (prime - unit_err) & 3
     error = (word - codeword) & 3
 
-    if any(syndromes(codeword, code)):
+    if _nonzero(syndromes(codeword, code)):
         return DecodeOutcome(False, reason="candidate codeword has residual syndromes",
                              trace=trace)
     if _LEE[error].sum() > t:

@@ -17,13 +17,15 @@ lookups.  The Z4 coefficient vector of an element (constant term
 first, reduced modulo h) is its external form: elements are built from
 it and convert back to it on demand.
 
-The decoder's per-word stages (keyeq's odd-ratio recursion and series
-inverse, the solver, and the +-1 resolution in decoder) do not call
-the RingElement operators: they read each element once into its pair
-(a, b), run the same formulas inline on the ring's shared tables
-`_log`, `_exp` and `_hlog`, and build elements (`from_pair`) only for
-what they return.  The operators and the GaloisRing domain protocol
-serve everything else: code construction, locator assembly, tests.
+The decoder's per-word stages (syndromes, keyeq's odd-ratio recursion
+and series inverse, the solver, the locators and the +-1 resolution)
+build no RingElement: they pass every polynomial over R as its two
+int lists (a, b) and run the same formulas inline on the ring's
+shared tables `_log`, `_exp` and `_hlog`.  `GaloisRing.elements`
+turns such lists into elements, for the decoder's trace strings, the
+bundled reference checks and tests; `int_lists` goes the other way.
+The operators and the GaloisRing domain protocol serve code
+construction and tests.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -455,10 +457,10 @@ class GaloisRing:
 
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
-    Over R it serves only build_code's generator products and the
-    decoder's locator assembly; the other polynomial work runs over Z4
-    (encoding, the generator check) or GF(2^m) (root_multiplicity on the
-    residue locator), with their own domains.
+    Over R it serves only build_code's generator products; the other
+    polynomial work runs over Z4 (encoding, the generator check) or
+    GF(2^m) (root_multiplicity, when the decoder names a residue-locator
+    root of multiplicity three or more), with their own domains.
     """
 
     def __init__(self, modulus: list[int]):
@@ -508,6 +510,15 @@ class GaloisRing:
 
     # ring.from_pair(a, b): the element tau(a) + 2 tau(b) of GF(2^m) ints a, b
     from_pair = _make
+
+    def elements(self, poly: tuple[list, list]) -> list[RingElement]:
+        """The elements tau(a_i) + 2 tau(b_i) of a polynomial or sequence
+        held as its (a, b) int lists, the form the decoder's stages use."""
+        return [_make(self, a, b) for a, b in zip(*poly)]
+
+    def int_lists(self, elements) -> tuple[list, list]:
+        """The (a, b) int lists of a sequence of elements of this ring."""
+        return [c.a for c in elements], [c.b for c in elements]
 
     def from_str(self, text: str) -> RingElement:
         return RingElement(self, [int(t) for t in text.split(",")])

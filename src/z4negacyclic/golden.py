@@ -3,7 +3,8 @@
 The decode example's received word is pinned as the unique word inside
 the decoding radius whose pipeline reproduces the reference syndromes,
 key series, solver pair and error vector below, all expressed over the
-m=4 ring in powers of [x].
+m=4 ring in powers of [x].  The stages pass int lists (a, b); the
+checks compare them as ring elements, through GaloisRing.elements.
 """
 
 from __future__ import annotations
@@ -41,19 +42,24 @@ def _check(name: str, expected, got) -> tuple[str, bool, str, str]:
     return (name, expected == got, repr(expected), repr(got))
 
 
+def _pair_elements(ring, pair: PairVector) -> PairVector:
+    return PairVector(ring.elements(pair.a), ring.elements(pair.b))
+
+
 def solver_example_checks() -> list[tuple[str, bool, str, str]]:
     """The GR(4,2) run: basis of {[a,b] : a((3a+3)z+1) = b mod z^2}."""
     ring = make_ring(2)
     alpha = ring.gen
     series = [ring.one, alpha * 3 + 3]
-    basis = solve_by_approximations(ring, series, 2)
+    basis = solve_by_approximations(ring, ring.int_lists(series), 2)
     expected = (
         PairVector([alpha * 3, ring.one], [alpha * 3]),
         PairVector([alpha * 2, ring.two], [alpha * 2]),
         PairVector([ring.zero, ring.one], [ring.zero, ring.one]),
         PairVector([ring.zero, ring.two], [ring.zero, ring.two]),
     )
-    checks = [_check("solver-example basis", expected, basis.elements())]
+    checks = [_check("solver-example basis", expected,
+                     tuple(_pair_elements(ring, p) for p in basis.elements()))]
     checks.append(_check("solver-example shape", (1, 1, 1, 1), basis.shape))
     return checks
 
@@ -72,21 +78,23 @@ def decode_example_checks() -> list[tuple[str, bool, str, str]]:
     )
 
     synd = syndromes(word, code)
-    checks = [_check("decode-example syndromes", exp_synd, synd)]
+    checks = [_check("decode-example syndromes", exp_synd, ring.elements(synd))]
 
-    u = odd_ratio_coefficients(synd, code.t)
-    series = [ring.one] + key_series(u, code.t)
-    checks.append(_check("decode-example key series", exp_series, series))
+    u = odd_ratio_coefficients(ring, synd, code.t)
+    ta, tb = key_series(ring, u, code.t)
+    series = ([1] + ta, [0] + tb)
+    checks.append(_check("decode-example key series", exp_series, ring.elements(series)))
 
     basis = solve_by_approximations(ring, series, code.t + 1)
     checks.append(_check("decode-example solver pair", exp_pair,
-                         select_minimal_regular(basis)))
+                         _pair_elements(ring, select_minimal_regular(basis))))
 
     outcome = decode(word, code)
     checks.append(_check("decode-example error", DECODE_EXAMPLE_ERROR,
                          word_to_str(outcome.error) if outcome.success else outcome.reason))
     checks.append(_check("decode-example codeword syndromes", True,
-                         outcome.success and not any(syndromes(outcome.codeword, code))))
+                         outcome.success and not any(ring.elements(
+                             syndromes(outcome.codeword, code)))))
     return checks
 
 

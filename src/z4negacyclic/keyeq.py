@@ -11,11 +11,13 @@ are always units here.  The series 1 + T with T(z^2) = (1+z u)^-1 - 1
 then feeds the solver: solutions [a, b] of a (1+T) = b mod z^(t+1)
 recover the even/odd split of sigma.
 
-The recursion and the series inverse read each input element once as
-its GF(2^m) pair (a, b), the element tau(a) + 2 tau(b), and run every
-ring product and sum inline on the ring's log, antilog and half-log
-tables (the formulas of galois_ring.RingElement); ring elements are
-built only for the coefficients they return.
+Every sequence over GR(4,m) here, syndromes and polynomials alike, is
+held as its two int lists (a, b): entry i is the element
+tau(a_i) + 2 tau(b_i), with a_i, b_i in GF(2^m).  The stages take and
+return that form and run every ring product and sum inline on the
+ring's log, antilog and half-log tables (the formulas of
+galois_ring.RingElement), so no ring element is built;
+GaloisRing.elements converts a result for display.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ __all__ = [
 _BITS = 1 << np.arange(63, dtype=np.int64)
 
 
-def syndromes(word, code: Code) -> list:
-    """The t odd syndromes [v(alpha), v(alpha^3), ..., v(alpha^(2t-1))].
+def syndromes(word, code: Code) -> tuple[list, list]:
+    """The t odd syndromes v(alpha), v(alpha^3), ..., v(alpha^(2t-1)),
+    as their (a, b) int lists.
 
     An integer ndarray word is reduced mod 4 as one array; any other
     sequence symbol by symbol, with int(c) % 4.  The Z4 digits of each
@@ -50,19 +53,20 @@ def syndromes(word, code: Code) -> list:
         w = word.astype(np.int64, copy=False) & 3
     else:
         w = np.array([int(c) % 4 for c in word], dtype=np.int64)
-    ring, m = code.ring, code.ring.m
+    m = code.ring.m
     # entries stay below n * 3 * 3 <= 9207: no int64 overflow before the mask
     digits = ((w @ code.syndrome_matrix) & 3).reshape(code.t, m)
     bits = _BITS[:m]
     # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
     low = ((digits & 1) @ bits).tolist()
     high = ((digits >> 1) @ bits).tolist()
-    corr = ring._corr
-    return [ring.from_pair(a, h ^ corr[a]) for a, h in zip(low, high)]
+    corr = code.ring._corr
+    return low, [h ^ corr[a] for a, h in zip(low, high)]
 
 
-def odd_ratio_coefficients(synd: list, t: int) -> list:
-    """Coefficients u_1, u_3, ..., u_(2t-1) of u = sigma_o / sigma_e.
+def odd_ratio_coefficients(ring, synd: tuple[list, list], t: int) -> tuple[list, list]:
+    """Coefficients u_1, u_3, ..., u_(2t-1) of u = sigma_o / sigma_e,
+    from the (a, b) lists of the syndromes, as (a, b) lists.
 
     For odd k the recursion reads
         k * u_k = -s_k + sum_j s_(k-2j) (u^2)_(2j),
@@ -71,14 +75,12 @@ def odd_ratio_coefficients(synd: list, t: int) -> list:
     mod 4.  Each (u^2)_(2j) = sum over odd i < 2j of u_i u_(2j-i) is
     formed once, as soon as its u_i are known.
     """
-    if len(synd) != t:
-        raise ValueError(f"expected {t} syndromes, got {len(synd)}")
-    if not t:
-        return []
-    ring = synd[0].ring
+    sa, sb = synd
+    if len(sa) != t:
+        raise ValueError(f"expected {t} syndromes, got {len(sa)}")
     log, exp, hlog = ring._log, ring._exp, ring._hlog
-    s_la = [log[s.a] for s in synd]
-    s_lb = [log[s.b] for s in synd]
+    s_la = [log[a] for a in sa]
+    s_lb = [log[b] for b in sb]
     ua, ub = [], []  # u_1, u_3, ... as (a, b) pairs
     q_la, q_lb = [], []  # logs of the pairs of (u^2)_2, (u^2)_4, ...
     for idx in range(t):  # k = 2 idx + 1
@@ -94,8 +96,8 @@ def odd_ratio_coefficients(synd: list, t: int) -> list:
                 half ^= exp[log[ua[p]] + log[ua[idx - 1 - p]]]
             q_la.append(log[exp[2 * log[mid]]])
             q_lb.append(log[half])
-        a = synd[idx].a
-        xa, xb = a, a ^ synd[idx].b  # -s_k
+        a = sa[idx]
+        xa, xb = a, a ^ sb[idx]  # -s_k
         for j in range(1, idx + 1):
             ls_a, ls_b = s_la[idx - j], s_lb[idx - j]
             lq_a, lq_b = q_la[j - 1], q_lb[j - 1]
@@ -106,20 +108,22 @@ def odd_ratio_coefficients(synd: list, t: int) -> list:
             xb ^= xa
         ua.append(xa)
         ub.append(xb)
-    return [ring.from_pair(a, b) for a, b in zip(ua, ub)]
+    return ua, ub
 
 
-def series_inverse(ring, f: list, order: int) -> list:
-    """h with f*h = 1 mod z^order over GR(4,m), stripped of trailing zeros.
+def series_inverse(ring, f: tuple[list, list], order: int) -> tuple[list, list]:
+    """h with f*h = 1 mod z^order over GR(4,m), stripped of trailing zeros;
+    f and h are (a, b) lists.
 
     The coefficient recurrence h_0 = f_0^-1, h_k = -f_0^-1 sum_(i>=1)
     f_i h_(k-i).  Requires a unit constant term.
     """
-    if not f or not f[0].a:
+    fa, fb = f
+    if not fa or not fa[0]:
         raise ValueError("series inverse needs a unit constant term")
     log, exp, hlog, q = ring._log, ring._exp, ring._hlog, ring._field.order
-    f_la = [log[c.a] for c in f]
-    f_lb = [log[c.b] for c in f]
+    f_la = [log[a] for a in fa]
+    f_lb = [log[b] for b in fb]
     la0 = f_la[0]
     ia, ib = exp[q - la0], exp[f_lb[0] + (-2 * la0) % q]  # f_0^-1
     lia, lib = log[ia], log[ib]
@@ -127,7 +131,7 @@ def series_inverse(ring, f: list, order: int) -> list:
     h_la, h_lb = [lia], [lib]
     for k in range(1, order):
         xa = xb = 0
-        for i in range(1, min(k, len(f) - 1) + 1):
+        for i in range(1, min(k, len(fa) - 1) + 1):
             l1a, l2a = f_la[i], h_la[k - i]
             ya = exp[l1a + l2a]
             yb = exp[l1a + h_lb[k - i]] ^ exp[f_lb[i] + l2a]
@@ -142,20 +146,22 @@ def series_inverse(ring, f: list, order: int) -> list:
     while ha and not (ha[-1] or hb[-1]):
         ha.pop()
         hb.pop()
-    return [ring.from_pair(a, b) for a, b in zip(ha, hb)]
+    return ha, hb
 
 
-def key_series(u: list, t: int) -> list:
-    """Coefficients T_1..T_t of T, where T(z^2) = (1 + z u(z))^-1 - 1.
+def key_series(ring, u: tuple[list, list], t: int) -> tuple[list, list]:
+    """Coefficients T_1..T_t of T, where T(z^2) = (1 + z u(z))^-1 - 1,
+    from the (a, b) lists of u_1, u_3, ..., as (a, b) lists.
 
     z u(z) only has even-degree terms, so the inversion happens on the
     polynomial in y = z^2 whose y^j coefficient is u_(2j-1), truncated
     at order t+1.
     """
-    if len(u) != t:
-        raise ValueError(f"expected {t} odd coefficients, got {len(u)}")
+    ua, ub = u
+    if len(ua) != t:
+        raise ValueError(f"expected {t} odd coefficients, got {len(ua)}")
     if t == 0:
-        return []
-    ring = u[0].ring
-    inv = series_inverse(ring, [ring.one] + list(u), t + 1)  # 1 + u_1 y + u_3 y^2 + ...
-    return inv[1:] + [ring.zero] * (t + 1 - len(inv))
+        return [], []
+    ha, hb = series_inverse(ring, ([1] + ua, [0] + ub), t + 1)  # 1 + u_1 y + u_3 y^2 + ...
+    pad = [0] * (t + 1 - len(ha))
+    return ha[1:] + pad, hb[1:] + pad

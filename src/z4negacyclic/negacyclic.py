@@ -47,6 +47,9 @@ class Code:
     # read-only int64 copy of the residue field's antilog table `exp`, for
     # the decoder's root sweep over all n points at once
     field_exp: np.ndarray = field(compare=False, repr=False, default=None)
+    # the GF(2^m) pairs (a, b) of alpha^-j, j = 0..n-1, for the decoder's
+    # +-1 resolution; alpha^(n-j) = -alpha^-j needs no entry
+    alpha_inv_pairs: tuple = field(compare=False, repr=False, default=())
 
     def alpha_pow(self, j: int) -> RingElement:
         """alpha^j from the cached table (j taken mod 2n)."""
@@ -127,8 +130,8 @@ def build_code(n: int, t: int) -> Code:
         [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
          for j in range(n)], dtype=np.int64)
     log = ring.residue_field().log
-    residue_logs = np.array([log[alpha_pows[-j % (2 * n)].residue()] for j in range(n)],
-                            dtype=np.int64)
+    alpha_inv_pairs = tuple((x.a, x.b) for x in (alpha_pows[-j % (2 * n)] for j in range(n)))
+    residue_logs = np.array([log[a] for a, _ in alpha_inv_pairs], dtype=np.int64)
     field_exp = np.array(ring.residue_field().exp, dtype=np.int64)
     for table in (syndrome_matrix, residue_logs, field_exp):
         table.setflags(write=False)
@@ -137,7 +140,7 @@ def build_code(n: int, t: int) -> Code:
                 generator=tuple(g), k=n - (len(g) - 1),
                 _alpha_pows=tuple(alpha_pows),
                 syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
-                field_exp=field_exp)
+                field_exp=field_exp, alpha_inv_pairs=alpha_inv_pairs)
 
     for i in range(1, 2 * t, 2):
         root_val = sum((code.alpha_pow(i * j) * int(c) for j, c in enumerate(g)),

@@ -7,18 +7,19 @@ domain provides zero, one, add, sub, neg, mul, is_unit, inv and
 from_int; GaloisRing, GaloisField and the Z4 singleton below all
 qualify, so the same code serves R[z], K[z] and Z4[x].
 
-The decoder's per-word ring arithmetic does not come through here: the
-key-equation stages run on GF(2^m) int pairs (see keyeq and solver).
-What remains serves code construction (products over R and Z4,
-division over Z4), the assembly of a locator from a solution pair and
-the residue-field root multiplicities.
+The decoder's per-word arithmetic does not come through here: its
+stages pass polynomials as GF(2^m) int lists (see keyeq, solver and
+decoder).  What remains serves code construction (products over R and
+Z4, division over Z4) and the one exact root multiplicity the decoder
+still computes, when its root sweep finds a residue-locator root of
+multiplicity three or more and the failure reason names the number.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "Z4",
-    "poly_strip", "poly_coeff", "poly_mul",
+    "poly_strip", "poly_mul",
     "poly_divmod", "poly_eval", "root_multiplicity",
 ]
 
@@ -64,10 +65,6 @@ def poly_strip(f: list) -> list:
     while f and not f[-1]:
         f = f[:-1]
     return f
-
-
-def poly_coeff(dom, f: list, k: int):
-    return f[k] if 0 <= k < len(f) else dom.zero
 
 
 def poly_mul(dom, f: list, g: list) -> list:

@@ -8,22 +8,24 @@ discrepancy divides) or by multiplication with z.  Four elements are
 tracked, one per leading-monomial shape [z^i,0], [2z^j,0], [0,z^r],
 [0,2z^s]; the update rules preserve each element's leading monomial,
 so the shapes (and leading coefficients 1, 2, 1, 2) persist, and the
-solver carries the four leading degrees instead of rescanning them.
+solver carries the four leading terms instead of rescanning them.
 
 Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
 [0,z^j] < [z^i,0] iff j < i.  That is the native order of the tuples
 (degree, side), with side 0 for the left component and 1 for the
-right; slot k of the basis leads on side k // 2.  Under this order the
+right, and so of the ints 2 degree + side that the solver carries;
+slot k of the basis leads on side k // 2.  Under this order the
 sought locator pair is the minimal element of M outside 2R[z]^2.
 
-The solver reads the series once into the GF(2^m) pairs (a, b) of its
-coefficients, the elements tau(a) + 2 tau(b), and holds each tracked
-polynomial as two parallel int lists.  Discrepancies, cancellation
-factors, cancellations and z-shifts run inline on the ring's log,
-antilog and half-log tables (the formulas of galois_ring.RingElement);
-ring elements are built only for the returned basis, and for the trace
-strings when a trace_log is given.  minimal_regular scales its pair
-the same way.
+A polynomial over R is held as its two int lists (a, b), entry i the
+coefficient tau(a_i) + 2 tau(b_i) with a_i, b_i in GF(2^m), as in
+keyeq: the series comes in that way, each tracked polynomial is
+updated that way, and the basis and the normalized pair go out that
+way.  Discrepancies, cancellation factors, cancellations and z-shifts
+run inline on the ring's log, antilog and half-log tables (the
+formulas of galois_ring.RingElement), and minimal_regular scales its
+pair the same way; ring elements are built only for the trace strings
+when a trace_log is given.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ __all__ = [
 
 
 class PairVector(NamedTuple):
-    """An element [a, b] of R[z]^2; components are coefficient lists."""
+    """An element [a, b] of R[z]^2; each component is a polynomial, held
+    by the solver as its (a, b) int lists."""
 
-    a: list
-    b: list
+    a: tuple[list, list]
+    b: tuple[list, list]
 
 
 class SolutionNotFound(ValueError):
@@ -64,9 +67,10 @@ class GroebnerBasis:
         return (self.unit_left, self.two_left, self.unit_right, self.two_right)
 
 
-def solve_by_approximations(ring, series: list, precision: int,
+def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                             trace_log: list | None = None) -> GroebnerBasis:
-    """Groebner basis of {[a,b] in R[z]^2 : a * series = b mod z^precision}.
+    """Groebner basis of {[a,b] in R[z]^2 : a * series = b mod z^precision},
+    for the series as (a, b) lists.
 
     Per round k, the discrepancy of [f,g] is the k-th coefficient of
     f*series - g.  A nonzero discrepancy is repaired against the
@@ -80,53 +84,62 @@ def solve_by_approximations(ring, series: list, precision: int,
         raise ValueError("precision must be at least 1")
     log, exp, hlog, q = ring._log, ring._exp, ring._hlog, ring._field.order
     corr = ring._corr
-    s_la = [log[c.a] for c in series]
-    s_lb = [log[c.b] for c in series]
+    # the series' logs to precision terms (a missing term is zero, of log
+    # 2q), last first: coefficient k of f*series pairs f_0, f_1, ... with
+    # the entries from precision - 1 - k on
+    pad = [2 * q] * (precision - len(series[0]))
+    r_la = ([log[a] for a in series[0]] + pad)[precision - 1::-1]
+    r_lb = ([log[b] for b in series[1]] + pad)[precision - 1::-1]
     # slot k holds [f, g] as the (a, b) lists fa[k], fb[k], ga[k], gb[k]:
     # [1, 0], [2, 0], [0, 1], [0, 2]
     fa, fb = [[1], [0], [], []], [[0], [1], [], []]
     ga, gb = [[], [], [1], [0]], [[], [], [0], [1]]
-    # leading degrees: a cancellation keeps them, a z-shift adds 1
-    degs = [0, 0, 0, 0]
+    # the leading term (degree, side) of slot k, side k // 2, as the int
+    # 2 degree + side, so that terms compare as ints: a cancellation keeps
+    # it, a z-shift adds 2
+    lead = [0, 0, 1, 1]
     for k in range(precision):
+        off = precision - 1 - k
+        sa, sb = r_la[off:], r_lb[off:]
         za, zb = [0, 0, 0, 0], [0, 0, 0, 0]
         for s in range(4):
             xa = xb = 0
-            f_a, f_b = fa[s], fb[s]
-            for i in range(max(0, k - len(series) + 1), min(k, len(f_a) - 1) + 1):
-                la, l2a = log[f_a[i]], s_la[k - i]
+            for a, b, l2a, l2b in zip(fa[s], fb[s], sa, sb):
+                la = log[a]
                 ya = exp[la + l2a]
-                yb = exp[la + s_lb[k - i]] ^ exp[log[f_b[i]] + l2a]
+                yb = exp[la + l2b] ^ exp[log[b] + l2a]
                 xa, xb = xa ^ ya, xb ^ yb ^ exp[hlog[xa] + hlog[ya]]
             if k < len(ga[s]):  # minus g_k
                 c = ga[s][k]
                 xa, xb = xa ^ c, xb ^ c ^ gb[s][k] ^ exp[hlog[xa] + hlog[c]]
             za[s], zb[s] = xa, xb
-        order = sorted(range(4), key=lambda i: (degs[i], i))
+        # slots by (leading degree, slot), the candidate and trace order
+        order = [key & 3 for key in sorted([4 * t + i for i, t in enumerate(lead)])]
         if trace_log is not None:
             trace_log.append({
                 "round": k,
-                "basis": [[_poly_str(ring, fa[i], fb[i]), _poly_str(ring, ga[i], gb[i])]
+                "basis": [[_poly_str(ring, (fa[i], fb[i])), _poly_str(ring, (ga[i], gb[i]))]
                           for i in order],
-                "discrepancies": [ring.from_pair(a, b).to_str() for a, b in zip(za, zb)],
+                "discrepancies": [c.to_str() for c in ring.elements((za, zb))],
             })
         new_fa, new_fb, new_ga, new_gb = list(fa), list(fb), list(ga), list(gb)
-        new_degs = list(degs)
+        new_lead = list(lead)
         for s in range(4):
             ai, bi = za[s], zb[s]
             if not (ai or bi):
                 continue
             # in ascending order, the first strictly smaller element whose
             # discrepancy divides: a unit divides everything, 2R only 2R
+            term = lead[s]
             for j in order:
-                if (degs[j], j // 2) < (degs[s], s // 2) and (za[j] or zb[j] and not ai):
+                if lead[j] < term and (za[j] or zb[j] and not ai):
                     break
             else:
                 if fa[s]:
                     new_fa[s], new_fb[s] = [0] + fa[s], [0] + fb[s]
                 if ga[s]:
                     new_ga[s], new_gb[s] = [0] + ga[s], [0] + gb[s]
-                new_degs[s] += 1
+                new_lead[s] += 2
                 continue
             aj, bj = za[j], zb[j]
             if not aj:
@@ -138,26 +151,28 @@ def solve_by_approximations(ring, series: list, precision: int,
             laj = log[aj]
             lia, lib = q - laj, log[exp[log[bj] + (-2 * laj) % q]]
             lai = log[ai]
-            ca = exp[lai + lia]
-            cb = exp[lai + lib] ^ exp[log[bi] + lia]
-            new_fa[s], new_fb[s] = _sub_scaled(ring, fa[s], fb[s], ca, cb, fa[j], fb[j])
-            new_ga[s], new_gb[s] = _sub_scaled(ring, ga[s], gb[s], ca, cb, ga[j], gb[j])
+            lc = log[exp[lai + lia]]
+            ld = log[exp[lai + lib] ^ exp[log[bi] + lia]]
+            if fa[j]:
+                new_fa[s], new_fb[s] = _sub_scaled(log, exp, hlog, fa[s], fb[s],
+                                                   lc, ld, fa[j], fb[j])
+            if ga[j]:
+                new_ga[s], new_gb[s] = _sub_scaled(log, exp, hlog, ga[s], gb[s],
+                                                   lc, ld, ga[j], gb[j])
             # cancellation against a strictly smaller element keeps
             # the leading monomial, so the result is never zero
             assert new_fa[s] or new_ga[s]
-        fa, fb, ga, gb, degs = new_fa, new_fb, new_ga, new_gb, new_degs
-    i, j, r, s = degs
+        fa, fb, ga, gb, lead = new_fa, new_fb, new_ga, new_gb, new_lead
+    i, j, r, s = (t >> 1 for t in lead)
     assert i >= j and r >= s, f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s"
-    return GroebnerBasis(*(PairVector(_elements(ring, fa[k], fb[k]),
-                                      _elements(ring, ga[k], gb[k])) for k in range(4)),
+    return GroebnerBasis(*(PairVector((fa[k], fb[k]), (ga[k], gb[k])) for k in range(4)),
                          shape=(i, j, r, s))
 
 
-def _sub_scaled(ring, xa: list, xb: list, c: int, d: int, ya: list, yb: list):
-    """x - (c, d) y for polynomials x, y held as (a, b) coefficient lists;
-    the result is new lists, stripped of trailing zeros."""
-    log, exp, hlog = ring._log, ring._exp, ring._hlog
-    lc, ld = log[c], log[d]
+def _sub_scaled(log, exp, hlog, xa: list, xb: list, lc: int, ld: int, ya: list, yb: list):
+    """x - (c, d) y for polynomials x, y held as (a, b) coefficient lists,
+    given the logs lc, ld of c and d and the ring's tables; the result is
+    new lists, stripped of trailing zeros."""
     pad = [0] * (len(ya) - len(xa))
     ra, rb = xa + pad, xb + pad
     for i, (ea, eb) in enumerate(zip(ya, yb)):
@@ -173,12 +188,8 @@ def _sub_scaled(ring, xa: list, xb: list, c: int, d: int, ya: list, yb: list):
     return ra, rb
 
 
-def _elements(ring, xa: list, xb: list) -> list:
-    return [ring.from_pair(a, b) for a, b in zip(xa, xb)]
-
-
-def _poly_str(ring, xa: list, xb: list) -> str:
-    return ";".join(ring.from_pair(a, b).to_str() for a, b in zip(xa, xb))
+def _poly_str(ring, poly: tuple[list, list]) -> str:
+    return ";".join(c.to_str() for c in ring.elements(poly))
 
 
 def select_minimal_regular(basis: GroebnerBasis) -> PairVector:
@@ -193,24 +204,24 @@ def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
 
     Selects the minimal regular basis element, enforces the degree
     constraints 2 deg a <= t+1, 2 deg b <= t, and scales by a(0)^-1 so
-    that a(0) = b(0) = 1.
+    that a(0) = b(0) = 1.  The pair's components are (a, b) lists.
     """
-    pair = select_minimal_regular(basis)
-    a, b = pair
-    if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
+    (aa, ab), (ba, bb) = select_minimal_regular(basis)
+    if 2 * (len(aa) - 1) > t + 1 or 2 * (len(ba) - 1) > t:
         raise SolutionNotFound(
-            f"solution degrees ({len(a) - 1}, {len(b) - 1}) exceed the bounds for t={t}")
-    if not a or not a[0].a:
+            f"solution degrees ({len(aa) - 1}, {len(ba) - 1}) exceed the bounds for t={t}")
+    if not aa or not aa[0]:
         raise SolutionNotFound("solution constant term is not a unit")
     log, exp, q = ring._log, ring._exp, ring._field.order
-    la0 = log[a[0].a]
-    lia, lib = q - la0, log[exp[log[a[0].b] + (-2 * la0) % q]]  # a(0)^-1
+    la0 = log[aa[0]]
+    lia, lib = q - la0, log[exp[log[ab[0]] + (-2 * la0) % q]]  # a(0)^-1
 
-    def scaled(poly):
-        return [ring.from_pair(exp[lia + log[c.a]], exp[lia + log[c.b]] ^ exp[lib + log[c.a]])
-                for c in poly]
+    def scaled(xa, xb):  # (lia, lib) (a, b) = (ia a, ia b + ib a)
+        logs = [log[a] for a in xa]
+        return ([exp[lia + la] for la in logs],
+                [exp[lia + log[b]] ^ exp[lib + la] for la, b in zip(logs, xb)])
 
-    a, b = scaled(a), scaled(b)
-    if not b or b[0].a != 1 or b[0].b:
+    a, b = scaled(aa, ab), scaled(ba, bb)
+    if not b[0] or b[0][0] != 1 or b[1][0]:
         raise SolutionNotFound("pair cannot be normalized to unit constant terms")
     return PairVector(a, b)

@@ -9,7 +9,8 @@ leading-term scan (the solver only carries four degrees), and the
 plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
 arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
 sums, per-position root scans, and the per-point log-table loop that
-the decoder's one-gather root sweep replaced).  The key-equation
+the decoder's one-gather root sweep replaced, and the generic-domain
+locator assembly).  The key-equation
 stages appear here once more on RingElement objects and the polynomial
 domain protocol, the form the int-pair kernels of keyeq and solver
 replaced.
@@ -23,8 +24,8 @@ import random
 
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
-from z4negacyclic.polynomial import (Z4, poly_coeff, poly_divmod, poly_eval, poly_mul,
-                                     poly_strip, root_multiplicity)
+from z4negacyclic.polynomial import (Z4, poly_divmod, poly_eval, poly_mul, poly_strip,
+                                     root_multiplicity)
 from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
 
@@ -128,6 +129,24 @@ def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
     if covered != len(mu_sigma) - 1:
         raise _StageFailure("residue locator does not split over the error positions")
     return doubles, singles
+
+
+def locator_by_objects(dom, g: list, h: list) -> list:
+    """sigma(z) = h(z^2) + z^-1 (g(z^2) - h(z^2)) over any coefficient
+    domain, coefficient by coefficient: the generic form of the decoder's
+    residue_locator (over K) and pass-two locator (over R)."""
+    diff = [dom.sub(poly_coeff(dom, g, j), poly_coeff(dom, h, j))
+            for j in range(max(len(g), len(h)))]
+    if diff and diff[0]:
+        raise _StageFailure("locator pair has mismatched constant terms")
+    width = 2 * max(len(g), len(h))
+    out = []
+    for k in range(width):
+        if k % 2 == 0:
+            out.append(poly_coeff(dom, h, k // 2))
+        else:
+            out.append(poly_coeff(dom, diff, (k + 1) // 2))
+    return poly_strip(out)
 
 
 def resolve_by_scan(sigma: list, code: Code) -> list:
@@ -533,6 +552,10 @@ def lm_divides(lm1, lm2, ring) -> bool:
 
 
 # ---------------------------------------------------------------- test-only helpers
+
+def poly_coeff(dom, f: list, k: int):
+    return f[k] if 0 <= k < len(f) else dom.zero
+
 
 def poly_add(dom, f: list, g: list) -> list:
     n = max(len(f), len(g))

@@ -6,18 +6,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
+from objects import key_series, odd_ratio_coefficients, solve_by_approximations, syndromes
 from oracles import (all_codewords, all_error_patterns, derivative, key_pair_from_locator,
                      leading, lm_divides, locator_from_error, module_members,
                      poly_add, poly_shift, poly_sub, power_sums, random_error)
 from test_keyeq import _bezout_reaches_two
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import (build_code, encode, lee_distance, lee_weight,
                                      min_distance_exhaustive)
 from z4negacyclic.polynomial import poly_mul, poly_strip
-from z4negacyclic.solver import (PairVector, select_minimal_regular,
-                                 solve_by_approximations)
+from z4negacyclic.solver import PairVector, select_minimal_regular
 
 
 def _report(num, ok, detail):
@@ -94,7 +93,7 @@ def test_criterion_4_decode_reference_run():
     synd = syndromes(word, code)
     ok = synd == [ring.element([2, 3, 1, 3]), ring.element([1, 2, 1, 2])]
 
-    series = [ring.one] + key_series(odd_ratio_coefficients(synd, 2), 2)
+    series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, 2), 2)
     ok = ok and series == [ring.one, ring.element([2, 3, 1, 3]),
                            ring.element([0, 1, 1, 2])]
 
@@ -162,7 +161,7 @@ def test_criterion_6_property_suites():
         for _ in range(250):
             err = random_error(rng, code.n, rng.randint(1, t))
             series = [ring.one] + key_series(
-                odd_ratio_coefficients(syndromes(err, code), t), t)
+                ring, odd_ratio_coefficients(ring, syndromes(err, code), t), t)
             phi, omega = key_pair_from_locator(locator_from_error(code, err))
             prod = poly_mul(ring, series, phi)
             assert not any(poly_sub(ring, prod[:t + 1], omega))

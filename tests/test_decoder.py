@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from objects import locator_from_pair, residue_locator, resolve_unit_errors, syndromes
 from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
                      locator_from_error, random_error, resolve_by_scan,
                      root_positions_by_loop, syndromes_by_loop)
-from z4negacyclic.decoder import (_root_positions, _StageFailure, decode,
-                                  locate_error_positions, locator_from_pair,
-                                  residue_locator, resolve_unit_errors)
-from z4negacyclic.keyeq import syndromes
+from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
 from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
@@ -36,12 +34,12 @@ def test_residue_locator_single_and_double():
     x = code.alpha_pow(6)
     # single error: g = 1 - x y, h = 1
     pair = PairVector([ring.one, -x], [ring.one])
-    mu = residue_locator(pair, field)
+    mu = residue_locator(ring, pair)
     assert mu == [1, x.residue()]
     # double error: g = 1 + (x^2 - 2x) y, h = 1 + x^2 y
     sq = x * x
     pair = PairVector([ring.one, sq - x * 2], [ring.one, sq])
-    mu = residue_locator(pair, field)
+    mu = residue_locator(ring, pair)
     mu_x = x.residue()
     assert mu == poly_mul(field, [1, mu_x], [1, mu_x])
 
@@ -244,6 +242,47 @@ def test_locate_sweep_matches_per_position_scan(n, t):
         assert got == _outcome(locate_by_scan, mu, code)
         outcomes.append(got[0] if isinstance(got[0], str) else "split")
     assert "failure" in outcomes and "split" in outcomes
+
+
+def _planted_locators(code, rng):
+    """Residue locators with planted roots: products of (1 + X/x)^k over
+    GF(2^m), x the residue of alpha^-j at one to three positions j and
+    k in 1..4 (the first position cycles through 1..4), a third of
+    them times a factor that need not split over the code's points."""
+    field = code.field()
+    out = []
+    for i in range(60):
+        mu = [1]
+        for p, j in enumerate(rng.sample(range(code.n), rng.randint(1, 3))):
+            x = field.exp[code.residue_logs[j]]
+            for _ in range(i % 4 + 1 if p == 0 else rng.choice((1, 1, 2, 2, 3, 4))):
+                mu = poly_mul(field, mu, [1, field.inv(x)])
+        if i % 3 == 2:
+            tail = [rng.randrange(1, field.size), rng.randrange(field.size)]
+            mu = poly_mul(field, mu, tail + [rng.randrange(1, field.size)])
+        out.append(mu)
+    return out
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
+def test_locate_multiplicities_match_root_multiplicity(n, t):
+    """The double/triple split read off the root sweep's gather (odd
+    terms for X sigma', degrees 2 and 3 mod 4 for X^2 D2) gives the same
+    positions, or the same failure reason byte for byte, as
+    root_multiplicity at every position."""
+    code = build_code(n, t)
+    rng = random.Random(5 * n + t)
+    seen = set()
+    for mu in _planted_locators(code, rng):
+        got = _outcome(locate_error_positions, mu, code)
+        assert got == _outcome(locate_by_scan, mu, code)
+        if got[0] == "failure":
+            seen.add(got[1].rsplit(" at position", 1)[0])
+        else:
+            seen.add("doubles" if got[0] else "singles")
+    assert {"doubles", "singles", "residue locator root multiplicity 3",
+            "residue locator root multiplicity 4",
+            "residue locator does not split over the error positions"} <= seen
 
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4)])

@@ -1,18 +1,24 @@
-"""The int-pair kernels of keyeq and solver against the object-based
-oracles they replaced: equal coefficients, bases, shapes, normalized
-pairs, failures and trace records."""
+"""The int-list stages of keyeq, solver and decoder against the
+object-based oracles they replaced: equal coefficients, bases, shapes,
+normalized pairs, positions, error words, failures and trace records.
+Most tests go through the RingElement boundary of tests/objects.py; the
+last ones convert explicitly and check that an untraced decode builds
+no ring element at all."""
 
 import random
 
 import pytest
 
-from oracles import (key_series_by_objects, minimal_regular_by_objects, odd_ratio_by_objects,
-                     random_error, series_inverse as series_inverse_by_domain,
-                     solve_by_objects)
-from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, series_inverse, syndromes
-from z4negacyclic.negacyclic import build_code
-from z4negacyclic.solver import SolutionNotFound, minimal_regular, solve_by_approximations
+from objects import (basis_elements, key_series, minimal_regular, odd_ratio_coefficients,
+                     pair_elements, series_inverse, solve_by_approximations, syndromes)
+from oracles import (key_series_by_objects, locate_by_scan, locator_by_objects,
+                     minimal_regular_by_objects, odd_ratio_by_objects, random_error,
+                     resolve_by_scan, series_inverse as series_inverse_by_domain,
+                     solve_by_objects, syndromes_by_loop)
+from z4negacyclic import decoder, galois_ring, keyeq, solver
+from z4negacyclic.galois_ring import GaloisRing, RingElement, make_ring
+from z4negacyclic.negacyclic import build_code, encode
+from z4negacyclic.solver import SolutionNotFound
 
 
 def _random_element(ring, rng):
@@ -53,9 +59,9 @@ def test_kernels_match_objects_on_random_series():
 
             t = rng.randrange(7)
             synd = [_random_element(ring, rng) for _ in range(t)]
-            u = odd_ratio_coefficients(synd, t)
+            u = odd_ratio_coefficients(ring, synd, t)
             assert u == odd_ratio_by_objects(synd, t)
-            assert key_series(u, t) == key_series_by_objects(u, t)
+            assert key_series(ring, u, t) == key_series_by_objects(u, t)
 
             unit = ring.element([1] + [rng.randrange(4) for _ in range(m - 1)])
             f = [unit] + series
@@ -73,19 +79,19 @@ def test_kernels_match_objects_on_key_series(n, t):
         err = random_error(rng, n, rng.randint(1, t + 2))
         for e in (err, [0 if v == 2 else v for v in err]):
             synd = syndromes(e, code)
-            u = odd_ratio_coefficients(synd, t)
+            u = odd_ratio_coefficients(ring, synd, t)
             assert u == odd_ratio_by_objects(synd, t)
-            tail = key_series(u, t)
+            tail = key_series(ring, u, t)
             assert tail == key_series_by_objects(u, t)
             _assert_solver_matches(ring, [ring.one] + tail, t + 1, t)
 
 
 def test_kernels_without_syndromes():
-    assert odd_ratio_coefficients([], 0) == [] == odd_ratio_by_objects([], 0)
-    assert key_series([], 0) == []
     ring = make_ring(2)
+    assert odd_ratio_coefficients(ring, [], 0) == [] == odd_ratio_by_objects([], 0)
+    assert key_series(ring, [], 0) == []
     with pytest.raises(ValueError, match="expected 2 syndromes"):
-        odd_ratio_coefficients([ring.one], 2)
+        odd_ratio_coefficients(ring, [ring.one], 2)
 
 
 def test_solver_kernel_on_the_zero_series():
@@ -113,3 +119,96 @@ def test_series_inverse_kernel_needs_a_unit_constant_term():
     # a unit constant term other than 1, and an order past the length
     f = [ring.element([3, 2, 1]), ring.element([2, 1, 1])]
     assert series_inverse(ring, f, 6) == series_inverse_by_domain(ring, f, 6)
+
+
+def _seeded_words(code, rng, count):
+    """Codewords plus 0 to t+2 errors, a third of them symbols 2, so
+    that zero syndromes, doubled positions, pass two and failures past
+    the radius all come up."""
+    words = []
+    for _ in range(count):
+        word = encode([rng.randrange(4) for _ in range(code.k)], code)
+        for j in rng.sample(range(code.n), rng.randint(0, code.t + 2)):
+            word[j] = (word[j] + rng.choice((1, 2, 3))) % 4
+        words.append(word)
+    return words
+
+
+def _caught(fn, *args):
+    try:
+        return fn(*args)
+    except (SolutionNotFound, decoder._StageFailure) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("n, t", [(15, 2), (31, 5), (63, 4), (255, 4)])
+def test_int_list_stages_match_object_oracles(n, t):
+    """Each int-list stage, its result converted by GaloisRing.elements,
+    equals its object oracle on the converted input, along both passes."""
+    code = build_code(n, t)
+    ring, field = code.ring, code.field()
+    rng = random.Random(43 + n + t)
+    reached = set()
+    for word in _seeded_words(code, rng, 40):
+        synd = keyeq.syndromes(word, code)
+        assert ring.elements(synd) == syndromes_by_loop(word, code)
+        for pass_no in (1, 2):
+            u = keyeq.odd_ratio_coefficients(ring, synd, t)
+            assert ring.elements(u) == odd_ratio_by_objects(ring.elements(synd), t)
+            tail = keyeq.key_series(ring, u, t)
+            assert ring.elements(tail) == key_series_by_objects(ring.elements(u), t)
+            series = ([1] + tail[0], [0] + tail[1])
+            basis = solver.solve_by_approximations(ring, series, t + 1)
+            expected = solve_by_objects(ring, ring.elements(series), t + 1)
+            assert basis_elements(ring, basis) == expected
+            pair = _caught(solver.minimal_regular, ring, basis, t)
+            expected_pair = _caught(minimal_regular_by_objects, ring, expected, t)
+            if not isinstance(pair, solver.PairVector):
+                assert pair == expected_pair
+                reached.add("no solution")
+                break
+            assert pair_elements(ring, pair) == expected_pair
+            if pass_no == 1:
+                mu = decoder.residue_locator(pair)
+                assert mu == locator_by_objects(field, [c.residue() for c in expected_pair.a],
+                                                [c.residue() for c in expected_pair.b])
+                split = _caught(decoder.locate_error_positions, mu, code)
+                assert split == _caught(locate_by_scan, mu, code)
+                doubles = split[0]
+                if isinstance(doubles, str):
+                    reached.add("no split")
+                    break
+                reached.add("doubles" if doubles else "singles")
+                prime = [(c - 2 * (j in doubles)) % 4 for j, c in enumerate(word)]
+                synd = keyeq.syndromes(prime, code)
+            else:
+                sigma = decoder._ring_locator(ring, pair)
+                assert ring.elements(sigma) == locator_by_objects(ring, *expected_pair)
+                error = _caught(decoder.resolve_unit_errors, sigma, code)
+                assert error == _caught(resolve_by_scan, ring.elements(sigma), code)
+                reached.add("resolved" if isinstance(error, list) else "unresolved")
+    assert {"no solution", "no split", "doubles", "singles", "resolved"} <= reached
+
+
+@pytest.mark.parametrize("n, t", [(31, 5), (255, 4)])
+def test_untraced_decode_builds_no_ring_element(n, t, monkeypatch):
+    """With every way to build a RingElement made to raise, an untraced
+    decode still returns the outcome it returns with them in place."""
+    code = build_code(n, t)
+    words = _seeded_words(code, random.Random(44 + n), 150)
+    expected = [decoder.decode(word, code) for word in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RingElement was built")
+
+    # GaloisRing.from_pair is a class alias of _make: patch both
+    monkeypatch.setattr(galois_ring, "_make", refuse)
+    monkeypatch.setattr(GaloisRing, "from_pair", refuse)
+    monkeypatch.setattr(RingElement, "__init__", refuse)
+    with pytest.raises(AssertionError, match="RingElement was built"):
+        code.ring.from_pair(1, 0)
+    got = [decoder.decode(word, code) for word in words]
+    assert got == expected
+    assert {o.success for o in got} == {True, False}
+    assert any("root multiplicity" in (o.reason or "") or "split" in (o.reason or "")
+               for o in got)

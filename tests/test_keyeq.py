@@ -7,7 +7,7 @@ import numpy as np
 from oracles import (derivative, even_odd_split, key_pair_from_locator, locator_from_error,
                      poly_add, poly_shift, poly_sub, power_sums, random_error,
                      syndromes_by_loop, z4_solve)
-from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
+from objects import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code, encode
 from z4negacyclic.polynomial import poly_mul, poly_strip
 
@@ -66,7 +66,7 @@ def test_recursion_first_coefficients():
     for _ in range(50):
         synd = [ring.element([rng.randrange(4) for _ in range(ring.m)])
                 for _ in range(3)]
-        u = odd_ratio_coefficients(synd, 3)
+        u = odd_ratio_coefficients(ring, synd, 3)
         s1, s3, s5 = synd
         assert u[0] == -s1
         assert u[1] == (-s3 + u[0] * u[0] * s1) * 3
@@ -76,17 +76,17 @@ def test_recursion_first_coefficients():
 def test_zero_syndromes_give_zero_series():
     code = build_code(15, 2)
     ring = code.ring
-    u = odd_ratio_coefficients([ring.zero, ring.zero], 2)
+    u = odd_ratio_coefficients(ring, [ring.zero, ring.zero], 2)
     assert u == [ring.zero, ring.zero]
-    assert key_series(u, 2) == [ring.zero, ring.zero]
+    assert key_series(ring, u, 2) == [ring.zero, ring.zero]
 
 
 def test_key_series_reference_word():
     code = build_code(15, 2)
     ring = code.ring
     word = [3, 1, 3, 0, 2, 3, 2, 2, 1, 0, 1, 0, 0, 3, 0]
-    u = odd_ratio_coefficients(syndromes(word, code), 2)
-    assert key_series(u, 2) == [ring.element([2, 3, 1, 3]), ring.element([0, 1, 1, 2])]
+    u = odd_ratio_coefficients(ring, syndromes(word, code), 2)
+    assert key_series(ring, u, 2) == [ring.element([2, 3, 1, 3]), ring.element([0, 1, 1, 2])]
 
 
 def test_single_error_key_series_and_pair():
@@ -96,8 +96,8 @@ def test_single_error_key_series_and_pair():
         err = [0] * 15
         err[j] = 1
         synd = syndromes(err, code)
-        u = odd_ratio_coefficients(synd, 2)
-        series = [ring.one] + key_series(u, 2)
+        u = odd_ratio_coefficients(ring, synd, 2)
+        series = [ring.one] + key_series(ring, u, 2)
         assert series[1] == synd[0]  # T_1 = s_1
         phi, omega = key_pair_from_locator(locator_from_error(code, err))
         assert phi == [ring.one, -code.alpha_pow(j)]
@@ -167,7 +167,7 @@ def test_odd_series_equation_property():
             diff = poly_sub(ring, lhs, rhs)
             assert not any(diff[: 2 * t + 1])
             # and the recursion's u agrees with the series sigma_o / sigma_e
-            u = odd_ratio_coefficients(syndromes(err, code), t)
+            u = odd_ratio_coefficients(ring, syndromes(err, code), t)
             u_poly = [ring.zero] * (2 * t)
             for idx, uk in enumerate(u):
                 u_poly[2 * idx + 1] = uk
@@ -182,7 +182,7 @@ def test_key_equation_property():
         ring = code.ring
         for err in _pattern_cases(code, 250, seed):
             synd = syndromes(err, code)
-            series = [ring.one] + key_series(odd_ratio_coefficients(synd, t), t)
+            series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, t), t)
             phi, omega = key_pair_from_locator(locator_from_error(code, err))
             prod = poly_mul(ring, series, phi)
             residue = poly_sub(ring, prod[: t + 1], omega)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from z4negacyclic.keyeq import syndromes
+from objects import syndromes
 from z4negacyclic.negacyclic import (build_code, encode, lambda_map, lee_distance,
                                      lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)

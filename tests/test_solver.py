@@ -3,15 +3,15 @@ import random
 
 import pytest
 
+from objects import (key_series, minimal_regular, odd_ratio_coefficients,
+                     solve_by_approximations, syndromes)
 from oracles import (LEFT, RIGHT, key_pair_from_locator, leading, lm_divides,
                      locator_from_error, module_members, poly_sub, random_error,
                      select_by_scan, term_less)
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.keyeq import key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code
 from z4negacyclic.polynomial import poly_mul, poly_strip
-from z4negacyclic.solver import (PairVector, SolutionNotFound, minimal_regular,
-                                 select_minimal_regular, solve_by_approximations)
+from z4negacyclic.solver import PairVector, SolutionNotFound, select_minimal_regular
 
 
 def test_term_less_examples():
@@ -154,7 +154,7 @@ def test_carried_shape_matches_rescan():
             err = random_error(rng, n, rng.randint(1, t + 2))
             for e in (err, [0 if v == 2 else v for v in err]):
                 synd = syndromes(e, code)
-                series = [ring.one] + key_series(odd_ratio_coefficients(synd, t), t)
+                series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, t), t)
                 _assert_carried_shape_matches_rescan(
                     ring, solve_by_approximations(ring, series, t + 1))
 
@@ -247,8 +247,8 @@ def test_minimal_regular_decode_example():
     code = build_code(15, 2)
     ring = code.ring
     word = [3, 1, 3, 0, 2, 3, 2, 2, 1, 0, 1, 0, 0, 3, 0]
-    u = odd_ratio_coefficients(syndromes(word, code), 2)
-    series = [ring.one] + key_series(u, 2)
+    u = odd_ratio_coefficients(ring, syndromes(word, code), 2)
+    series = [ring.one] + key_series(ring, u, 2)
     basis = solve_by_approximations(ring, series, 3)
     assert select_minimal_regular(basis) == PairVector(
         [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
@@ -275,7 +275,7 @@ def test_solution_residue_matches_locator_pair():
         for _ in range(150):
             err = random_error(rng, code.n, rng.randint(1, t))
             synd = syndromes(err, code)
-            series = [ring.one] + key_series(odd_ratio_coefficients(synd, t), t)
+            series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, t), t)
             basis = solve_by_approximations(ring, series, t + 1)
             pair = minimal_regular(ring, basis, t)
             phi, omega = key_pair_from_locator(locator_from_error(code, err))
