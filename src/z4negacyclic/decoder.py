@@ -14,15 +14,19 @@ the residue field K = GF(2^m) a single list.  Ring elements are built
 only for the trace strings.
 
 The word is held as one int64 NumPy array from intake to outcome:
-reading it, doubling off the 2s, forming the codeword and error and
-their Lee weight are whole-array operations, and the outcome converts
-to lists of Python ints only when it is built.  Both passes find the
-roots of a residue locator the same way: one gather from the antilog
-table gives every term c_i X^i at the residues X of all n points
-alpha^-j, and an XOR-reduce over the terms evaluates the locator there.
-Pass one reads the root multiplicities off the same terms (Hasse
-derivatives, see locate_error_positions); pass two evaluates the
-locator over the full ring at its few roots only.
+reading it, doubling off the 2s, applying the +-1 errors (returned as
+positions and values, one fancy-index update), forming the error and
+its Lee weight are whole-array operations, and the outcome converts to
+lists of Python ints only when it is built.  Pass one finds the roots
+of its residue locator by one gather from the antilog table, which
+gives every term c_i X^i at the residues X of all n points alpha^-j,
+and an XOR-reduce over the terms, and reads the root multiplicities
+off the same terms (Hasse derivatives, see locate_error_positions).
+Pass two's residue locator has its roots at pass one's simple roots
+when the word is correctable, so it is evaluated there first and swept
+over all n points only when they do not account for its degree (see
+resolve_unit_errors); the locator over the full ring is evaluated at
+its few roots only.
 
 A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
@@ -172,39 +176,69 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     return doubles, singles
 
 
-def resolve_unit_errors(sigma: tuple[list, list], code: Code) -> list:
-    """Read a +-1 error word off a locator over R with no double roots,
-    given as its (a, b) lists.
+def _pass2_roots(mu_sigma: list, code: Code, candidates) -> list[int]:
+    """The positions j, ascending, where mu_sigma vanishes at the residue
+    of alpha^-j, checked first at the candidates, ascending.
+
+    With a nonzero constant term (pass two's is 1), mu_sigma is a nonzero
+    polynomial of degree at most d = len(mu_sigma) - 1, so it has at most
+    d roots.  The residues of the n points are distinct, so d vanishing
+    candidates are all its roots; otherwise the full sweep of
+    _root_positions finds them.
+    """
+    log, exp, q = code.ring._log, code.ring._exp, code.field().order
+    top = mu_sigma[::-1]
+    roots = []
+    for j in sorted(candidates):
+        lx = log[code.alpha_inv_pairs[j][0]]
+        v = 0
+        for c in top:  # Horner's rule over GF(2^m)
+            v = exp[log[v] + lx] ^ c
+        if not v:
+            roots.append(j)
+    if len(roots) == len(mu_sigma) - 1 and mu_sigma[0]:
+        return roots
+    return _root_positions(mu_sigma, code)
+
+
+def resolve_unit_errors(sigma: tuple[list, list], code: Code,
+                        candidates=()) -> tuple[list, list]:
+    """The +-1 errors read off a locator over R with no double roots,
+    given as its (a, b) lists: their positions, ascending, and their Z4
+    values, 1 for +1 and 3 for -1.
 
     sigma(alpha^-j) = 0 marks the error +1 at position j and
     sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
-    error, which pass two has already removed.  With
-    sigma(x) = E(x^2) + x O(x^2) and alpha^(n-j) = -alpha^-j, one Horner
-    pass each for E and O at y = alpha^-2j gives both values,
-    E + x O and E - x O.  As (a, b)^2 = (a^2, 0), y is a Teichmuller
-    element, so each Horner step multiplies by one GF(2^m) element.
+    error, which pass two has already removed.  Both points share the
+    residue of alpha^-j, so only the roots of the residue locator need
+    ring arithmetic.  Those are looked for first at the candidates
+    (pass one's simple roots): pass two's residue locator has constant
+    term 1, so it is nonzero of degree at most d = len(sigma[0]) - 1 and
+    has at most d roots.  When it vanishes at d candidates those are all
+    its roots, and only otherwise is it swept over all n points.  With sigma(x) = E(x^2) + x O(x^2) and
+    alpha^(n-j) = -alpha^-j, one Horner pass each for E and O at
+    y = alpha^-2j gives both values, E + x O and E - x O.  As
+    (a, b)^2 = (a^2, 0), y is a Teichmuller element, so each Horner step
+    multiplies by one GF(2^m) element.
     """
     log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
     sa, sb = sigma
     # E and O as (a, b) pairs, highest degree first for Horner's rule
     even = list(zip(sa[0::2], sb[0::2]))[::-1]
     odd = list(zip(sa[1::2], sb[1::2]))[::-1]
-    error = [0] * code.n
-    found = 0
-    # alpha^-j and alpha^(n-j) share their residue, so only the residue
-    # roots need ring arithmetic
-    for j in _root_positions(sa, code):
+    positions, values = [], []
+    for j in _pass2_roots(sa, code, candidates):
         xa, xb = code.alpha_inv_pairs[j]
         lxa = log[xa]
         ly = 2 * lxa % q  # the log of y = (xa^2, 0)
-        values = []
+        evaluated = []
         for poly in (even, odd):
             va = vb = 0
             for a, b in poly:  # v = v y + (a, b)
                 pa = exp[log[va] + ly]
                 va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
-            values.append((va, vb))
-        (ea, eb), (oa, ob) = values
+            evaluated.append((va, vb))
+        (ea, eb), (oa, ob) = evaluated
         # x O = (pa, pb); at a residue root ea = pa, so E + x O and
         # E - x O = E + (pa, pa + pb) vanish by their high parts alone
         pa = exp[lxa + log[oa]]
@@ -212,15 +246,12 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code) -> list:
         plus, minus = eb == pa ^ pb, eb == pb
         if plus and minus:
             raise _StageFailure(f"locator vanishes at both units for position {j}")
-        if plus:
-            error[j] = 1
-            found += 1
-        elif minus:
-            error[j] = 3
-            found += 1
-    if found != len(sa) - 1:
+        if plus or minus:
+            positions.append(j)
+            values.append(1 if plus else 3)
+    if len(positions) != len(sa) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
-    return error
+    return positions, values
 
 
 def _solve_pass(ring, synd: tuple[list, list], t: int,
@@ -319,13 +350,15 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         # even when no double errors were found
         pair2, _, _ = _solve_pass(ring, syndromes(prime, code), t)
         sigma2 = _ring_locator(ring, pair2)
-        unit_err = resolve_unit_errors(sigma2, code)
+        positions, values = resolve_unit_errors(sigma2, code, singles)
         if trace is not None:
             trace["sigma_pass2"] = _strs(ring, sigma2)
     except (SolutionNotFound, _StageFailure) as exc:
         return DecodeOutcome(False, reason=str(exc), trace=trace)
 
-    codeword = (prime - unit_err) & 3
+    codeword = prime  # prime is not read again
+    if positions:
+        codeword[positions] = (codeword[positions] - values) & 3
     error = (word - codeword) & 3
 
     if _nonzero(syndromes(codeword, code)):

@@ -43,19 +43,21 @@ def syndromes(word, code: Code) -> tuple[list, list]:
 
     An integer ndarray word is reduced mod 4 as one array; any other
     sequence symbol by symbol, with int(c) % 4.  The Z4 digits of each
-    syndrome come out of one product with the code's syndrome matrix and
-    are bit-packed into the (a, b) pair of the element directly.
+    syndrome come out of one float64 product with the code's syndrome
+    matrix, reduced mod 4 as integers, and are bit-packed into the
+    (a, b) pair of the element directly.
     """
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != code length {code.n}")
     if isinstance(word, np.ndarray) and word.ndim == 1 and word.dtype.kind in "iu":
         # & 3 is mod 4 in two's complement, also after a uint64 -> int64 wrap
-        w = word.astype(np.int64, copy=False) & 3
+        w = (word.astype(np.int64, copy=False) & 3).astype(np.float64)
     else:
-        w = np.array([int(c) % 4 for c in word], dtype=np.int64)
+        w = np.array([int(c) % 4 for c in word], dtype=np.float64)
     m = code.ring.m
-    # entries stay below n * 3 * 3 <= 9207: no int64 overflow before the mask
-    digits = ((w @ code.syndrome_matrix) & 3).reshape(code.t, m)
+    # a float64 product runs on BLAS, and is exact: each entry sums n
+    # digit products, at most 9n <= 9207 < 2^53
+    digits = ((w @ code.syndrome_matrix).astype(np.int64) & 3).reshape(code.t, m)
     bits = _BITS[:m]
     # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
     low = ((digits & 1) @ bits).tolist()

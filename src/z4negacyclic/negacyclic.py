@@ -40,7 +40,9 @@ class Code:
     k: int
     _alpha_pows: tuple = field(repr=False, default=())
     # n x t*m Z4 matrix: row j holds the coefficients of alpha^(j*k),
-    # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4
+    # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4.
+    # Read-only float64, so that the product runs on BLAS; it stays
+    # exact, as each entry of w @ H is at most 9n <= 9207 < 2^53
     syndrome_matrix: np.ndarray = field(compare=False, repr=False, default=None)
     # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
     residue_logs: np.ndarray = field(compare=False, repr=False, default=None)
@@ -128,7 +130,7 @@ def build_code(n: int, t: int) -> Code:
 
     syndrome_matrix = np.array(
         [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
-         for j in range(n)], dtype=np.int64)
+         for j in range(n)], dtype=np.float64)
     log = ring.residue_field().log
     alpha_inv_pairs = tuple((x.a, x.b) for x in (alpha_pows[-j % (2 * n)] for j in range(n)))
     residue_logs = np.array([log[a] for a, _ in alpha_inv_pairs], dtype=np.int64)

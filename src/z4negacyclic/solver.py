@@ -10,6 +10,14 @@ tracked, one per leading-monomial shape [z^i,0], [2z^j,0], [0,z^r],
 so the shapes (and leading coefficients 1, 2, 1, 2) persist, and the
 solver carries the four leading terms instead of rescanning them.
 
+Round 0 sees only the constant term of the series.  When that is 1,
+as for every series the decoder builds, the round is the same every
+time (discrepancies 1, 2, -1, -2, leaving the basis [z,0], [2z,0],
+[1,1], [2,2]), and the solver starts from that basis at round 1,
+writing the fixed round-0 record to the trace.  An element multiplied
+by z keeps its discrepancy for the next round, which is therefore not
+computed again.
+
 Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
 [0,z^j] < [z^i,0] iff j < i.  That is the native order of the tuples
 (degree, side), with side 0 for the left component and 1 for the
@@ -98,11 +106,30 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
     # 2 degree + side, so that terms compare as ints: a cancellation keeps
     # it, a z-shift adds 2
     lead = [0, 0, 1, 1]
-    for k in range(precision):
+    # the discrepancies of the slots, and which of them a z-shift carried
+    # over from the round before: coefficient k + 1 of z (f series - g)
+    # is coefficient k of f series - g
+    za, zb = [0, 0, 0, 0], [0, 0, 0, 0]
+    carried = [False] * 4
+    start = 0
+    if series[0][:1] == [1] and not any(series[1][:1]):
+        # round 0 sees only the constant term: discrepancies 1, 2, -1, -2;
+        # the left slots have no smaller element and shift, the right ones
+        # cancel against [1, 0] by the factors -1 and 2
+        if trace_log is not None:
+            _trace_round(trace_log, ring, 0, (fa, fb, ga, gb), [0, 1, 2, 3],
+                         ([1, 0, 1, 0], [0, 1, 1, 1]))
+        fa, fb = [[0, 1], [0, 0], [1], [0]], [[0, 0], [0, 1], [0], [1]]  # z, 2z, 1, 2
+        lead = [2, 2, 1, 1]
+        za[:2], zb[:2] = [1, 0], [0, 1]  # the shifted slots carry 1 and 2
+        carried[:2] = True, True
+        start = 1
+    for k in range(start, precision):
         off = precision - 1 - k
         sa, sb = r_la[off:], r_lb[off:]
-        za, zb = [0, 0, 0, 0], [0, 0, 0, 0]
         for s in range(4):
+            if carried[s]:
+                continue
             xa = xb = 0
             for a, b, l2a, l2b in zip(fa[s], fb[s], sa, sb):
                 la = log[a]
@@ -113,17 +140,14 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                 c = ga[s][k]
                 xa, xb = xa ^ c, xb ^ c ^ gb[s][k] ^ exp[hlog[xa] + hlog[c]]
             za[s], zb[s] = xa, xb
-        # slots by (leading degree, slot), the candidate and trace order
-        order = [key & 3 for key in sorted([4 * t + i for i, t in enumerate(lead)])]
+        # slots by (leading degree, slot), the candidate and trace order;
+        # the sort is stable, so equal leads keep slot order
+        order = sorted(range(4), key=lead.__getitem__)
         if trace_log is not None:
-            trace_log.append({
-                "round": k,
-                "basis": [[_poly_str(ring, (fa[i], fb[i])), _poly_str(ring, (ga[i], gb[i]))]
-                          for i in order],
-                "discrepancies": [c.to_str() for c in ring.elements((za, zb))],
-            })
+            _trace_round(trace_log, ring, k, (fa, fb, ga, gb), order, (za, zb))
         new_fa, new_fb, new_ga, new_gb = list(fa), list(fb), list(ga), list(gb)
         new_lead = list(lead)
+        carried = [False] * 4
         for s in range(4):
             ai, bi = za[s], zb[s]
             if not (ai or bi):
@@ -140,6 +164,7 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                 if ga[s]:
                     new_ga[s], new_gb[s] = [0] + ga[s], [0] + gb[s]
                 new_lead[s] += 2
+                carried[s] = True
                 continue
             aj, bj = za[j], zb[j]
             if not aj:
@@ -153,12 +178,34 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
             lai = log[ai]
             lc = log[exp[lai + lia]]
             ld = log[exp[lai + lib] ^ exp[log[bi] + lia]]
-            if fa[j]:
-                new_fa[s], new_fb[s] = _sub_scaled(log, exp, hlog, fa[s], fb[s],
-                                                   lc, ld, fa[j], fb[j])
-            if ga[j]:
-                new_ga[s], new_gb[s] = _sub_scaled(log, exp, hlog, ga[s], gb[s],
-                                                   lc, ld, ga[j], gb[j])
+            # x - (c, d) y on each side, into new lists: with (pa, pb) =
+            # (c, d) y_i, x_i - (pa, pb) = x_i + (pa, pa + pb)
+            for xas, xbs, outa, outb in ((fa, fb, new_fa, new_fb), (ga, gb, new_ga, new_gb)):
+                ya, yb = xas[j], xbs[j]
+                if not ya:
+                    continue
+                xa, xb = xas[s], xbs[s]
+                ra, rb = [], []
+                for x, xh, ea, eb in zip(xa, xb, ya, yb):
+                    le = log[ea]
+                    pa = exp[lc + le]
+                    ra.append(x ^ pa)
+                    rb.append(xh ^ pa ^ exp[lc + log[eb]] ^ exp[ld + le]
+                              ^ exp[hlog[x] + hlog[pa]])
+                lx, ly = len(xa), len(ya)
+                if lx > ly:  # x_i - 0
+                    ra += xa[ly:]
+                    rb += xb[ly:]
+                elif lx < ly:  # 0 - (pa, pb)
+                    for ea, eb in zip(ya[lx:], yb[lx:]):
+                        le = log[ea]
+                        pa = exp[lc + le]
+                        ra.append(pa)
+                        rb.append(pa ^ exp[lc + log[eb]] ^ exp[ld + le])
+                while ra and not (ra[-1] or rb[-1]):
+                    ra.pop()
+                    rb.pop()
+                outa[s], outb[s] = ra, rb
             # cancellation against a strictly smaller element keeps
             # the leading monomial, so the result is never zero
             assert new_fa[s] or new_ga[s]
@@ -169,23 +216,17 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                          shape=(i, j, r, s))
 
 
-def _sub_scaled(log, exp, hlog, xa: list, xb: list, lc: int, ld: int, ya: list, yb: list):
-    """x - (c, d) y for polynomials x, y held as (a, b) coefficient lists,
-    given the logs lc, ld of c and d and the ring's tables; the result is
-    new lists, stripped of trailing zeros."""
-    pad = [0] * (len(ya) - len(xa))
-    ra, rb = xa + pad, xb + pad
-    for i, (ea, eb) in enumerate(zip(ya, yb)):
-        le = log[ea]
-        pa = exp[lc + le]
-        pb = exp[lc + log[eb]] ^ exp[ld + le]
-        a = ra[i]  # r_i - (pa, pb) = r_i + (pa, pa + pb)
-        ra[i] = a ^ pa
-        rb[i] ^= pa ^ pb ^ exp[hlog[a] + hlog[pa]]
-    while ra and not (ra[-1] or rb[-1]):
-        ra.pop()
-        rb.pop()
-    return ra, rb
+def _trace_round(trace_log: list, ring, k: int, slots: tuple, order: list,
+                 discrepancies: tuple[list, list]) -> None:
+    """Append round k's record: the basis in candidate order, as [f, g]
+    strings, and the discrepancies of the slots."""
+    fa, fb, ga, gb = slots
+    trace_log.append({
+        "round": k,
+        "basis": [[_poly_str(ring, (fa[i], fb[i])), _poly_str(ring, (ga[i], gb[i]))]
+                  for i in order],
+        "discrepancies": [c.to_str() for c in ring.elements(discrepancies)],
+    })
 
 
 def _poly_str(ring, poly: tuple[list, list]) -> str:

@@ -7,6 +7,9 @@ RingElement lists in place of those int lists: it converts its
 arguments with GaloisRing.int_lists, calls the stage, and converts the
 result back with GaloisRing.elements.  Tests written against ring
 elements check the int-list stages through these, unchanged.
+resolve_unit_errors returns only the positions and values of the +-1
+errors; dense_unit_errors spreads them into the error word that the
+oracles compare.
 """
 
 from __future__ import annotations
@@ -69,5 +72,14 @@ def residue_locator(ring, pair: PairVector) -> list:
     return decoder.residue_locator(pair_ints(ring, pair))
 
 
-def resolve_unit_errors(sigma: list, code) -> list:
-    return decoder.resolve_unit_errors(code.ring.int_lists(sigma), code)
+def dense_unit_errors(sigma: tuple[list, list], code, candidates=()) -> list:
+    """decoder.resolve_unit_errors on (a, b) lists, its positions and
+    values spread into the n-symbol error word."""
+    error = [0] * code.n
+    for j, value in zip(*decoder.resolve_unit_errors(sigma, code, candidates)):
+        error[j] = value
+    return error
+
+
+def resolve_unit_errors(sigma: list, code, candidates=()) -> list:
+    return dense_unit_errors(code.ring.int_lists(sigma), code, candidates)

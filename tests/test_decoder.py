@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objects import locator_from_pair, residue_locator, resolve_unit_errors, syndromes
+from objects import (dense_unit_errors, locator_from_pair, residue_locator,
+                     resolve_unit_errors, syndromes)
 from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
                      locator_from_error, random_error, resolve_by_scan,
                      root_positions_by_loop, syndromes_by_loop)
-from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
+from z4negacyclic import decoder
+from z4negacyclic.decoder import (_pass2_roots, _root_positions, _StageFailure, decode,
+                                  locate_error_positions)
 from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
@@ -308,6 +311,76 @@ def test_resolve_sweep_matches_per_position_scan(n, t):
         assert got == _outcome(resolve_by_scan, sigma, code)
         outcomes.append(got[0] if got and isinstance(got[0], str) else "resolved")
     assert "failure" in outcomes and "resolved" in outcomes
+
+
+@pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
+def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
+    """Pass two looks for its residue roots at pass one's singles first.
+    On every pass-two locator that decode builds, from seeded words
+    within and beyond the radius and from a p = 0.12 Lee channel, that
+    check must give the roots of the full sweep, and resolve_unit_errors
+    the same errors or failure reason as without candidates.  Both
+    branches must come up: the singles holding every root, and the
+    fallback to the sweep."""
+    code = build_code(n, t)
+    rng = random.Random(7 * n + t)
+    calls = []
+    resolve = decoder.resolve_unit_errors
+
+    def spy(sigma, code, candidates=()):
+        calls.append((sigma, sorted(candidates)))
+        return resolve(sigma, code, candidates)
+
+    monkeypatch.setattr(decoder, "resolve_unit_errors", spy)
+    for k in range(200):
+        word = encode([rng.randrange(4) for _ in range(code.k)], code)
+        if k % 2:
+            for j in rng.sample(range(n), rng.randint(1, t + 2)):
+                word[j] = (word[j] + rng.choice((1, 2, 3))) % 4
+        else:
+            word = [(c + rng.choice((1, 1, 3, 3, 2))) % 4 if rng.random() < 0.12 else c
+                    for c in word]
+        decode(word, code)
+    monkeypatch.undo()
+    sweeps = []
+
+    def counted_sweep(mu_sigma, code):
+        sweeps.append(1)
+        return _root_positions(mu_sigma, code)
+
+    monkeypatch.setattr(decoder, "_root_positions", counted_sweep)
+    branches = set()
+    for sigma, candidates in calls:
+        roots = _root_positions(sigma[0], code)
+        del sweeps[:]
+        assert _pass2_roots(sigma[0], code, candidates) == roots
+        branches.add("sweep" if sweeps else "singles hold the roots")
+        checked = _outcome(dense_unit_errors, sigma, code, candidates)
+        assert checked == _outcome(dense_unit_errors, sigma, code)
+        assert checked == _outcome(resolve_by_scan, code.ring.elements(sigma), code)
+    assert branches == {"singles hold the roots", "sweep"}
+
+
+def test_pass2_root_outside_the_candidates(monkeypatch):
+    """A residue root of the pass-two locator that is not a candidate
+    sends the check to the full sweep, which still finds it; candidates
+    that are not roots do no harm."""
+    code = CODE_15_2
+    err = [0] * 15
+    err[4], err[13] = 1, 3
+    sigma = code.ring.int_lists(locator_from_error(code, err))
+    sweeps = []
+    monkeypatch.setattr(decoder, "_root_positions",
+                        lambda mu, code: sweeps.append(1) or _root_positions(mu, code))
+    for candidates, swept in (([], True), ([7], True), ([4], True), ([4, 9], True),
+                              ([0, 4, 12], True), ([13, 4], False), ([4, 9, 13], False)):
+        del sweeps[:]
+        assert _pass2_roots(sigma[0], code, candidates) == [4, 13]
+        assert bool(sweeps) == swept
+        assert dense_unit_errors(sigma, code, candidates) == err
+    # a zero polynomial vanishes everywhere, whatever its length says
+    assert _pass2_roots([0], code, []) == list(range(15))
+    assert _pass2_roots([0, 0], code, [3]) == list(range(15))
 
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])

@@ -9,8 +9,9 @@ import random
 
 import pytest
 
-from objects import (basis_elements, key_series, minimal_regular, odd_ratio_coefficients,
-                     pair_elements, series_inverse, solve_by_approximations, syndromes)
+from objects import (basis_elements, dense_unit_errors, key_series, minimal_regular,
+                     odd_ratio_coefficients, pair_elements, series_inverse,
+                     solve_by_approximations, syndromes)
 from oracles import (key_series_by_objects, locate_by_scan, locator_by_objects,
                      minimal_regular_by_objects, odd_ratio_by_objects, random_error,
                      resolve_by_scan, series_inverse as series_inverse_by_domain,
@@ -100,6 +101,26 @@ def test_solver_kernel_on_the_zero_series():
         _assert_solver_matches(ring, [], precision, precision - 1)
 
 
+def test_solver_fixed_first_round_matches_objects():
+    """A series with constant term 1 starts the solver from its fixed
+    round-0 basis, any other from round 0 itself: both must give the
+    object solver's bases, shape and every trace round, round 0 too."""
+    rng = random.Random(45)
+    for m in (2, 3, 4):
+        ring = make_ring(m)
+        heads = [ring.two, ring.one * 3, ring.gen, ring.element([1] + [2] * (m - 1))]
+        for _ in range(60):
+            precision = rng.randrange(1, 7)
+            tail = [_random_element(ring, rng) for _ in range(rng.randrange(precision + 2))]
+            _assert_solver_matches(ring, [ring.one] + tail, precision, precision - 1)
+            _assert_solver_matches(ring, [rng.choice(heads)] + tail, precision, precision - 1)
+        for precision in (1, 2, 5):
+            _assert_solver_matches(ring, [], precision, precision - 1)
+            _assert_solver_matches(ring, [ring.one], precision, precision - 1)
+            _assert_solver_matches(ring, [ring.one, ring.zero, ring.two], precision,
+                                   precision - 1)
+
+
 def test_solver_kernel_on_zero_divisor_cancellations():
     ring = make_ring(2)
     for series, precision in (
@@ -184,7 +205,7 @@ def test_int_list_stages_match_object_oracles(n, t):
             else:
                 sigma = decoder._ring_locator(ring, pair)
                 assert ring.elements(sigma) == locator_by_objects(ring, *expected_pair)
-                error = _caught(decoder.resolve_unit_errors, sigma, code)
+                error = _caught(dense_unit_errors, sigma, code)
                 assert error == _caught(resolve_by_scan, ring.elements(sigma), code)
                 reached.add("resolved" if isinstance(error, list) else "unresolved")
     assert {"no solution", "no split", "doubles", "singles", "resolved"} <= reached

@@ -48,6 +48,25 @@ def test_syndromes_match_the_loop(n, t):
         assert syndromes(word, code) == syndromes_by_loop(word, code)
 
 
+def test_float_syndromes_exact_at_the_longest_code():
+    """n = 1023 is the longest length build_code accepts (m <= 10), and
+    the all-3 word gives every entry of the float64 product its largest
+    value for the matrix, at most 9n = 9207: the result must still equal
+    the ring sums."""
+    code = build_code(1023, 2)
+    matrix = code.syndrome_matrix
+    assert matrix.dtype == np.float64
+    assert not matrix.flags.writeable
+    assert matrix.shape == (1023, 2 * 10)
+    rng = random.Random(1023)
+    words = [[3] * 1023] + [[rng.randrange(4) for _ in range(1023)] for _ in range(50)]
+    for k, word in enumerate(words):
+        expected = syndromes_by_loop(word, code)
+        assert syndromes(word, code) == expected
+        if k < 3:
+            assert syndromes(np.array(word, dtype=np.uint8), code) == expected
+
+
 def test_syndromes_reduce_symbols_mod_4():
     code = build_code(15, 2)
     rng = random.Random(5)
