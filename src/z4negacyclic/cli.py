@@ -15,7 +15,7 @@ import sys
 
 from . import golden
 from .decoder import decode
-from .negacyclic import (build_code, encode, min_distance_exhaustive,
+from .negacyclic import (MAX_SCAN_RANK, build_code, encode, min_distance_exhaustive,
                          word_from_str, word_to_str)
 
 __all__ = ["main"]
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-distance", help="exhaustive minimum Lee distance")
     _add_code_args(p)
-    p.add_argument("--max-rank", type=int, default=12,
+    p.add_argument("--max-rank", type=int, default=MAX_SCAN_RANK,
                    help="refuse scans beyond 4^max_rank codewords")
     p.set_defaults(func=cmd_min_distance)
 

@@ -20,13 +20,13 @@ its Lee weight are whole-array operations, and the outcome converts to
 lists of Python ints only when it is built.  Pass one finds the roots
 of its residue locator by one gather from the antilog table, which
 gives every term c_i X^i at the residues X of all n points alpha^-j,
-and an XOR-reduce over the terms, and reads the root multiplicities
-off the same terms (Hasse derivatives, see locate_error_positions).
-Pass two's residue locator has its roots at pass one's simple roots
-when the word is correctable, so it is evaluated there first and swept
-over all n points only when they do not account for its degree (see
-resolve_unit_errors); the locator over the full ring is evaluated at
-its few roots only.
+and an XOR-reduce over the terms, and reads each root's multiplicity
+off the same terms (Hasse derivatives, see root_multiplicity).  Pass
+two's residue locator has its roots at pass one's simple roots when
+the word is correctable, so the locator over the full ring is
+evaluated there first, once per point, and its residue roots read off
+those values; only when they do not account for its degree is the
+residue locator swept over all n points (see resolve_unit_errors).
 
 A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
@@ -43,7 +43,7 @@ import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
 from .negacyclic import LEE, Code, word_to_str
-from .polynomial import poly_strip, root_multiplicity
+from .polynomial import poly_strip
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
 __all__ = [
@@ -134,6 +134,27 @@ def _root_positions(mu_sigma: list, code: Code) -> list[int]:
     return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0).tolist()
 
 
+def root_multiplicity(deg: list, at_root: list) -> int:
+    """The multiplicity of a root X of a residue locator sigma, given
+    the degrees i of its nonzero terms and the terms c_i X^i at X.
+
+    X^k D_k sigma(X), with D_k the k-th Hasse derivative, is the sum of
+    the terms c_i X^i weighted by the binomial C(i, k), which is odd
+    exactly when i & k == k (Lucas).  The multiplicity is the least k
+    whose sum is nonzero.  The loop stops by k = deg sigma, where only
+    the leading term is left: X is a unit and that term is nonzero.
+    """
+    k = 1
+    while True:
+        acc = 0
+        for i, c in zip(deg, at_root):
+            if i & k == k:
+                acc ^= c
+        if acc:
+            return k
+        k += 1
+
+
 def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     """Split positions by root multiplicity of the residue locator.
 
@@ -142,13 +163,8 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     must cover the locator degree exactly; any excess multiplicity or
     stray root means the word is uncorrectable.
 
-    The multiplicities come from the terms the root sweep gathers.
-    Over GF(2^m), X sigma'(X) is the sum of the odd-degree terms, so a
-    root is at least double exactly when those cancel too, and
-    X^2 D2(X), with D2 the second Hasse derivative, is the sum of the
-    terms of degree 2 or 3 mod 4, so it is at least triple only when
-    those also cancel.  Only then does root_multiplicity run, to name
-    the exact multiplicity in the failure.
+    The multiplicity of each root comes from the terms the root sweep
+    gathers at its point, by root_multiplicity.
     """
     if not mu_sigma or not mu_sigma[0]:
         raise _StageFailure("residue locator has zero constant term")
@@ -157,48 +173,40 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     doubles, singles = set(), set()
     # per root j, ascending, the terms c_i X^i at its point
     for j, at_root in zip(roots.tolist(), terms[:, roots].T.tolist()):
-        odd = hasse2 = 0
-        for i, c in zip(deg, at_root):
-            if i & 1:
-                odd ^= c
-            if i & 2:
-                hasse2 ^= c
-        if odd:
+        mult = root_multiplicity(deg, at_root)
+        if mult == 1:
             singles.add(j)
-        elif hasse2:
+        elif mult == 2:
             doubles.add(j)
         else:
-            field = code.field()
-            mult = root_multiplicity(field, mu_sigma, field.exp[code.residue_logs[j]])
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
     if 2 * len(doubles) + len(singles) != len(mu_sigma) - 1:
         raise _StageFailure("residue locator does not split over the error positions")
     return doubles, singles
 
 
-def _pass2_roots(mu_sigma: list, code: Code, candidates) -> list[int]:
-    """The positions j, ascending, where mu_sigma vanishes at the residue
-    of alpha^-j, checked first at the candidates, ascending.
-
-    With a nonzero constant term (pass two's is 1), mu_sigma is a nonzero
-    polynomial of degree at most d = len(mu_sigma) - 1, so it has at most
-    d roots.  The residues of the n points are distinct, so d vanishing
-    candidates are all its roots; otherwise the full sweep of
-    _root_positions finds them.
-    """
-    log, exp, q = code.ring._log, code.ring._exp, code.field().order
-    top = mu_sigma[::-1]
-    roots = []
-    for j in sorted(candidates):
-        lx = log[code.alpha_inv_pairs[j][0]]
-        v = 0
-        for c in top:  # Horner's rule over GF(2^m)
-            v = exp[log[v] + lx] ^ c
-        if not v:
-            roots.append(j)
-    if len(roots) == len(mu_sigma) - 1 and mu_sigma[0]:
-        return roots
-    return _root_positions(mu_sigma, code)
+def _unit_values(even: list, odd: list, code: Code, points) -> dict:
+    """Position j -> (ea, eb, pa, pb), for each j in points: E at
+    y = alpha^-2j and x O at x = alpha^-j, for sigma(x) = E(x^2) + x O(x^2)
+    with E and O as (a, b) pairs, highest degree first.  As
+    (a, b)^2 = (a^2, 0), y is a Teichmuller element, so each Horner step
+    multiplies by one GF(2^m) element."""
+    log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
+    out = {}
+    for j in points:
+        xa, xb = code.alpha_inv_pairs[j]
+        lxa = log[xa]
+        ly = 2 * lxa % q  # the log of y = (xa^2, 0)
+        evaluated = []
+        for poly in (even, odd):
+            va = vb = 0
+            for a, b in poly:  # v = v y + (a, b)
+                pa = exp[log[va] + ly]
+                va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
+            evaluated.append((va, vb))
+        (ea, eb), (oa, ob) = evaluated
+        out[j] = ea, eb, exp[lxa + log[oa]], exp[lxa + log[ob]] ^ exp[log[xb] + log[oa]]
+    return out
 
 
 def resolve_unit_errors(sigma: tuple[list, list], code: Code,
@@ -211,47 +219,42 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
     sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
     error, which pass two has already removed.  Both points share the
     residue of alpha^-j, so only the roots of the residue locator need
-    ring arithmetic.  Those are looked for first at the candidates
-    (pass one's simple roots): pass two's residue locator has constant
-    term 1, so it is nonzero of degree at most d = len(sigma[0]) - 1 and
-    has at most d roots.  When it vanishes at d candidates those are all
-    its roots, and only otherwise is it swept over all n points.  With sigma(x) = E(x^2) + x O(x^2) and
-    alpha^(n-j) = -alpha^-j, one Horner pass each for E and O at
-    y = alpha^-2j gives both values, E + x O and E - x O.  As
-    (a, b)^2 = (a^2, 0), y is a Teichmuller element, so each Horner step
-    multiplies by one GF(2^m) element.
+    deciding.  With sigma(x) = E(x^2) + x O(x^2) and alpha^(n-j) =
+    -alpha^-j, one evaluation of E and x O at each point gives both
+    values, E + x O and E - x O, and the residue of the first.
+
+    The residue roots are looked for first at the candidates (pass
+    one's simple roots), evaluated once each.  Pass two's residue
+    locator has constant term 1, so it is nonzero of degree at most
+    d = len(sigma[0]) - 1 and has at most d roots: when it vanishes at
+    d candidates, those are all its roots.  Only otherwise is it swept
+    over all n points, and the sweep's roots reuse the candidates'
+    values.
     """
-    log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
     sa, sb = sigma
     # E and O as (a, b) pairs, highest degree first for Horner's rule
     even = list(zip(sa[0::2], sb[0::2]))[::-1]
     odd = list(zip(sa[1::2], sb[1::2]))[::-1]
-    positions, values = [], []
-    for j in _pass2_roots(sa, code, candidates):
-        xa, xb = code.alpha_inv_pairs[j]
-        lxa = log[xa]
-        ly = 2 * lxa % q  # the log of y = (xa^2, 0)
-        evaluated = []
-        for poly in (even, odd):
-            va = vb = 0
-            for a, b in poly:  # v = v y + (a, b)
-                pa = exp[log[va] + ly]
-                va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
-            evaluated.append((va, vb))
-        (ea, eb), (oa, ob) = evaluated
-        # x O = (pa, pb); at a residue root ea = pa, so E + x O and
-        # E - x O = E + (pa, pa + pb) vanish by their high parts alone
-        pa = exp[lxa + log[oa]]
-        pb = exp[lxa + log[ob]] ^ exp[log[xb] + log[oa]]
+    values = _unit_values(even, odd, code, sorted(candidates))
+    # the residue of E + x O is ea + pa
+    roots = [j for j, (ea, _, pa, _) in values.items() if ea == pa]
+    if not (len(roots) == len(sa) - 1 and sa[0]):
+        roots = _root_positions(sa, code)
+        values.update(_unit_values(even, odd, code, [j for j in roots if j not in values]))
+    positions, errors = [], []
+    for j in roots:
+        _, eb, pa, pb = values[j]
+        # at a residue root ea = pa, so E + x O and E - x O = E + (pa, pa + pb)
+        # vanish by their high parts alone
         plus, minus = eb == pa ^ pb, eb == pb
         if plus and minus:
             raise _StageFailure(f"locator vanishes at both units for position {j}")
         if plus or minus:
             positions.append(j)
-            values.append(1 if plus else 3)
+            errors.append(1 if plus else 3)
     if len(positions) != len(sa) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
-    return positions, values
+    return positions, errors
 
 
 def _solve_pass(ring, synd: tuple[list, list], t: int,

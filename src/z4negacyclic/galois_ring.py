@@ -25,7 +25,9 @@ shared tables `_log`, `_exp` and `_hlog`.  `GaloisRing.elements`
 turns such lists into elements, for the decoder's trace strings, the
 bundled reference checks and tests; `int_lists` goes the other way.
 The operators and the GaloisRing domain protocol serve code
-construction and tests.
+construction and tests; the GaloisField domain methods serve tests
+only, as no decoder stage evaluates a polynomial over GF(2^m) through
+them.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -39,6 +41,8 @@ import json
 import math
 import os
 from functools import lru_cache
+
+from .polynomial import Z4, poly_mul
 
 __all__ = [
     "GaloisRing",
@@ -108,17 +112,8 @@ def graeffe_lift(p: list[int]) -> list[int]:
     deg = len(p) - 1
     even = [c if i % 2 == 0 else 0 for i, c in enumerate(p)]
     odd = [c if i % 2 == 1 else 0 for i, c in enumerate(p)]
-
-    def times(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % 4
-        return out
-
-    e2 = times(even, even)
-    o2 = times(odd, odd)
+    e2 = poly_mul(Z4, even, even)
+    o2 = poly_mul(Z4, odd, odd)
     diff = [0] * (2 * deg + 1)
     for i, c in enumerate(e2):
         diff[i] = c
@@ -458,9 +453,8 @@ class GaloisRing:
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
     Over R it serves only build_code's generator products; the other
-    polynomial work runs over Z4 (encoding, the generator check) or
-    GF(2^m) (root_multiplicity, when the decoder names a residue-locator
-    root of multiplicity three or more), with their own domains.
+    polynomial work runs over Z4 (graeffe_lift's squares, encoding, the
+    division of x^n + 1 by the generator), with its own domain.
     """
 
     def __init__(self, modulus: list[int]):

@@ -144,10 +144,11 @@ def build_code(n: int, t: int) -> Code:
                 syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
                 field_exp=field_exp, alpha_inv_pairs=alpha_inv_pairs)
 
-    for i in range(1, 2 * t, 2):
-        root_val = sum((code.alpha_pow(i * j) * int(c) for j, c in enumerate(g)),
-                       ring.zero)
-        assert not root_val, f"generator does not vanish at alpha^{i}"
+    # g vanishes at alpha, alpha^3, ..., alpha^(2t-1) exactly when its
+    # syndromes do, which also checks the syndrome matrix
+    g_word = np.array(g + [0] * (n - len(g)), dtype=np.float64)
+    assert not ((g_word @ syndrome_matrix).astype(np.int64) & 3).any(), \
+        "generator has nonzero syndromes"
     _, rem = poly_divmod(Z4, [1] + [0] * (n - 1) + [1], list(g))
     assert not rem, "generator does not divide x^n + 1"
     return code

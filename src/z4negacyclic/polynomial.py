@@ -7,20 +7,18 @@ domain provides zero, one, add, sub, neg, mul, is_unit, inv and
 from_int; GaloisRing, GaloisField and the Z4 singleton below all
 qualify, so the same code serves R[z], K[z] and Z4[x].
 
-The decoder's per-word arithmetic does not come through here: its
-stages pass polynomials as GF(2^m) int lists (see keyeq, solver and
-decoder).  What remains serves code construction (products over R and
-Z4, division over Z4) and the one exact root multiplicity the decoder
-still computes, when its root sweep finds a residue-locator root of
-multiplicity three or more and the failure reason names the number.
+The decoder's arithmetic does not come through here: its stages pass
+polynomials as GF(2^m) int lists (see keyeq, solver and decoder), and
+it takes only poly_strip.  What remains serves code construction and
+encoding: products over R and Z4 (the generator, graeffe_lift's
+squares, codewords) and division over Z4.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "Z4",
-    "poly_strip", "poly_mul",
-    "poly_divmod", "poly_eval", "root_multiplicity",
+    "poly_strip", "poly_mul", "poly_divmod",
 ]
 
 
@@ -102,25 +100,3 @@ def poly_divmod(dom, f: list, g: list) -> tuple[list, list]:
             for j, gj in enumerate(g):
                 r[i + j] = dom.sub(r[i + j], dom.mul(c, gj))
     return poly_strip(q), poly_strip(r)
-
-
-def poly_eval(dom, f: list, x):
-    """Horner evaluation."""
-    acc = dom.zero
-    for c in reversed(f):
-        acc = dom.add(dom.mul(acc, x), c)
-    return acc
-
-
-def root_multiplicity(dom, f: list, c) -> int:
-    """Largest k with (z - c)^k dividing f, by repeated synthetic division."""
-    f = poly_strip(list(f))
-    if not f:
-        raise ValueError("multiplicity in the zero polynomial is undefined")
-    linear = [dom.neg(c), dom.one]
-    k = 0
-    while f and not poly_eval(dom, f, c):
-        f, rem = poly_divmod(dom, f, linear)
-        assert not rem
-        k += 1
-    return k

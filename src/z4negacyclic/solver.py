@@ -39,6 +39,7 @@ when a trace_log is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple
 
 __all__ = [
@@ -184,24 +185,16 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                 ya, yb = xas[j], xbs[j]
                 if not ya:
                     continue
-                xa, xb = xas[s], xbs[s]
                 ra, rb = [], []
-                for x, xh, ea, eb in zip(xa, xb, ya, yb):
+                # a missing entry is 0, whose log is the zero sentinel:
+                # every read with it is 0, so x_i - 0 and 0 - (pa, pb)
+                # need no branch
+                for x, xh, ea, eb in zip_longest(xas[s], xbs[s], ya, yb, fillvalue=0):
                     le = log[ea]
                     pa = exp[lc + le]
                     ra.append(x ^ pa)
                     rb.append(xh ^ pa ^ exp[lc + log[eb]] ^ exp[ld + le]
                               ^ exp[hlog[x] + hlog[pa]])
-                lx, ly = len(xa), len(ya)
-                if lx > ly:  # x_i - 0
-                    ra += xa[ly:]
-                    rb += xb[ly:]
-                elif lx < ly:  # 0 - (pa, pb)
-                    for ea, eb in zip(ya[lx:], yb[lx:]):
-                        le = log[ea]
-                        pa = exp[lc + le]
-                        ra.append(pa)
-                        rb.append(pa ^ exp[lc + log[eb]] ^ exp[ld + le])
                 while ra and not (ra[-1] or rb[-1]):
                     ra.pop()
                     rb.pop()

@@ -14,7 +14,10 @@ locator assembly).  The key-equation
 stages appear here once more on RingElement objects and the polynomial
 domain protocol, the form the int-pair kernels of keyeq and solver
 replaced.
-It also holds the polynomial helpers that only tests need.
+It also holds the polynomial helpers that only tests need, among them
+Horner evaluation and root multiplicity by repeated synthetic division
+over any coefficient domain, the references for the decoder's
+Hasse-derivative rule.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import random
 
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
-from z4negacyclic.polynomial import (Z4, poly_divmod, poly_eval, poly_mul, poly_strip,
-                                     root_multiplicity)
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
 
@@ -552,6 +554,28 @@ def lm_divides(lm1, lm2, ring) -> bool:
 
 
 # ---------------------------------------------------------------- test-only helpers
+
+def poly_eval(dom, f: list, x):
+    """Horner evaluation."""
+    acc = dom.zero
+    for c in reversed(f):
+        acc = dom.add(dom.mul(acc, x), c)
+    return acc
+
+
+def root_multiplicity(dom, f: list, c) -> int:
+    """Largest k with (z - c)^k dividing f, by repeated synthetic division."""
+    f = poly_strip(list(f))
+    if not f:
+        raise ValueError("multiplicity in the zero polynomial is undefined")
+    linear = [dom.neg(c), dom.one]
+    k = 0
+    while f and not poly_eval(dom, f, c):
+        f, rem = poly_divmod(dom, f, linear)
+        assert not rem
+        k += 1
+    return k
+
 
 def poly_coeff(dom, f: list, k: int):
     return f[k] if 0 <= k < len(f) else dom.zero

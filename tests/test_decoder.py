@@ -13,8 +13,7 @@ from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
                      locator_from_error, random_error, resolve_by_scan,
                      root_positions_by_loop, syndromes_by_loop)
 from z4negacyclic import decoder
-from z4negacyclic.decoder import (_pass2_roots, _root_positions, _StageFailure, decode,
-                                  locate_error_positions)
+from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
 from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
@@ -250,29 +249,37 @@ def test_locate_sweep_matches_per_position_scan(n, t):
 def _planted_locators(code, rng):
     """Residue locators with planted roots: products of (1 + X/x)^k over
     GF(2^m), x the residue of alpha^-j at one to three positions j and
-    k in 1..4 (the first position cycles through 1..4), a third of
-    them times a factor that need not split over the code's points."""
+    k in 1..4 (the first position cycles through 1..7), a third of
+    them times a factor that need not split over the code's points;
+    then single factors (1 + X/x)^k for k = 1..7, where the multiplicity
+    is the degree."""
     field = code.field()
     out = []
-    for i in range(60):
+    for i in range(84):
         mu = [1]
         for p, j in enumerate(rng.sample(range(code.n), rng.randint(1, 3))):
             x = field.exp[code.residue_logs[j]]
-            for _ in range(i % 4 + 1 if p == 0 else rng.choice((1, 1, 2, 2, 3, 4))):
+            for _ in range(i % 7 + 1 if p == 0 else rng.choice((1, 1, 2, 2, 3, 4))):
                 mu = poly_mul(field, mu, [1, field.inv(x)])
         if i % 3 == 2:
             tail = [rng.randrange(1, field.size), rng.randrange(field.size)]
             mu = poly_mul(field, mu, tail + [rng.randrange(1, field.size)])
+        out.append(mu)
+    for k in range(1, 8):
+        x = field.exp[code.residue_logs[rng.randrange(code.n)]]
+        mu = [1]
+        for _ in range(k):
+            mu = poly_mul(field, mu, [1, field.inv(x)])
         out.append(mu)
     return out
 
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
 def test_locate_multiplicities_match_root_multiplicity(n, t):
-    """The double/triple split read off the root sweep's gather (odd
-    terms for X sigma', degrees 2 and 3 mod 4 for X^2 D2) gives the same
-    positions, or the same failure reason byte for byte, as
-    root_multiplicity at every position."""
+    """The multiplicities read off the root sweep's gather (the terms of
+    degree i with i & k == k for X^k D_k, D_k the k-th Hasse derivative)
+    give the same positions, or the same failure reason byte for byte,
+    as synthetic division at every position."""
     code = build_code(n, t)
     rng = random.Random(5 * n + t)
     seen = set()
@@ -284,7 +291,8 @@ def test_locate_multiplicities_match_root_multiplicity(n, t):
         else:
             seen.add("doubles" if got[0] else "singles")
     assert {"doubles", "singles", "residue locator root multiplicity 3",
-            "residue locator root multiplicity 4",
+            "residue locator root multiplicity 4", "residue locator root multiplicity 5",
+            "residue locator root multiplicity 6", "residue locator root multiplicity 7",
             "residue locator does not split over the error positions"} <= seen
 
 
@@ -317,11 +325,11 @@ def test_resolve_sweep_matches_per_position_scan(n, t):
 def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
     """Pass two looks for its residue roots at pass one's singles first.
     On every pass-two locator that decode builds, from seeded words
-    within and beyond the radius and from a p = 0.12 Lee channel, that
-    check must give the roots of the full sweep, and resolve_unit_errors
-    the same errors or failure reason as without candidates.  Both
-    branches must come up: the singles holding every root, and the
-    fallback to the sweep."""
+    within and beyond the radius and from a p = 0.12 Lee channel,
+    resolve_unit_errors must give the same errors or failure reason as
+    without candidates and as the per-position scan.  Both branches
+    must come up: the singles holding every root, and the fallback to
+    the sweep."""
     code = build_code(n, t)
     rng = random.Random(7 * n + t)
     calls = []
@@ -351,11 +359,9 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
     monkeypatch.setattr(decoder, "_root_positions", counted_sweep)
     branches = set()
     for sigma, candidates in calls:
-        roots = _root_positions(sigma[0], code)
         del sweeps[:]
-        assert _pass2_roots(sigma[0], code, candidates) == roots
-        branches.add("sweep" if sweeps else "singles hold the roots")
         checked = _outcome(dense_unit_errors, sigma, code, candidates)
+        branches.add("sweep" if sweeps else "singles hold the roots")
         assert checked == _outcome(dense_unit_errors, sigma, code)
         assert checked == _outcome(resolve_by_scan, code.ring.elements(sigma), code)
     assert branches == {"singles hold the roots", "sweep"}
@@ -364,23 +370,31 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
 def test_pass2_root_outside_the_candidates(monkeypatch):
     """A residue root of the pass-two locator that is not a candidate
     sends the check to the full sweep, which still finds it; candidates
-    that are not roots do no harm."""
+    that are not roots do no harm.  Each point is evaluated once: the
+    sweep's roots reuse the values of the candidates."""
     code = CODE_15_2
     err = [0] * 15
     err[4], err[13] = 1, 3
     sigma = code.ring.int_lists(locator_from_error(code, err))
-    sweeps = []
+    sweeps, evaluated = [], []
     monkeypatch.setattr(decoder, "_root_positions",
                         lambda mu, code: sweeps.append(1) or _root_positions(mu, code))
+    unit_values = decoder._unit_values
+    monkeypatch.setattr(decoder, "_unit_values",
+                        lambda *args: evaluated.extend(args[-1]) or unit_values(*args))
     for candidates, swept in (([], True), ([7], True), ([4], True), ([4, 9], True),
                               ([0, 4, 12], True), ([13, 4], False), ([4, 9, 13], False)):
-        del sweeps[:]
-        assert _pass2_roots(sigma[0], code, candidates) == [4, 13]
+        del sweeps[:], evaluated[:]
+        assert decoder.resolve_unit_errors(sigma, code, candidates) == ([4, 13], [1, 3])
         assert bool(sweeps) == swept
+        assert sorted(evaluated) == sorted(set(candidates) | {4, 13} if swept else candidates)
         assert dense_unit_errors(sigma, code, candidates) == err
     # a zero polynomial vanishes everywhere, whatever its length says
-    assert _pass2_roots([0], code, []) == list(range(15))
-    assert _pass2_roots([0, 0], code, [3]) == list(range(15))
+    for zero, candidates in ((([0], [0]), []), (([0, 0], [0, 0]), [3])):
+        del sweeps[:]
+        with pytest.raises(_StageFailure, match="^locator vanishes at both units for position 0$"):
+            decoder.resolve_unit_errors(zero, code, candidates)
+        assert sweeps
 
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])

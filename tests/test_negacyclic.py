@@ -4,10 +4,11 @@ import random
 import pytest
 
 from objects import syndromes
+from oracles import poly_eval
 from z4negacyclic.negacyclic import (build_code, encode, lambda_map, lee_distance,
                                      lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)
-from z4negacyclic.polynomial import Z4, poly_divmod, poly_eval, poly_mul, poly_strip
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 
 
 def test_build_code_table_ranks():
