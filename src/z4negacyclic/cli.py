@@ -125,16 +125,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce_paper(args) -> int:
     checks = golden.run_all(quick=args.quick)
-    failed = 0
+    passed = sum(ok for _, ok, _, _ in checks)
+    lines = []
     for name, ok, expected, got in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"{status} {name}"
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
-            line += f"\n  expected: {expected}\n  got:      {got}"
-            failed += 1
-        print(line)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return 1 if failed else 0
+            lines.append(f"  expected: {expected}\n  got:      {got}")
+    lines.append(f"{passed}/{len(checks)} checks passed")
+    payload = {"checks": [{"name": name, "ok": ok, "expected": expected, "got": got}
+                          for name, ok, expected, got in checks],
+               "passed": passed, "total": len(checks)}
+    _emit(args, payload, "\n".join(lines))
+    return 0 if passed == len(checks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

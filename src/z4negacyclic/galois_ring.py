@@ -21,13 +21,17 @@ The decoder's per-word stages (syndromes, keyeq's odd-ratio recursion
 and series inverse, the solver, the locators and the +-1 resolution)
 build no RingElement: they pass every polynomial over R as its two
 int lists (a, b) and run the same formulas inline on the ring's
-shared tables `_log`, `_exp` and `_hlog`.  `GaloisRing.elements`
-turns such lists into elements, for the decoder's trace strings, the
-bundled reference checks and tests; `int_lists` goes the other way.
-The operators and the GaloisRing domain protocol serve code
-construction and tests; the GaloisField domain methods serve tests
-only, as no decoder stage evaluates a polynomial over GF(2^m) through
-them.
+shared tables `_log`, `_exp` and `_hlog`.  Ring and code construction
+work the same way: the digit corrections, the negacyclic root and
+the code's tables come from pairs, and generators from Z4 minimal
+polynomials, which `graeffe_lift` alone supplies.
+`GaloisRing.elements` turns such lists into elements, for the
+decoder's trace strings, the bundled reference checks and tests;
+`int_lists` goes the other way.  The operators, the GaloisRing domain
+protocol and the GaloisField domain methods serve the tests (as
+their oracle), the bundled reference checks and the benchmark's
+per-layer timings, which time these objects; they stay here as long
+as those timings bind them.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -258,9 +262,7 @@ class RingElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Z4 digits in the polynomial basis, constant term first."""
-        a = self.a
-        high = self.b ^ self.ring._corr[a]
-        return tuple((a >> i & 1) | (high >> i & 1) << 1 for i in range(self.ring.m))
+        return self.ring.digits(self.a, self.b)
 
     def _coerce(self, other):
         """other as an element of this ring; NotImplemented for other types."""
@@ -398,45 +400,39 @@ def _digit_corrections(modulus: tuple, field: GaloisField) -> list[int]:
     """corr with P(c) = tau(c) + 2 tau(corr[c]) for every c in GF(2^m),
     where P(c) is the element whose Z4 digits are the bits of c.
 
-    theta = [x]^(2^m) is the Teichmuller lift of x: m squarings send the
-    1 + 2R factor of a unit to 1.  So tau(x^k) = theta^k, and one digit
-    multiplication per k walks the whole Teichmuller group, also when
-    [x] itself has order 2(2^m - 1).  This setup step is the only digit
-    arithmetic left.
+    Everything is pair arithmetic over the field tables.  Write [x] =
+    tau(x) + 2 tau(d); as 4 = 0, Taylor's formula stops after one step,
+    h([x]) = h(tau(x)) + 2 tau(d h'(x)) = 0, and h(tau(x)) = (0, e) is a
+    pair sum of the terms h_i tau(x)^i.  So d = e / h'(x), where h'(x)
+    != 0 as h mod 2 is irreducible; d = 0 exactly when [x] is the
+    Teichmuller lift of x.  Then [x]^i = (x^i, x^(i-1) d if i is odd
+    else 0), and P(c) is the pair sum of [x]^i over the bits i of c.
     """
-    m = field.m
-    # x^(m+i) mod h for i = 0..m-2, used to fold products
-    folds = [tuple((-c) % 4 for c in modulus[:-1])]
-    for _ in range(m - 2):
-        row = [0] + list(folds[-1])
-        carry = row.pop()
-        folds.append(tuple((a + carry * b) % 4 for a, b in zip(row, folds[0])))
-
-    def mul(a: tuple, b: tuple) -> tuple:
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:m]
-        for d in range(m, 2 * m - 1):
-            c = prod[d] & 3
-            if c:
-                out = [o + c * f for o, f in zip(out, folds[d - m])]
-        return tuple(o & 3 for o in out)
-
-    one = (1,) + (0,) * (m - 1)
-    theta = (0, 1) + (0,) * (m - 2)
-    for _ in range(m):
-        theta = mul(theta, theta)
-    corr = [0] * field.size
-    lift = one
-    for k in range(field.order):
-        c = field.exp[k]
-        # the digits of P(c) - tau(c) = 2 tau(corr[c]) are twice the bits of corr[c]
-        corr[c] = sum((((c >> i & 1) - d) & 3) >> 1 << i for i, d in enumerate(lift))
-        lift = mul(lift, theta)
-    assert lift == one
+    log, exp, hlog = field.log, field.exp, field.hlog
+    # h(tau(x)) = sum of h_i (x^i, 0); 2 (a, 0) = (0, a), -(a, 0) = (a, a)
+    a = b = 0
+    for i, h in enumerate(modulus):
+        xa = exp[i] if h & 1 else 0
+        xb = exp[i] if h & 2 else 0
+        a, b = a ^ xa, b ^ xb ^ exp[hlog[a] + hlog[xa]]
+    assert a == 0, "h(tau(x)) is not in 2R"
+    dh = 0  # h'(x): the odd terms of h, mod 2
+    for i in range(1, len(modulus), 2):
+        if modulus[i] & 1:
+            dh ^= exp[i - 1]
+    q = field.order
+    ld = (log[b] - log[dh]) % q if b else 2 * q  # log d, the zero sentinel for d = 0
+    # P(c) = P(c - top bit) + [x]^top, one top bit at a time
+    low, corr = [0] * field.size, [0] * field.size
+    for c in range(1, field.size):
+        i = c.bit_length() - 1
+        rest = c ^ (1 << i)
+        xa = exp[i]
+        xb = exp[i - 1 + ld] if i & 1 else 0
+        ra = low[rest]
+        low[c] = ra ^ xa
+        corr[c] = corr[rest] ^ xb ^ exp[hlog[ra] + hlog[xa]]
+    assert low == list(range(field.size)), "P(c) does not have residue c"
     return corr
 
 
@@ -452,8 +448,9 @@ class GaloisRing:
 
     Also implements the coefficient-domain protocol used by the
     polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
-    Over R it serves only build_code's generator products; the other
-    polynomial work runs over Z4 (graeffe_lift's squares, encoding, the
+    No code in the package runs polynomials over R through it; the
+    tests' reference routines do.  The package's polynomial work runs
+    over Z4 (graeffe_lift's squares, generator products, encoding, the
     division of x^n + 1 by the generator), with its own domain.
     """
 
@@ -513,6 +510,12 @@ class GaloisRing:
     def int_lists(self, elements) -> tuple[list, list]:
         """The (a, b) int lists of a sequence of elements of this ring."""
         return [c.a for c in elements], [c.b for c in elements]
+
+    def digits(self, a: int, b: int) -> tuple[int, ...]:
+        """The Z4 digits of tau(a) + 2 tau(b), constant term first: the
+        low bits are a, the high bits b + corr[a]."""
+        high = b ^ self._corr[a]
+        return tuple((a >> i & 1) | (high >> i & 1) << 1 for i in range(self.m))
 
     def from_str(self, text: str) -> RingElement:
         return RingElement(self, [int(t) for t in text.split(",")])
@@ -601,13 +604,12 @@ def negacyclic_root(ring: GaloisRing, n: int) -> RingElement:
 
     Requires n odd and dividing 2^m - 1; alpha is -beta for the
     canonical Teichmuller generator's power beta of order exactly n.
+    beta = tau(b) with b = x^((2^m - 1)/n), so alpha = -(b, 0) = (b, b).
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"n={n}: negacyclic roots exist only for odd n")
     full = (1 << ring.m) - 1
     if full % n != 0:
         raise ValueError(f"n={n} does not divide 2^m-1={full}")
-    beta = ring.teichmuller_generator() ** (full // n)
-    alpha = -beta
-    assert alpha ** n == -ring.one
-    return alpha
+    b = ring._exp[full // n]
+    return ring.from_pair(b, b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galois_ring import GaloisRing, RingElement, make_ring, negacyclic_root
+from .galois_ring import GaloisRing, RingElement, graeffe_lift, make_ring, negacyclic_root
 from .polynomial import Z4, poly_divmod, poly_mul, poly_strip
 
 __all__ = [
@@ -38,7 +38,6 @@ class Code:
     alpha: RingElement
     generator: tuple[int, ...]
     k: int
-    _alpha_pows: tuple = field(repr=False, default=())
     # n x t*m Z4 matrix: row j holds the coefficients of alpha^(j*k),
     # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4.
     # Read-only float64, so that the product runs on BLAS; it stays
@@ -54,8 +53,10 @@ class Code:
     alpha_inv_pairs: tuple = field(compare=False, repr=False, default=())
 
     def alpha_pow(self, j: int) -> RingElement:
-        """alpha^j from the cached table (j taken mod 2n)."""
-        return self._alpha_pows[j % (2 * self.n)]
+        """alpha^j, built from its pair (see build_code)."""
+        ring = self.ring
+        b = ring._exp[ring._log[self.alpha.a] * j % ring._field.order]
+        return ring.from_pair(b, b if j & 1 else 0)
 
     def field(self):
         return self.ring.residue_field()
@@ -82,9 +83,15 @@ def build_code(n: int, t: int) -> Code:
     """Construct the length-n code correcting Lee weight up to t.
 
     The generator is the product over the cyclotomic cosets of the odd
-    exponents 1..2t-1 of the minimal polynomials of beta^i (beta = -alpha,
-    a primitive n-th root of unity), pushed through x -> -x; every
-    coefficient of the coset products must land in Z4, which is checked.
+    exponents 1..2t-1 of the Z4 minimal polynomials of beta^i (beta =
+    -alpha, a Teichmuller element of order n), pushed through x -> -x.
+    Squaring permutes the conjugates of beta^i, so its minimal
+    polynomial is the Graeffe lift of the binary minimal polynomial of
+    its residue, formed over the ring's own residue field.
+
+    The tables need only the pairs of the powers of alpha: alpha^e =
+    (-1)^e beta^e is the pair (b, b if e is odd else 0), b the residue
+    of beta^e, whose Z4 digits GaloisRing.digits reads off.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"length n={n} must be odd and at least 3")
@@ -95,52 +102,44 @@ def build_code(n: int, t: int) -> Code:
         raise ValueError(f"order of 2 mod {n} is {m}; supported rings stop at m=10")
     ring = make_ring(m)
     alpha = negacyclic_root(ring, n)
-    beta = -alpha
-
-    beta_pows = [ring.one]
-    for _ in range(n - 1):
-        beta_pows.append(beta_pows[-1] * beta)
+    log, exp = ring._log, ring._exp
+    # the residues of beta^j, j = 0..n-1
+    step = log[alpha.a]
+    res = [exp[j * step] for j in range(n)]
 
     seen = set()
-    f = [ring.one]
+    f = [1]
     for i in range(1, 2 * t, 2):
         coset = _cyclotomic_coset(i, n)
         if coset in seen:
             continue
         seen.add(coset)
-        factor = [ring.one]
+        # the binary minimal polynomial: the product of x + res[j]
+        factor = [1]
         for j in coset:
-            factor = poly_mul(ring, factor, [-beta_pows[j], ring.one])
-        f = poly_mul(ring, f, factor)
+            lr = log[res[j]]
+            factor = [a ^ exp[log[b] + lr] for a, b in zip([0] + factor, factor + [0])]
+        f = poly_mul(Z4, f, graeffe_lift(factor))
 
-    f_z4 = []
-    for c in f:
-        if any(c.coeffs[1:]):
-            raise AssertionError(f"coset product coefficient {c!r} is not in Z4")
-        f_z4.append(c.coeffs[0])
-
-    g = lambda_map(f_z4, n)
+    g = lambda_map(f, n)
     if g[-1] == 3:
         g = [(-c) % 4 for c in g]
     assert g[-1] == 1, "generator failed to normalize monic"
 
-    alpha_pows = [ring.one]
-    for _ in range(2 * n - 1):
-        alpha_pows.append(alpha_pows[-1] * alpha)
-
+    # the digits of alpha^e, e = 0..2n-1
+    digits = [ring.digits(b, b if e & 1 else 0) for e, b in enumerate(res + res)]
     syndrome_matrix = np.array(
-        [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
+        [[c for k in range(1, 2 * t, 2) for c in digits[j * k % (2 * n)]]
          for j in range(n)], dtype=np.float64)
-    log = ring.residue_field().log
-    alpha_inv_pairs = tuple((x.a, x.b) for x in (alpha_pows[-j % (2 * n)] for j in range(n)))
+    # alpha^-j = alpha^(2n-j), whose exponent has the parity of j
+    alpha_inv_pairs = tuple((res[-j], res[-j] if j & 1 else 0) for j in range(n))
     residue_logs = np.array([log[a] for a, _ in alpha_inv_pairs], dtype=np.int64)
-    field_exp = np.array(ring.residue_field().exp, dtype=np.int64)
+    field_exp = np.array(exp, dtype=np.int64)
     for table in (syndrome_matrix, residue_logs, field_exp):
         table.setflags(write=False)
 
     code = Code(n=n, t=t, ring=ring, alpha=alpha,
                 generator=tuple(g), k=n - (len(g) - 1),
-                _alpha_pows=tuple(alpha_pows),
                 syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
                 field_exp=field_exp, alpha_inv_pairs=alpha_inv_pairs)
 

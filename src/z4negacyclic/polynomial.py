@@ -10,8 +10,9 @@ qualify, so the same code serves R[z], K[z] and Z4[x].
 The decoder's arithmetic does not come through here: its stages pass
 polynomials as GF(2^m) int lists (see keyeq, solver and decoder), and
 it takes only poly_strip.  What remains serves code construction and
-encoding: products over R and Z4 (the generator, graeffe_lift's
-squares, codewords) and division over Z4.
+encoding, all over Z4: products (graeffe_lift's squares, the product
+of the generator's Graeffe lifts, codewords) and division.  Products
+over R and K run here only in the tests' reference routines.
 """
 
 from __future__ import annotations

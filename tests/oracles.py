@@ -14,6 +14,10 @@ locator assembly).  The key-equation
 stages appear here once more on RingElement objects and the polynomial
 domain protocol, the form the int-pair kernels of keyeq and solver
 replaced.
+Code construction appears here as it was before it moved to int
+pairs and Graeffe lifts: powers of beta and alpha as RingElement
+objects, and the generator as products of linear factors over R
+through the polynomial domain protocol.
 It also holds the polynomial helpers that only tests need, among them
 Horner evaluation and root multiplicity by repeated synthetic division
 over any coefficient domain, the references for the decoder's
@@ -26,7 +30,9 @@ import itertools
 import random
 
 from z4negacyclic.decoder import _StageFailure
-from z4negacyclic.negacyclic import LEE, Code, encode, lee_distance
+from z4negacyclic.galois_ring import make_ring
+from z4negacyclic.negacyclic import (LEE, Code, _cyclotomic_coset, _order_of_two, encode,
+                                     lambda_map, lee_distance)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
@@ -174,6 +180,60 @@ def resolve_by_scan(sigma: list, code: Code) -> list:
     if found != len(sigma) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
     return error
+
+
+# ---------------------------------------------------------------- object-based construction
+
+def construction_by_objects(n: int, t: int) -> dict:
+    """build_code's generator and tables, from RingElement powers of
+    alpha = -beta, beta the Teichmuller generator's power of order n,
+    and the generator from coset products over R."""
+    m = _order_of_two(n)
+    ring = make_ring(m)
+    full = (1 << ring.m) - 1
+    beta = ring.teichmuller_generator() ** (full // n)
+    alpha = -beta
+    assert alpha ** n == -ring.one
+
+    beta_pows = [ring.one]
+    for _ in range(n - 1):
+        beta_pows.append(beta_pows[-1] * beta)
+
+    seen = set()
+    f = [ring.one]
+    for i in range(1, 2 * t, 2):
+        coset = _cyclotomic_coset(i, n)
+        if coset in seen:
+            continue
+        seen.add(coset)
+        factor = [ring.one]
+        for j in coset:
+            factor = poly_mul(ring, factor, [-beta_pows[j], ring.one])
+        f = poly_mul(ring, f, factor)
+
+    f_z4 = []
+    for c in f:
+        if any(c.coeffs[1:]):
+            raise AssertionError(f"coset product coefficient {c!r} is not in Z4")
+        f_z4.append(c.coeffs[0])
+
+    g = lambda_map(f_z4, n)
+    if g[-1] == 3:
+        g = [(-c) % 4 for c in g]
+    assert g[-1] == 1, "generator failed to normalize monic"
+
+    alpha_pows = [ring.one]
+    for _ in range(2 * n - 1):
+        alpha_pows.append(alpha_pows[-1] * alpha)
+
+    syndrome_matrix = [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
+                       for j in range(n)]
+    log = ring.residue_field().log
+    alpha_inv_pairs = tuple((x.a, x.b) for x in (alpha_pows[-j % (2 * n)] for j in range(n)))
+    residue_logs = [log[a] for a, _ in alpha_inv_pairs]
+    return {"alpha": alpha, "alpha_pows": alpha_pows, "generator": tuple(g),
+            "syndrome_matrix": syndrome_matrix, "alpha_inv_pairs": alpha_inv_pairs,
+            "residue_logs": residue_logs}
 
 
 # ---------------------------------------------------------------- object-based key equation

@@ -129,6 +129,32 @@ def test_reproduce_paper_fault_injection(tmp_path, monkeypatch, capsys):
     assert "FAIL decode-example" in out
 
 
+def test_reproduce_paper_quick_json(capsys):
+    code, out, _ = run(capsys, "--json", "reproduce-paper", "--quick")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"checks", "passed", "total"}
+    assert payload["passed"] == payload["total"] == len(payload["checks"]) > 0
+    for check in payload["checks"]:
+        assert set(check) == {"name", "ok", "expected", "got"}
+        assert check["ok"] is True
+    _, text, _ = run(capsys, "reproduce-paper", "--quick")
+    assert [f"PASS {c['name']}" for c in payload["checks"]] == text.splitlines()[:-1]
+
+
+def test_reproduce_paper_fault_injection_json(tmp_path, monkeypatch, capsys):
+    override = tmp_path / "moduli.json"
+    override.write_text(json.dumps({"4": [1, 0, 2, 3, 1]}))
+    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
+    code, out, _ = run(capsys, "--json", "reproduce-paper", "--quick")
+    assert code == 1
+    payload = json.loads(out)
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert "decode-example error" in [c["name"] for c in failed]
+    assert payload["passed"] == payload["total"] - len(failed) < payload["total"]
+    assert all(c["expected"] != c["got"] for c in failed)
+
+
 def test_modulus_override_is_validated(tmp_path, monkeypatch, capsys):
     override = tmp_path / "moduli.json"
     override.write_text(json.dumps({"4": [1, 0, 1, 0, 1]}))  # reducible mod 2

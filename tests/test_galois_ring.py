@@ -293,16 +293,39 @@ def test_packed_arithmetic_matches_digits_sampled(m):
         _check_unary_against_digits(ring, x)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_digit_round_trip_all_elements(m):
-    ring = make_ring(m)
-    for x in itertools.product(range(4), repeat=m):
-        el = ring.element(x)
-        assert el.coeffs == x
-        assert el.residue() == sum((c & 1) << i for i, c in enumerate(x))
+def _check_digit_round_trip(ring):
+    m = ring.m
+    if m <= 8:
+        for x in itertools.product(range(4), repeat=m):
+            el = ring.element(x)
+            assert el.coeffs == x
+            assert el.residue() == sum((c & 1) << i for i, c in enumerate(x))
     for bits in range(1 << m):
         assert (ring.from_pair(bits, ring._corr[bits]).coeffs
                 == tuple(bits >> i & 1 for i in range(m)))
+    # the check above holds for any table, as coeffs undoes corr with
+    # it; this one does not: under digit arithmetic mod h, tau(1) is 1
+    # and tau(c) tau(x) = tau(c x), which forces tau(x) to have odd
+    # order, so these digits are the Teichmuller lifts
+    field = ring.residue_field()
+    tau_x = ring.digits(2, 0)
+    assert ring.digits(1, 0) == (1,) + (0,) * (m - 1)
+    for c in range(1, 1 << m):
+        assert digit_mul(ring, ring.digits(c, 0), tau_x) == ring.digits(field.mul(c, 2), 0)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_digit_round_trip_all_elements(m):
+    _check_digit_round_trip(make_ring(m))
+
+
+# OVERRIDE_MODULUS and the m = 4 override of the code tests, in both of
+# which [x] has order 2(2^m - 1)
+@pytest.mark.parametrize("modulus", [OVERRIDE_MODULUS, [1, 0, 0, 1, 1]], ids=str)
+def test_digit_round_trip_non_teichmuller_moduli(modulus):
+    ring = GaloisRing(modulus)
+    _check_digit_round_trip(ring)
+    assert ring.gen.multiplicative_order() == 2 * ((1 << ring.m) - 1)
 
 
 def test_hash_and_eq_agree_between_digits_and_arithmetic():

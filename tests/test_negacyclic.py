@@ -1,14 +1,36 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from objects import syndromes
-from oracles import poly_eval
-from z4negacyclic.negacyclic import (build_code, encode, lambda_map, lee_distance,
-                                     lee_weight, min_distance_exhaustive,
+from oracles import construction_by_objects, poly_eval, random_error
+from z4negacyclic.decoder import decode
+from z4negacyclic.galois_ring import MODULUS_TABLE_ENV, make_ring
+from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_map,
+                                     lee_distance, lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
+
+# [x] has order 30 in Z4[x]/<x^4 + x^3 + 1>, so it is not the Teichmuller
+# lift of x; the (15, t) generators for t = 1, 2, 3 differ from the
+# built-in ring's
+OVERRIDE_M4 = [1, 0, 0, 1, 1]
+
+
+def use_override(tmp_path, monkeypatch):
+    path = tmp_path / "moduli.json"
+    path.write_text(json.dumps({"4": OVERRIDE_M4}))
+    monkeypatch.setenv(MODULUS_TABLE_ENV, str(path))
+
+
+@pytest.fixture(params=["builtin", "override"])
+def moduli(request, tmp_path, monkeypatch):
+    """Codes over the built-in rings, or with OVERRIDE_M4 for m = 4."""
+    if request.param == "override":
+        use_override(tmp_path, monkeypatch)
+    return request.param
 
 
 def test_build_code_table_ranks():
@@ -26,7 +48,7 @@ def test_build_code_rejections():
         build_code(23, 1)       # ord_23(2) = 11 > 10
 
 
-def test_generator_divides_xn_plus_1():
+def test_generator_divides_xn_plus_1(moduli):
     for n, t in ((15, 1), (15, 2), (15, 3), (31, 5), (9, 1), (7, 1)):
         code = build_code(n, t)
         xn1 = [1] + [0] * (n - 1) + [1]
@@ -35,12 +57,55 @@ def test_generator_divides_xn_plus_1():
         assert poly_mul(Z4, q, list(code.generator)) == xn1
 
 
-def test_generator_vanishes_at_odd_root_powers():
+def test_generator_vanishes_at_odd_root_powers(moduli):
     code = build_code(15, 3)
     ring = code.ring
+    assert list(ring.modulus) == (OVERRIDE_M4 if moduli == "override"
+                                  else list(make_ring(4).modulus))
     gen = [ring.from_int(c) for c in code.generator]
     for i in range(1, 2 * code.t, 2):
         assert poly_eval(ring, gen, code.alpha_pow(i)) == ring.zero
+
+
+# the odd n <= 63 with order of 2 mod n at most 10, at t = 1, 2, 3, (n-1)/2
+SMALL_CODES = [(n, t) for n in range(3, 64, 2) if _order_of_two(n) <= 10
+               for t in sorted({1, 2, 3, (n - 1) // 2}) if 2 * t - 1 < n]
+
+
+def test_construction_matches_objects(moduli):
+    assert len(SMALL_CODES) == 42
+    for n, t in SMALL_CODES:
+        code = build_code(n, t)
+        ref = construction_by_objects(n, t)
+        assert code.generator == ref["generator"], (n, t)
+        assert code.syndrome_matrix.astype(int).tolist() == ref["syndrome_matrix"], (n, t)
+        assert code.alpha_inv_pairs == ref["alpha_inv_pairs"], (n, t)
+        assert code.residue_logs.tolist() == ref["residue_logs"], (n, t)
+        assert code.alpha == ref["alpha"]
+        assert [code.alpha_pow(j) for j in range(-1, 2 * n)] == (
+            ref["alpha_pows"][-1:] + ref["alpha_pows"])
+
+
+def test_override_changes_the_generators(tmp_path, monkeypatch):
+    builtin = [build_code(15, t).generator for t in (1, 2, 3)]
+    use_override(tmp_path, monkeypatch)
+    for t, gen in zip((1, 2, 3), builtin):
+        code = build_code(15, t)
+        assert list(code.ring.modulus) == OVERRIDE_M4
+        assert code.ring.gen.multiplicative_order() == 30
+        assert code.generator != gen
+
+
+def test_decode_round_trip_under_override(tmp_path, monkeypatch):
+    use_override(tmp_path, monkeypatch)
+    code = build_code(15, 3)
+    rng = random.Random(41)
+    for _ in range(200):
+        word = encode([rng.randrange(4) for _ in range(code.k)], code)
+        err = random_error(rng, code.n, rng.randint(0, code.t))
+        outcome = decode([(w + e) % 4 for w, e in zip(word, err)], code)
+        assert outcome.success, outcome.reason
+        assert outcome.codeword == word and outcome.error == err
 
 
 def test_cyclic_preimage_has_consecutive_roots():
