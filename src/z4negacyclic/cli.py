@@ -38,14 +38,14 @@ def cmd_code_info(args) -> int:
     payload = {
         "n": code.n, "t": code.t, "m": code.ring.m,
         "modulus": list(code.ring.modulus),
-        "alpha": code.alpha.to_str(),
+        "alpha": code.ring.pair_str(code.alpha.a, code.alpha.b),
         "generator": list(code.generator),
         "k": code.k,
         "designed_distance": 2 * code.t + 1,
     }
     human = (f"n={code.n} t={code.t} m={code.ring.m}\n"
              f"modulus: {';'.join(str(c) for c in code.ring.modulus)}\n"
-             f"alpha: {code.alpha.to_str()}\n"
+             f"alpha: {payload['alpha']}\n"
              f"generator: {';'.join(str(c) for c in code.generator)}\n"
              f"k={code.k} designed distance {2 * code.t + 1}")
     _emit(args, payload, human)
@@ -130,7 +130,7 @@ def cmd_reproduce_paper(args) -> int:
     for name, ok, expected, got in checks:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
         if not ok:
-            lines.append(f"  expected: {expected}\n  got:      {got}")
+            lines.append(f"  expected: {json.dumps(expected)}\n  got:      {json.dumps(got)}")
     lines.append(f"{passed}/{len(checks)} checks passed")
     payload = {"checks": [{"name": name, "ok": ok, "expected": expected, "got": got}
                           for name, ok, expected, got in checks],

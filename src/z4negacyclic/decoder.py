@@ -10,8 +10,8 @@ alpha^(n-j) separate the errors +1 and -1.
 
 Every stage boundary carries int lists: a polynomial or sequence over
 GR(4,m) is its two lists (a, b) of GF(2^m) ints (see keyeq), one over
-the residue field K = GF(2^m) a single list.  Ring elements are built
-only for the trace strings.
+the residue field K = GF(2^m) a single list.  The trace strings are
+printed from those lists too, so a decode builds no ring element.
 
 The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, applying the +-1 errors (returned as
@@ -271,7 +271,7 @@ def _nonzero(synd: tuple[list, list]) -> bool:
 
 
 def _strs(ring, poly: tuple[list, list]) -> list[str]:
-    return [c.to_str() for c in ring.elements(poly)]
+    return [ring.pair_str(a, b) for a, b in zip(*poly)]
 
 
 def _read_word(word) -> np.ndarray:

@@ -14,8 +14,8 @@ Teichmuller set {0} u {roots of unity of order dividing 2^m - 1}.
 Products, sums, negations and inverses are closed formulas in a and b
 (see RingElement), so each ring operation costs a few GF(2^m) table
 lookups.  The Z4 coefficient vector of an element (constant term
-first, reduced modulo h) is its external form: elements are built from
-it and convert back to it on demand.
+first, reduced modulo h) is its external form: GaloisRing.pair and
+GaloisRing.digits convert between it and the pair.
 
 The decoder's per-word stages (syndromes, keyeq's odd-ratio recursion
 and series inverse, the solver, the locators and the +-1 resolution)
@@ -24,14 +24,12 @@ int lists (a, b) and run the same formulas inline on the ring's
 shared tables `_log`, `_exp` and `_hlog`.  Ring and code construction
 work the same way: the digit corrections, the negacyclic root and
 the code's tables come from pairs, and generators from Z4 minimal
-polynomials, which `graeffe_lift` alone supplies.
-`GaloisRing.elements` turns such lists into elements, for the
-decoder's trace strings, the bundled reference checks and tests;
-`int_lists` goes the other way.  The operators, the GaloisRing domain
-protocol and the GaloisField domain methods serve the tests (as
-their oracle), the bundled reference checks and the benchmark's
-per-layer timings, which time these objects; they stay here as long
-as those timings bind them.
+polynomials, which `graeffe_lift` alone supplies.  What the package
+prints or checks, the decoder's trace strings, the bundled reference
+checks and `code-info`, also comes from pairs, through
+`GaloisRing.pair_str`.  RingElement's operators and inverse and
+GaloisField.mul stay public: the tests use them as their oracle, and
+the benchmark's per-layer timings time them.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -42,7 +40,6 @@ table entries for m = 2 and m = 4 are x^2+x+1 and x^4+2x^2+3x+1.
 from __future__ import annotations
 
 import json
-import math
 import os
 from functools import lru_cache
 
@@ -135,10 +132,10 @@ def graeffe_lift(p: list[int]) -> list[int]:
 class GaloisField:
     """GF(2^m) with int elements; bit i of an element is the x^i coefficient.
 
-    Multiplication, inversion and powers go through tables built once
-    from the powers of x, so the modulus must be primitive (x of order
-    2^m - 1); every GaloisRing modulus is, by its order check.  The
-    tables, which GaloisRing shares for its element arithmetic:
+    Products go through tables built once from the powers of x, so the
+    modulus must be primitive (x of order 2^m - 1); every GaloisRing
+    modulus is, by its order check.  The tables, which GaloisRing
+    shares for its element arithmetic:
     - `log`: discrete log, with the sentinel 2(2^m - 1) for 0;
     - `exp`: antilog over two periods, then zeros, so that a sum of
       two logs needs no reduction and any sum with the sentinel reads 0;
@@ -149,8 +146,6 @@ class GaloisField:
         self.m = m
         self.modulus_bits = modulus_bits
         self.size = 1 << m
-        self.zero = 0
-        self.one = 1
         order = self.size - 1
         zero_log = 2 * order
         exp = [0] * order
@@ -181,34 +176,8 @@ class GaloisField:
     def __repr__(self):
         return f"GaloisField(m={self.m})"
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
-    def neg(self, a: int) -> int:
-        return a
-
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
-
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n < 0:
-                raise ZeroDivisionError("0 is not invertible in GF(2^m)")
-            return 0 if n else 1
-        return self.exp[self.log[a] * n % self.order]
-
-    def is_unit(self, a: int) -> bool:
-        return a != 0
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible in GF(2^m)")
-        return self.exp[self.order - self.log[a]]
-
-    def from_int(self, k: int) -> int:
-        return k & 1
 
 
 _new = object.__new__
@@ -244,17 +213,10 @@ class RingElement:
     __slots__ = ("ring", "a", "b")
 
     def __init__(self, ring: "GaloisRing", coeffs):
-        coeffs = [int(c) % 4 for c in coeffs]
-        if len(coeffs) != ring.m:
-            raise ValueError(f"expected {ring.m} coefficients, got {len(coeffs)}")
-        low = high = 0
-        for i, c in enumerate(coeffs):
-            low |= (c & 1) << i
-            high |= (c >> 1) << i
-        # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
+        a, b = ring.pair(coeffs)
         _set_ring(self, ring)
-        _set_a(self, low)
-        _set_b(self, high ^ ring._corr[low])
+        _set_a(self, a)
+        _set_b(self, b)
 
     def __setattr__(self, *a):
         raise AttributeError("RingElement is immutable")
@@ -365,30 +327,9 @@ class RingElement:
         """Image in the residue field K = GF(2^m), as a bit-packed int."""
         return self.a
 
-    def frobenius(self) -> "RingElement":
-        """The ring automorphism tau(a) + 2 tau(b) -> tau(a^2) + 2 tau(b^2)."""
-        field = self.ring._field
-        return _make(self.ring, field.mul(self.a, self.a), field.mul(self.b, self.b))
-
-    def teichmuller_decompose(self) -> tuple["RingElement", "RingElement"]:
-        """The Teichmuller elements (tau(a), tau(b)) with self = tau(a) + 2 tau(b)."""
-        return _make(self.ring, self.a, 0), _make(self.ring, self.b, 0)
-
-    def multiplicative_order(self) -> int:
-        """Order in the unit group (raises for non-units).
-
-        tau(a) has the odd order of a, and 1 + 2 tau(b/a) has order 2
-        unless b = 0.
-        """
-        if not self.a:
-            raise ValueError("order is defined for units only")
-        field = self.ring._field
-        odd = field.order // math.gcd(field.log[self.a], field.order)
-        return 2 * odd if self.b else odd
-
     def to_str(self) -> str:
         """Serialize as comma-separated Z4 digits, constant term first."""
-        return ",".join(str(c) for c in self.coeffs)
+        return self.ring.pair_str(self.a, self.b)
 
 
 # RingElement refuses attribute assignment; construction writes its slots
@@ -446,12 +387,10 @@ class GaloisRing:
     The int-pair kernels of keyeq, solver and decoder read these tables
     directly.
 
-    Also implements the coefficient-domain protocol used by the
-    polynomial module (zero/one/add/sub/neg/mul/is_unit/inv/from_int).
-    No code in the package runs polynomials over R through it; the
-    tests' reference routines do.  The package's polynomial work runs
-    over Z4 (graeffe_lift's squares, generator products, encoding, the
-    division of x^n + 1 by the generator), with its own domain.
+    `pair` and `digits` are the one rule between an element's Z4 digits
+    and its pair, one direction each, and `pair_str` prints a pair in
+    the digit form the CLI documents.  The package prints and checks
+    elements through them, straight from the pairs.
     """
 
     def __init__(self, modulus: list[int]):
@@ -502,54 +441,31 @@ class GaloisRing:
     # ring.from_pair(a, b): the element tau(a) + 2 tau(b) of GF(2^m) ints a, b
     from_pair = _make
 
-    def elements(self, poly: tuple[list, list]) -> list[RingElement]:
-        """The elements tau(a_i) + 2 tau(b_i) of a polynomial or sequence
-        held as its (a, b) int lists, the form the decoder's stages use."""
-        return [_make(self, a, b) for a, b in zip(*poly)]
-
-    def int_lists(self, elements) -> tuple[list, list]:
-        """The (a, b) int lists of a sequence of elements of this ring."""
-        return [c.a for c in elements], [c.b for c in elements]
-
     def digits(self, a: int, b: int) -> tuple[int, ...]:
         """The Z4 digits of tau(a) + 2 tau(b), constant term first: the
         low bits are a, the high bits b + corr[a]."""
         high = b ^ self._corr[a]
         return tuple((a >> i & 1) | (high >> i & 1) << 1 for i in range(self.m))
 
-    def from_str(self, text: str) -> RingElement:
-        return RingElement(self, [int(t) for t in text.split(",")])
+    def pair(self, coeffs) -> tuple[int, int]:
+        """The pair (a, b) of the element with the m Z4 digits coeffs,
+        constant term first: the inverse of digits."""
+        coeffs = [int(c) % 4 for c in coeffs]
+        if len(coeffs) != self.m:
+            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
+        low = high = 0
+        for i, c in enumerate(coeffs):
+            low |= (c & 1) << i
+            high |= (c >> 1) << i
+        # digits low + 2 high = tau(low) + 2 tau(corr[low]) + 2 tau(high)
+        return low, high ^ self._corr[low]
+
+    def pair_str(self, a: int, b: int) -> str:
+        """tau(a) + 2 tau(b) as comma-separated Z4 digits, constant term first."""
+        return ",".join(map(str, self.digits(a, b)))
 
     def residue_field(self) -> GaloisField:
         return self._field
-
-    def teichmuller_set(self) -> list[RingElement]:
-        """All 2^m Teichmuller representatives, ordered by residue value."""
-        return [_make(self, c, 0) for c in range(1 << self.m)]
-
-    def teichmuller_generator(self) -> RingElement:
-        """The Teichmuller lift of x, of full order 2^m - 1 because x is
-        primitive (checked at construction)."""
-        return _make(self, 2, 0)
-
-    # domain protocol
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_unit(self, a) -> bool:
-        return a.is_unit()
-
-    def inv(self, a):
-        return a.inverse()
 
 
 def _load_modulus_override(m: int):

@@ -3,13 +3,16 @@
 The decode example's received word is pinned as the unique word inside
 the decoding radius whose pipeline reproduces the reference syndromes,
 key series, solver pair and error vector below, all expressed over the
-m=4 ring in powers of [x].  The stages pass int lists (a, b); the
-checks compare them as ring elements, through GaloisRing.elements.
+m=4 ring.  Elements are stated in the CLI's digit form, comma-separated
+Z4 digits with the constant term first, and a polynomial as the list of
+its coefficients: the stages pass int lists (a, b), and the checks print
+them with GaloisRing.pair_str and compare the strings.  Each check's
+expected and got values are JSON values: strings, ints, bools and lists.
 """
 
 from __future__ import annotations
 
-from .decoder import decode
+from .decoder import _strs, decode
 from .galois_ring import make_ring
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
 from .negacyclic import (build_code, encode, lee_weight, min_distance_exhaustive,
@@ -40,67 +43,60 @@ PARAMETER_TABLE = [
 EXACT_SCAN_ROWS = {(15, 1), (15, 2), (15, 3), (31, 5), (31, 7)}
 
 
-def _check(name: str, expected, got) -> tuple[str, bool, str, str]:
-    return (name, expected == got, repr(expected), repr(got))
+def _check(name: str, expected, got) -> tuple[str, bool, object, object]:
+    return (name, expected == got, expected, got)
 
 
-def _pair_elements(ring, pair: PairVector) -> PairVector:
-    return PairVector(ring.elements(pair.a), ring.elements(pair.b))
+def _pair_strs(ring, pair: PairVector) -> list[list[str]]:
+    return [_strs(ring, pair.a), _strs(ring, pair.b)]
 
 
-def solver_example_checks() -> list[tuple[str, bool, str, str]]:
+def solver_example_checks() -> list[tuple[str, bool, object, object]]:
     """The GR(4,2) run: basis of {[a,b] : a((3a+3)z+1) = b mod z^2}."""
     ring = make_ring(2)
-    alpha = ring.gen
-    series = [ring.one, alpha * 3 + 3]
-    basis = solve_by_approximations(ring, ring.int_lists(series), 2)
-    expected = (
-        PairVector([alpha * 3, ring.one], [alpha * 3]),
-        PairVector([alpha * 2, ring.two], [alpha * 2]),
-        PairVector([ring.zero, ring.one], [ring.zero, ring.one]),
-        PairVector([ring.zero, ring.two], [ring.zero, ring.two]),
-    )
+    series = tuple(map(list, zip(ring.pair([1, 0]), ring.pair([3, 3]))))  # 1 + (3a+3) z
+    basis = solve_by_approximations(ring, series, 2)
+    expected = [
+        [["0,3", "1,0"], ["0,3"]],
+        [["0,2", "2,0"], ["0,2"]],
+        [["0,0", "1,0"], ["0,0", "1,0"]],
+        [["0,0", "2,0"], ["0,0", "2,0"]],
+    ]
     checks = [_check("solver-example basis", expected,
-                     tuple(_pair_elements(ring, p) for p in basis.elements()))]
-    checks.append(_check("solver-example shape", (1, 1, 1, 1), basis.shape))
+                     [_pair_strs(ring, p) for p in basis.elements()])]
+    checks.append(_check("solver-example shape", [1, 1, 1, 1], list(basis.shape)))
     return checks
 
 
-def decode_example_checks() -> list[tuple[str, bool, str, str]]:
+def decode_example_checks() -> list[tuple[str, bool, object, object]]:
     """The (n=15, t=2) decode run over GR(4,4)."""
     code = build_code(15, 2)
     ring = code.ring
     word = word_from_str(DECODE_EXAMPLE_WORD, 15)
 
-    exp_synd = [ring.element([2, 3, 1, 3]), ring.element([1, 2, 1, 2])]
-    exp_series = [ring.one, ring.element([2, 3, 1, 3]), ring.element([0, 1, 1, 2])]
-    exp_pair = PairVector(
-        [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
-        [ring.element([3, 2, 3, 3]), ring.one],
-    )
-
     synd = syndromes(word, code)
-    checks = [_check("decode-example syndromes", exp_synd, ring.elements(synd))]
+    checks = [_check("decode-example syndromes", ["2,3,1,3", "1,2,1,2"], _strs(ring, synd))]
 
     u = odd_ratio_coefficients(ring, synd, code.t)
     ta, tb = key_series(ring, u, code.t)
     series = ([1] + ta, [0] + tb)
-    checks.append(_check("decode-example key series", exp_series, ring.elements(series)))
+    checks.append(_check("decode-example key series", ["1,0,0,0", "2,3,1,3", "0,1,1,2"],
+                         _strs(ring, series)))
 
     basis = solve_by_approximations(ring, series, code.t + 1)
-    checks.append(_check("decode-example solver pair", exp_pair,
-                         _pair_elements(ring, select_minimal_regular(basis))))
+    checks.append(_check("decode-example solver pair",
+                         [["3,2,3,3", "3,3,2,1"], ["3,2,3,3", "1,0,0,0"]],
+                         _pair_strs(ring, select_minimal_regular(basis))))
 
     outcome = decode(word, code)
     checks.append(_check("decode-example error", DECODE_EXAMPLE_ERROR,
                          word_to_str(outcome.error) if outcome.success else outcome.reason))
-    checks.append(_check("decode-example codeword syndromes", True,
-                         outcome.success and not any(ring.elements(
-                             syndromes(outcome.codeword, code)))))
+    clean = outcome.success and not any(map(any, syndromes(outcome.codeword, code)))
+    checks.append(_check("decode-example codeword syndromes", True, clean))
     return checks
 
 
-def table_checks(quick: bool = False) -> list[tuple[str, bool, str, str]]:
+def table_checks(quick: bool = False) -> list[tuple[str, bool, object, object]]:
     """Rank and minimum-distance checks for the parameter table."""
     checks = []
     for n, t, k, bound, dist in PARAMETER_TABLE:
@@ -114,7 +110,7 @@ def table_checks(quick: bool = False) -> list[tuple[str, bool, str, str]]:
             ok = sampled >= bound
             checks.append((f"table n={n} t={t} distance >= {bound} "
                            f"(exact value out of desk scale)",
-                           ok, f">= {bound}", str(sampled)))
+                           ok, f">= {bound}", sampled))
     return checks
 
 
@@ -137,7 +133,7 @@ def _sampled_weight_bound(code, trials: int, seed: int = 7) -> int:
     return best
 
 
-def run_all(quick: bool = False) -> list[tuple[str, bool, str, str]]:
+def run_all(quick: bool = False) -> list[tuple[str, bool, object, object]]:
     checks = solver_example_checks()
     checks += decode_example_checks()
     checks += table_checks(quick=quick)

@@ -17,7 +17,7 @@ tau(a_i) + 2 tau(b_i), with a_i, b_i in GF(2^m).  The stages take and
 return that form and run every ring product and sum inline on the
 ring's log, antilog and half-log tables (the formulas of
 galois_ring.RingElement), so no ring element is built;
-GaloisRing.elements converts a result for display.
+GaloisRing.pair_str prints a result entry by entry.
 """
 
 from __future__ import annotations

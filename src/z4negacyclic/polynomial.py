@@ -4,15 +4,15 @@ Polynomials are plain Python lists of coefficients, constant term
 first, with no trailing zeros; the zero polynomial is the empty list.
 Every function takes the coefficient domain as its first argument.  A
 domain provides zero, one, add, sub, neg, mul, is_unit, inv and
-from_int; GaloisRing, GaloisField and the Z4 singleton below all
-qualify, so the same code serves R[z], K[z] and Z4[x].
+from_int.  The package's only domain is the Z4 singleton below; the
+tests supply domains over R and K, which run their reference routines
+over R[z] and K[z] through the same code.
 
 The decoder's arithmetic does not come through here: its stages pass
 polynomials as GF(2^m) int lists (see keyeq, solver and decoder), and
 it takes only poly_strip.  What remains serves code construction and
 encoding, all over Z4: products (graeffe_lift's squares, the product
-of the generator's Graeffe lifts, codewords) and division.  Products
-over R and K run here only in the tests' reference routines.
+of the generator's Graeffe lifts, codewords) and division.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ updated that way, and the basis and the normalized pair go out that
 way.  Discrepancies, cancellation factors, cancellations and z-shifts
 run inline on the ring's log, antilog and half-log tables (the
 formulas of galois_ring.RingElement), and minimal_regular scales its
-pair the same way; ring elements are built only for the trace strings
-when a trace_log is given.
+pair the same way; the trace strings, when a trace_log is given, are
+printed from the lists by GaloisRing.pair_str.
 """
 
 from __future__ import annotations
@@ -218,12 +218,12 @@ def _trace_round(trace_log: list, ring, k: int, slots: tuple, order: list,
         "round": k,
         "basis": [[_poly_str(ring, (fa[i], fb[i])), _poly_str(ring, (ga[i], gb[i]))]
                   for i in order],
-        "discrepancies": [c.to_str() for c in ring.elements(discrepancies)],
+        "discrepancies": [ring.pair_str(a, b) for a, b in zip(*discrepancies)],
     })
 
 
 def _poly_str(ring, poly: tuple[list, list]) -> str:
-    return ";".join(c.to_str() for c in ring.elements(poly))
+    return ";".join(ring.pair_str(a, b) for a, b in zip(*poly))
 
 
 def select_minimal_regular(basis: GroebnerBasis) -> PairVector:

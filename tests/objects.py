@@ -4,9 +4,10 @@ The stages of keyeq, solver and decoder take and return every
 polynomial over GR(4,m) as its (a, b) lists of GF(2^m) ints.  Each
 function here has the signature of one stage, but takes and returns
 RingElement lists in place of those int lists: it converts its
-arguments with GaloisRing.int_lists, calls the stage, and converts the
-result back with GaloisRing.elements.  Tests written against ring
-elements check the int-list stages through these, unchanged.
+arguments with int_lists, calls the stage, and converts the result
+back with elements.  Tests written against ring elements check the
+int-list stages through these, unchanged.  from_str reads an element
+back from the digit string that GaloisRing.pair_str prints.
 resolve_unit_errors returns only the positions and values of the +-1
 errors; dense_unit_errors spreads them into the error word that the
 oracles compare.
@@ -18,12 +19,28 @@ from z4negacyclic import decoder, keyeq, solver
 from z4negacyclic.solver import GroebnerBasis, PairVector
 
 
+def elements(ring, poly: tuple[list, list]) -> list:
+    """The elements tau(a_i) + 2 tau(b_i) of a polynomial or sequence
+    held as its (a, b) int lists, the form the decoder's stages use."""
+    return [ring.from_pair(a, b) for a, b in zip(*poly)]
+
+
+def int_lists(els) -> tuple[list, list]:
+    """The (a, b) int lists of a sequence of ring elements."""
+    return [c.a for c in els], [c.b for c in els]
+
+
+def from_str(ring, text: str):
+    """The element with the comma-separated Z4 digits text."""
+    return ring.element([int(t) for t in text.split(",")])
+
+
 def pair_elements(ring, pair: PairVector) -> PairVector:
-    return PairVector(ring.elements(pair.a), ring.elements(pair.b))
+    return PairVector(elements(ring, pair.a), elements(ring, pair.b))
 
 
-def pair_ints(ring, pair: PairVector) -> PairVector:
-    return PairVector(ring.int_lists(pair.a), ring.int_lists(pair.b))
+def pair_ints(pair: PairVector) -> PairVector:
+    return PairVector(int_lists(pair.a), int_lists(pair.b))
 
 
 def basis_elements(ring, basis: GroebnerBasis) -> GroebnerBasis:
@@ -31,45 +48,45 @@ def basis_elements(ring, basis: GroebnerBasis) -> GroebnerBasis:
                          shape=basis.shape)
 
 
-def basis_ints(ring, basis: GroebnerBasis) -> GroebnerBasis:
-    return GroebnerBasis(*(pair_ints(ring, p) for p in basis.elements()), shape=basis.shape)
+def basis_ints(basis: GroebnerBasis) -> GroebnerBasis:
+    return GroebnerBasis(*(pair_ints(p) for p in basis.elements()), shape=basis.shape)
 
 
 def syndromes(word, code) -> list:
-    return code.ring.elements(keyeq.syndromes(word, code))
+    return elements(code.ring, keyeq.syndromes(word, code))
 
 
 def odd_ratio_coefficients(ring, synd: list, t: int) -> list:
-    return ring.elements(keyeq.odd_ratio_coefficients(ring, ring.int_lists(synd), t))
+    return elements(ring, keyeq.odd_ratio_coefficients(ring, int_lists(synd), t))
 
 
 def key_series(ring, u: list, t: int) -> list:
-    return ring.elements(keyeq.key_series(ring, ring.int_lists(u), t))
+    return elements(ring, keyeq.key_series(ring, int_lists(u), t))
 
 
 def series_inverse(ring, f: list, order: int) -> list:
-    return ring.elements(keyeq.series_inverse(ring, ring.int_lists(f), order))
+    return elements(ring, keyeq.series_inverse(ring, int_lists(f), order))
 
 
 def solve_by_approximations(ring, series: list, precision: int,
                             trace_log: list | None = None) -> GroebnerBasis:
-    basis = solver.solve_by_approximations(ring, ring.int_lists(series), precision,
+    basis = solver.solve_by_approximations(ring, int_lists(series), precision,
                                            trace_log=trace_log)
     return basis_elements(ring, basis)
 
 
 def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
-    return pair_elements(ring, solver.minimal_regular(ring, basis_ints(ring, basis), t))
+    return pair_elements(ring, solver.minimal_regular(ring, basis_ints(basis), t))
 
 
 def locator_from_pair(ring, g: list, h: list) -> list:
     """The pass-two locator over R of the pair [g, h]."""
-    pair = PairVector(ring.int_lists(g), ring.int_lists(h))
-    return ring.elements(decoder._ring_locator(ring, pair))
+    pair = PairVector(int_lists(g), int_lists(h))
+    return elements(ring, decoder._ring_locator(ring, pair))
 
 
 def residue_locator(ring, pair: PairVector) -> list:
-    return decoder.residue_locator(pair_ints(ring, pair))
+    return decoder.residue_locator(pair_ints(pair))
 
 
 def dense_unit_errors(sigma: tuple[list, list], code, candidates=()) -> list:
@@ -82,4 +99,4 @@ def dense_unit_errors(sigma: tuple[list, list], code, candidates=()) -> list:
 
 
 def resolve_unit_errors(sigma: list, code, candidates=()) -> list:
-    return dense_unit_errors(code.ring.int_lists(sigma), code, candidates)
+    return dense_unit_errors(int_lists(sigma), code, candidates)

@@ -10,10 +10,13 @@ plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
 arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
 sums, per-position root scans, and the per-point log-table loop that
 the decoder's one-gather root sweep replaced, and the generic-domain
-locator assembly).  The key-equation
-stages appear here once more on RingElement objects and the polynomial
-domain protocol, the form the int-pair kernels of keyeq and solver
-replaced.
+locator assembly).  The key-equation stages appear here once more on
+RingElement objects and the polynomial domain protocol, the form the
+int-pair kernels of keyeq and solver replaced.
+RingDomain and FieldDomain are that protocol over R and K, for the
+polynomial routines; the Teichmuller set, the Frobenius map, the
+Teichmuller decomposition and the multiplicative order (by repeated
+multiplication) are element functions that only tests need.
 Code construction appears here as it was before it moved to int
 pairs and Graeffe lifts: powers of beta and alpha as RingElement
 objects, and the generator as products of linear factors over R
@@ -119,7 +122,7 @@ def root_positions_by_loop(mu_sigma: list, code: Code) -> list[int]:
 
 def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
     """locate_error_positions by a root_multiplicity call at every position."""
-    field = code.field()
+    field = FieldDomain(code.field())
     if not mu_sigma or not mu_sigma[0]:
         raise _StageFailure("residue locator has zero constant term")
     doubles, singles = set(), set()
@@ -159,8 +162,8 @@ def locator_by_objects(dom, g: list, h: list) -> list:
 
 def resolve_by_scan(sigma: list, code: Code) -> list:
     """resolve_unit_errors by a residue evaluation at every position."""
-    ring, n = code.ring, code.n
-    field = code.field()
+    ring, n = RingDomain(code.ring), code.n
+    field = FieldDomain(code.field())
     mu_sigma = [c.residue() for c in sigma]
     error = [0] * n
     found = 0
@@ -191,7 +194,7 @@ def construction_by_objects(n: int, t: int) -> dict:
     m = _order_of_two(n)
     ring = make_ring(m)
     full = (1 << ring.m) - 1
-    beta = ring.teichmuller_generator() ** (full // n)
+    beta = ring.from_pair(2, 0) ** (full // n)  # tau(x) ** ((2^m - 1) / n)
     alpha = -beta
     assert alpha ** n == -ring.one
 
@@ -208,8 +211,8 @@ def construction_by_objects(n: int, t: int) -> dict:
         seen.add(coset)
         factor = [ring.one]
         for j in coset:
-            factor = poly_mul(ring, factor, [-beta_pows[j], ring.one])
-        f = poly_mul(ring, f, factor)
+            factor = poly_mul(RingDomain(ring), factor, [-beta_pows[j], ring.one])
+        f = poly_mul(RingDomain(ring), f, factor)
 
     f_z4 = []
     for c in f:
@@ -276,9 +279,9 @@ def key_series_by_objects(u: list, t: int) -> list:
     """keyeq.key_series through the domain-protocol series_inverse."""
     if t == 0:
         return []
-    ring = u[0].ring
-    inv = series_inverse(ring, [ring.one] + list(u), t + 1)
-    return [poly_coeff(ring, inv, j) for j in range(1, t + 1)]
+    dom = RingDomain(u[0].ring)
+    inv = series_inverse(dom, [dom.one] + list(u), t + 1)
+    return [poly_coeff(dom, inv, j) for j in range(1, t + 1)]
 
 
 def solve_by_objects(ring, series: list, precision: int,
@@ -288,6 +291,7 @@ def solve_by_objects(ring, series: list, precision: int,
     order, carried degrees and trace records."""
     if precision < 1:
         raise ValueError("precision must be at least 1")
+    dom = RingDomain(ring)
     one, two = ring.one, ring.two
     slots = [
         PairVector([one], []), PairVector([two], []),
@@ -300,7 +304,7 @@ def solve_by_objects(ring, series: list, precision: int,
             coeff = ring.zero
             for i in range(max(0, k - len(series) + 1), min(k, len(f) - 1) + 1):
                 coeff = coeff + f[i] * series[k - i]
-            zetas.append(coeff - poly_coeff(ring, g, k))
+            zetas.append(coeff - poly_coeff(dom, g, k))
         if trace_log is not None:
             order = sorted(range(4), key=lambda i: (degs[i], i))
             trace_log.append({
@@ -330,12 +334,12 @@ def solve_by_objects(ring, series: list, precision: int,
                     # whose Z4 digits are the bits of bi and bj
                     factor = _bits_element(ring, zi.b) * _bits_element(ring, zj.b).inverse()
                 fj, gj = slots[j]
-                updated = PairVector(poly_sub(ring, f, poly_scale(ring, factor, fj)),
-                                     poly_sub(ring, g, poly_scale(ring, factor, gj)))
+                updated = PairVector(poly_sub(dom, f, poly_scale(dom, factor, fj)),
+                                     poly_sub(dom, g, poly_scale(dom, factor, gj)))
                 assert updated.a or updated.b
                 new_slots.append(updated)
             else:
-                new_slots.append(PairVector(poly_shift(ring, f, 1), poly_shift(ring, g, 1)))
+                new_slots.append(PairVector(poly_shift(dom, f, 1), poly_shift(dom, g, 1)))
                 new_degs[i] += 1
         slots, degs = new_slots, new_degs
     return GroebnerBasis(*slots, shape=tuple(degs))
@@ -352,11 +356,11 @@ def minimal_regular_by_objects(ring, basis: GroebnerBasis, t: int) -> PairVector
     if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
         raise SolutionNotFound(
             f"solution degrees ({len(a) - 1}, {len(b) - 1}) exceed the bounds for t={t}")
-    if not a or not ring.is_unit(a[0]):
+    if not a or not a[0].is_unit():
         raise SolutionNotFound("solution constant term is not a unit")
     scale = a[0].inverse()
-    a = poly_scale(ring, scale, a)
-    b = poly_scale(ring, scale, b)
+    a = poly_scale(RingDomain(ring), scale, a)
+    b = poly_scale(RingDomain(ring), scale, b)
     if not b or b[0] != ring.one:
         raise SolutionNotFound("pair cannot be normalized to unit constant terms")
     return PairVector(a, b)
@@ -465,7 +469,7 @@ def locator_from_error(code: Code, error) -> list:
             continue
         x = code.alpha_pow(i) if e in (1, 2) else code.alpha_pow(i + code.n)
         for _ in range(LEE[e]):
-            sigma = poly_mul(ring, sigma, [ring.one, -x])
+            sigma = poly_mul(RingDomain(ring), sigma, [ring.one, -x])
     return sigma
 
 
@@ -568,13 +572,13 @@ def leading(pair) -> tuple[tuple[int, int], object]:
     return best_term, best_coeff
 
 
-def select_by_scan(ring, basis):
+def select_by_scan(basis):
     """The <_-1-smallest basis element whose scanned leading coefficient
     is a unit."""
     best = best_term = None
     for el in basis.elements():
         term, coeff = leading(el)
-        if ring.is_unit(coeff) and (best is None or term_less(term, best_term)):
+        if coeff.is_unit() and (best is None or term_less(term, best_term)):
             best, best_term = el, term
     return best
 
@@ -586,14 +590,15 @@ def module_members(ring, series: list, precision: int, deg_limit: int):
     coefficients below the precision and free above it.  Feasible for
     GR(4,2) and deg_limit <= 3.
     """
+    dom = RingDomain(ring)
     elements = [ring.element(c) for c in itertools.product(range(4), repeat=ring.m)]
     width = deg_limit + 1
     for a_coeffs in itertools.product(elements, repeat=width):
         a = poly_strip(list(a_coeffs))
-        prod = poly_mul(ring, a, series)
-        if any(poly_coeff(ring, prod, i) for i in range(width, precision)):
+        prod = poly_mul(dom, a, series)
+        if any(poly_coeff(dom, prod, i) for i in range(width, precision)):
             continue  # b would need a nonzero coefficient past deg_limit
-        fixed = [poly_coeff(ring, prod, i) for i in range(min(precision, width))]
+        fixed = [poly_coeff(dom, prod, i) for i in range(min(precision, width))]
         free_slots = width - len(fixed)
         if free_slots == 0:
             yield a, poly_strip(fixed)
@@ -602,15 +607,116 @@ def module_members(ring, series: list, precision: int, deg_limit: int):
                 yield a, poly_strip(fixed + list(tail))
 
 
-def lm_divides(lm1, lm2, ring) -> bool:
+def lm_divides(lm1, lm2) -> bool:
     """Monomial divisibility in R[z]^2: same side, lower degree, coefficient divides."""
     (side1, d1), c1 = lm1
     (side2, d2), c2 = lm2
     if side1 != side2 or d1 > d2:
         return False
-    if ring.is_unit(c1):
+    if c1.is_unit():
         return True
     return all(v % 2 == 0 for v in c2.coeffs)  # c1 in 2R: needs c2 in 2R
+
+
+# ---------------------------------------------------------------- ring and field objects
+
+class RingDomain:
+    """GR(4,m) as a coefficient domain of the polynomial routines: its
+    elements are RingElement objects, added and multiplied by their
+    operators."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.zero, self.one = ring.zero, ring.one
+
+    def from_int(self, k: int):
+        return self.ring.from_int(k)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_unit(self, a) -> bool:
+        return a.is_unit()
+
+    def inv(self, a):
+        return a.inverse()
+
+
+class FieldDomain:
+    """GF(2^m) as a coefficient domain of the polynomial routines: its
+    elements are bit-packed ints, multiplied, inverted and raised to
+    powers on the field's log and antilog tables."""
+
+    zero, one = 0, 1
+
+    def __init__(self, field):
+        self.field = field
+
+    def from_int(self, k: int) -> int:
+        return k & 1
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a: int) -> int:
+        return a
+
+    def mul(self, a: int, b: int) -> int:
+        return self.field.mul(a, b)
+
+    def pow(self, a: int, n: int) -> int:
+        if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("0 is not invertible in GF(2^m)")
+            return 0 if n else 1
+        field = self.field
+        return field.exp[field.log[a] * n % field.order]
+
+    def is_unit(self, a: int) -> bool:
+        return a != 0
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 is not invertible in GF(2^m)")
+        field = self.field
+        return field.exp[field.order - field.log[a]]
+
+
+def teichmuller_set(ring) -> list:
+    """All 2^m Teichmuller representatives tau(c), ordered by residue c."""
+    return [ring.from_pair(c, 0) for c in range(1 << ring.m)]
+
+
+def frobenius(x):
+    """The ring automorphism tau(a) + 2 tau(b) -> tau(a^2) + 2 tau(b^2)."""
+    field = x.ring.residue_field()
+    return x.ring.from_pair(field.mul(x.a, x.a), field.mul(x.b, x.b))
+
+
+def teichmuller_decompose(x) -> tuple:
+    """The Teichmuller elements (tau(a), tau(b)) with x = tau(a) + 2 tau(b)."""
+    return x.ring.from_pair(x.a, 0), x.ring.from_pair(x.b, 0)
+
+
+def multiplicative_order(x) -> int:
+    """Order of a unit in the unit group, by repeated multiplication."""
+    if not x.is_unit():
+        raise ValueError("order is defined for units only")
+    k, power = 1, x
+    while power != x.ring.one:
+        power, k = power * x, k + 1
+    return k
 
 
 # ---------------------------------------------------------------- test-only helpers
@@ -705,9 +811,9 @@ def key_pair_from_locator(sigma: list) -> tuple[list, list]:
     """
     if not sigma or sigma[0] != sigma[0] ** 0:
         raise ValueError("locator must have constant term 1")
-    ring = sigma[0].ring
+    dom = RingDomain(sigma[0].ring)
     half = len(sigma) // 2 + 1
-    omega = [poly_coeff(ring, sigma, 2 * j) for j in range(half)]
-    phi = [poly_coeff(ring, sigma, 2 * j) + poly_coeff(ring, sigma, 2 * j - 1)
+    omega = [poly_coeff(dom, sigma, 2 * j) for j in range(half)]
+    phi = [poly_coeff(dom, sigma, 2 * j) + poly_coeff(dom, sigma, 2 * j - 1)
            for j in range(half)]
     return poly_strip(phi), poly_strip(omega)

@@ -138,6 +138,9 @@ def test_reproduce_paper_quick_json(capsys):
     for check in payload["checks"]:
         assert set(check) == {"name", "ok", "expected", "got"}
         assert check["ok"] is True
+        assert "RingElement(" not in json.dumps([check["expected"], check["got"]])
+    synd = next(c for c in payload["checks"] if c["name"] == "decode-example syndromes")
+    assert synd["expected"] == ["2,3,1,3", "1,2,1,2"]
     _, text, _ = run(capsys, "reproduce-paper", "--quick")
     assert [f"PASS {c['name']}" for c in payload["checks"]] == text.splitlines()[:-1]
 

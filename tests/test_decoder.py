@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from objects import (dense_unit_errors, locator_from_pair, residue_locator,
-                     resolve_unit_errors, syndromes)
-from oracles import (all_error_patterns, key_pair_from_locator, locate_by_scan,
-                     locator_from_error, random_error, resolve_by_scan,
+from objects import (dense_unit_errors, elements, int_lists, locator_from_pair,
+                     residue_locator, resolve_unit_errors, syndromes)
+from oracles import (FieldDomain, RingDomain, all_error_patterns, key_pair_from_locator,
+                     locate_by_scan, locator_from_error, random_error, resolve_by_scan,
                      root_positions_by_loop, syndromes_by_loop)
 from z4negacyclic import decoder
 from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
-from z4negacyclic.negacyclic import build_code, encode, lee_distance, lee_weight
+from z4negacyclic.negacyclic import _order_of_two, build_code, encode, lee_distance, lee_weight
 from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
 
@@ -32,7 +32,7 @@ def test_locator_from_pair_identity():
 def test_residue_locator_single_and_double():
     code = build_code(15, 2)
     ring = code.ring
-    field = code.field()
+    field = FieldDomain(code.field())
     x = code.alpha_pow(6)
     # single error: g = 1 - x y, h = 1
     pair = PairVector([ring.one, -x], [ring.one])
@@ -48,7 +48,7 @@ def test_residue_locator_single_and_double():
 
 def test_locate_error_positions_examples():
     code = build_code(15, 2)
-    field = code.field()
+    field = FieldDomain(code.field())
     assert locate_error_positions([1], code) == (set(), set())
 
     # singles at 4 and 13
@@ -153,6 +153,26 @@ def test_decode_round_trip_n31():
             assert out.success and out.codeword == codeword and out.error == err
 
 
+def test_decode_at_every_t():
+    """No restriction on t: every code that build_code accepts with
+    n <= 33, at every t with 2t - 1 < n, decodes seeded words within
+    its radius to the codeword sent."""
+    rng = random.Random(47)
+    codes = 0
+    for n in range(3, 34, 2):
+        if _order_of_two(n) > 10:
+            continue
+        for t in range(1, (n + 1) // 2):
+            code = build_code(n, t)
+            codes += 1
+            for _ in range(20):
+                codeword = encode([rng.randrange(4) for _ in range(code.k)], code)
+                err = random_error(rng, n, rng.randint(0, t))
+                out = decode([(c + e) % 4 for c, e in zip(codeword, err)], code)
+                assert out.success and out.codeword == codeword, (n, t, err, out.reason)
+    assert codes == 71
+
+
 def test_pass_one_singles_match_support_without_doubles():
     code = build_code(15, 3)
     rng = random.Random(32)
@@ -219,17 +239,18 @@ def _residue_locators(code, rng):
     residue of alpha^j and mult in 1..3, times factors that may not
     split over the code's points, plus a zero constant term."""
     field = code.field()
+    dom = FieldDomain(field)
     out = [[0, 1], [1]]
     for _ in range(40):
         mu = [1]
         for j in rng.sample(range(code.n), rng.randint(1, 3)):
             x = code.alpha_pow(j).residue()
             for _ in range(rng.choice((1, 1, 2, 2, 3))):
-                mu = poly_mul(field, mu, [1, x])
+                mu = poly_mul(dom, mu, [1, x])
         if rng.random() < 0.4:
             tail = [rng.randrange(1, field.size)]
             tail += [rng.randrange(field.size) for _ in range(rng.randint(1, 2))]
-            mu = poly_mul(field, mu, tail + [rng.randrange(1, field.size)])
+            mu = poly_mul(dom, mu, tail + [rng.randrange(1, field.size)])
         out.append(mu)
     return out
 
@@ -254,22 +275,23 @@ def _planted_locators(code, rng):
     then single factors (1 + X/x)^k for k = 1..7, where the multiplicity
     is the degree."""
     field = code.field()
+    dom = FieldDomain(field)
     out = []
     for i in range(84):
         mu = [1]
         for p, j in enumerate(rng.sample(range(code.n), rng.randint(1, 3))):
             x = field.exp[code.residue_logs[j]]
             for _ in range(i % 7 + 1 if p == 0 else rng.choice((1, 1, 2, 2, 3, 4))):
-                mu = poly_mul(field, mu, [1, field.inv(x)])
+                mu = poly_mul(dom, mu, [1, dom.inv(x)])
         if i % 3 == 2:
             tail = [rng.randrange(1, field.size), rng.randrange(field.size)]
-            mu = poly_mul(field, mu, tail + [rng.randrange(1, field.size)])
+            mu = poly_mul(dom, mu, tail + [rng.randrange(1, field.size)])
         out.append(mu)
     for k in range(1, 8):
         x = field.exp[code.residue_logs[rng.randrange(code.n)]]
         mu = [1]
         for _ in range(k):
-            mu = poly_mul(field, mu, [1, field.inv(x)])
+            mu = poly_mul(dom, mu, [1, dom.inv(x)])
         out.append(mu)
     return out
 
@@ -312,7 +334,7 @@ def test_resolve_sweep_matches_per_position_scan(n, t):
         sigmas.append(bumped)
         # an extra factor at a point off the code's roots
         x = ring.element([rng.randrange(4) for _ in range(ring.m)])
-        sigmas.append(poly_mul(ring, sigma, [ring.one, x]))
+        sigmas.append(poly_mul(RingDomain(ring), sigma, [ring.one, x]))
     outcomes = []
     for sigma in sigmas:
         got = _outcome(resolve_unit_errors, sigma, code)
@@ -363,7 +385,7 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
         checked = _outcome(dense_unit_errors, sigma, code, candidates)
         branches.add("sweep" if sweeps else "singles hold the roots")
         assert checked == _outcome(dense_unit_errors, sigma, code)
-        assert checked == _outcome(resolve_by_scan, code.ring.elements(sigma), code)
+        assert checked == _outcome(resolve_by_scan, elements(code.ring, sigma), code)
     assert branches == {"singles hold the roots", "sweep"}
 
 
@@ -375,7 +397,7 @@ def test_pass2_root_outside_the_candidates(monkeypatch):
     code = CODE_15_2
     err = [0] * 15
     err[4], err[13] = 1, 3
-    sigma = code.ring.int_lists(locator_from_error(code, err))
+    sigma = int_lists(locator_from_error(code, err))
     sweeps, evaluated = [], []
     monkeypatch.setattr(decoder, "_root_positions",
                         lambda mu, code: sweeps.append(1) or _root_positions(mu, code))

@@ -2,19 +2,19 @@
 object-based oracles they replaced: equal coefficients, bases, shapes,
 normalized pairs, positions, error words, failures and trace records.
 Most tests go through the RingElement boundary of tests/objects.py; the
-last ones convert explicitly and check that an untraced decode builds
-no ring element at all."""
+last ones convert explicitly and check that a decode, traced or not,
+builds no ring element at all."""
 
 import random
 
 import pytest
 
-from objects import (basis_elements, dense_unit_errors, key_series, minimal_regular,
-                     odd_ratio_coefficients, pair_elements, series_inverse,
+from objects import (basis_elements, dense_unit_errors, elements, key_series,
+                     minimal_regular, odd_ratio_coefficients, pair_elements, series_inverse,
                      solve_by_approximations, syndromes)
-from oracles import (key_series_by_objects, locate_by_scan, locator_by_objects,
-                     minimal_regular_by_objects, odd_ratio_by_objects, random_error,
-                     resolve_by_scan, series_inverse as series_inverse_by_domain,
+from oracles import (FieldDomain, RingDomain, key_series_by_objects, locate_by_scan,
+                     locator_by_objects, minimal_regular_by_objects, odd_ratio_by_objects,
+                     random_error, resolve_by_scan, series_inverse as series_inverse_by_domain,
                      solve_by_objects, syndromes_by_loop)
 from z4negacyclic import decoder, galois_ring, keyeq, solver
 from z4negacyclic.galois_ring import GaloisRing, RingElement, make_ring
@@ -67,7 +67,8 @@ def test_kernels_match_objects_on_random_series():
             unit = ring.element([1] + [rng.randrange(4) for _ in range(m - 1)])
             f = [unit] + series
             order = rng.randrange(1, 8)
-            assert series_inverse(ring, f, order) == series_inverse_by_domain(ring, f, order)
+            assert (series_inverse(ring, f, order)
+                    == series_inverse_by_domain(RingDomain(ring), f, order))
 
 
 @pytest.mark.parametrize("n, t", [(15, 2), (15, 3), (31, 5), (63, 4)])
@@ -139,7 +140,7 @@ def test_series_inverse_kernel_needs_a_unit_constant_term():
             series_inverse(ring, f, 3)
     # a unit constant term other than 1, and an order past the length
     f = [ring.element([3, 2, 1]), ring.element([2, 1, 1])]
-    assert series_inverse(ring, f, 6) == series_inverse_by_domain(ring, f, 6)
+    assert series_inverse(ring, f, 6) == series_inverse_by_domain(RingDomain(ring), f, 6)
 
 
 def _seeded_words(code, rng, count):
@@ -164,7 +165,7 @@ def _caught(fn, *args):
 
 @pytest.mark.parametrize("n, t", [(15, 2), (31, 5), (63, 4), (255, 4)])
 def test_int_list_stages_match_object_oracles(n, t):
-    """Each int-list stage, its result converted by GaloisRing.elements,
+    """Each int-list stage, its result converted by objects.elements,
     equals its object oracle on the converted input, along both passes."""
     code = build_code(n, t)
     ring, field = code.ring, code.field()
@@ -172,15 +173,15 @@ def test_int_list_stages_match_object_oracles(n, t):
     reached = set()
     for word in _seeded_words(code, rng, 40):
         synd = keyeq.syndromes(word, code)
-        assert ring.elements(synd) == syndromes_by_loop(word, code)
+        assert elements(ring, synd) == syndromes_by_loop(word, code)
         for pass_no in (1, 2):
             u = keyeq.odd_ratio_coefficients(ring, synd, t)
-            assert ring.elements(u) == odd_ratio_by_objects(ring.elements(synd), t)
+            assert elements(ring, u) == odd_ratio_by_objects(elements(ring, synd), t)
             tail = keyeq.key_series(ring, u, t)
-            assert ring.elements(tail) == key_series_by_objects(ring.elements(u), t)
+            assert elements(ring, tail) == key_series_by_objects(elements(ring, u), t)
             series = ([1] + tail[0], [0] + tail[1])
             basis = solver.solve_by_approximations(ring, series, t + 1)
-            expected = solve_by_objects(ring, ring.elements(series), t + 1)
+            expected = solve_by_objects(ring, elements(ring, series), t + 1)
             assert basis_elements(ring, basis) == expected
             pair = _caught(solver.minimal_regular, ring, basis, t)
             expected_pair = _caught(minimal_regular_by_objects, ring, expected, t)
@@ -191,7 +192,8 @@ def test_int_list_stages_match_object_oracles(n, t):
             assert pair_elements(ring, pair) == expected_pair
             if pass_no == 1:
                 mu = decoder.residue_locator(pair)
-                assert mu == locator_by_objects(field, [c.residue() for c in expected_pair.a],
+                assert mu == locator_by_objects(FieldDomain(field),
+                                                [c.residue() for c in expected_pair.a],
                                                 [c.residue() for c in expected_pair.b])
                 split = _caught(decoder.locate_error_positions, mu, code)
                 assert split == _caught(locate_by_scan, mu, code)
@@ -204,21 +206,16 @@ def test_int_list_stages_match_object_oracles(n, t):
                 synd = keyeq.syndromes(prime, code)
             else:
                 sigma = decoder._ring_locator(ring, pair)
-                assert ring.elements(sigma) == locator_by_objects(ring, *expected_pair)
+                assert elements(ring, sigma) == locator_by_objects(RingDomain(ring),
+                                                                   *expected_pair)
                 error = _caught(dense_unit_errors, sigma, code)
-                assert error == _caught(resolve_by_scan, ring.elements(sigma), code)
+                assert error == _caught(resolve_by_scan, elements(ring, sigma), code)
                 reached.add("resolved" if isinstance(error, list) else "unresolved")
     assert {"no solution", "no split", "doubles", "singles", "resolved"} <= reached
 
 
-@pytest.mark.parametrize("n, t", [(31, 5), (255, 4)])
-def test_untraced_decode_builds_no_ring_element(n, t, monkeypatch):
-    """With every way to build a RingElement made to raise, an untraced
-    decode still returns the outcome it returns with them in place."""
-    code = build_code(n, t)
-    words = _seeded_words(code, random.Random(44 + n), 150)
-    expected = [decoder.decode(word, code) for word in words]
-
+def _refuse_ring_elements(monkeypatch, code):
+    """Make every way to build a RingElement raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("a RingElement was built")
 
@@ -228,8 +225,33 @@ def test_untraced_decode_builds_no_ring_element(n, t, monkeypatch):
     monkeypatch.setattr(RingElement, "__init__", refuse)
     with pytest.raises(AssertionError, match="RingElement was built"):
         code.ring.from_pair(1, 0)
+
+
+@pytest.mark.parametrize("n, t", [(31, 5), (255, 4)])
+def test_untraced_decode_builds_no_ring_element(n, t, monkeypatch):
+    """With every way to build a RingElement made to raise, an untraced
+    decode still returns the outcome it returns with them in place."""
+    code = build_code(n, t)
+    words = _seeded_words(code, random.Random(44 + n), 150)
+    expected = [decoder.decode(word, code) for word in words]
+    _refuse_ring_elements(monkeypatch, code)
     got = [decoder.decode(word, code) for word in words]
     assert got == expected
     assert {o.success for o in got} == {True, False}
     assert any("root multiplicity" in (o.reason or "") or "split" in (o.reason or "")
                for o in got)
+
+
+@pytest.mark.parametrize("n, t", [(15, 2), (31, 5), (255, 4)])
+def test_traced_decode_builds_no_ring_element(n, t, monkeypatch):
+    """The trace strings come straight from the int lists: with every way
+    to build a RingElement made to raise, a traced decode still returns
+    the outcome, trace included, that it returns with them in place."""
+    code = build_code(n, t)
+    words = _seeded_words(code, random.Random(46 + n), 150)
+    expected = [decoder.decode(word, code, with_trace=True) for word in words]
+    _refuse_ring_elements(monkeypatch, code)
+    got = [decoder.decode(word, code, with_trace=True) for word in words]
+    assert got == expected
+    assert {o.success for o in got} == {True, False}
+    assert any("sigma_pass2" in o.trace for o in got)

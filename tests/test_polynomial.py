@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import (derivative, even_odd_split, field_gcd, key_pair_from_locator,
-                     poly_add, poly_eval, poly_sub, root_multiplicity, series_inverse)
+from oracles import (FieldDomain, RingDomain, derivative, even_odd_split, field_gcd,
+                     key_pair_from_locator, poly_add, poly_eval, poly_sub, root_multiplicity,
+                     series_inverse)
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 
@@ -16,14 +17,14 @@ def rand_poly(rng, ring, deg):
 def test_product_example_gr42():
     ring = make_ring(2)
     one = ring.one
-    f = poly_mul(ring, [one, one], [one, -one])  # (1+z)(1-z)
+    f = poly_mul(RingDomain(ring), [one, one], [one, -one])  # (1+z)(1-z)
     assert f == [one, ring.zero, -one]           # 1 + 3z^2
 
 
 def test_eval_example():
     ring = make_ring(2)
     a = ring.gen
-    val = poly_eval(ring, [ring.one, ring.from_int(3), ring.one], a)  # 1 + 3z + z^2
+    val = poly_eval(RingDomain(ring), [ring.one, ring.from_int(3), ring.one], a)  # 1 + 3z + z^2
     assert val == a * 2
 
 
@@ -41,17 +42,17 @@ def test_divmod_properties():
         g = rand_poly(rng, ring, rng.randrange(1, 4))
         if not g or not g[-1].is_unit():
             continue
-        q, r = poly_divmod(ring, f, g)
-        assert poly_add(ring, poly_mul(ring, q, g), r) == f
+        q, r = poly_divmod(RingDomain(ring), f, g)
+        assert poly_add(RingDomain(ring), poly_mul(RingDomain(ring), q, g), r) == f
         assert len(r) < len(g)
 
 
 def test_divmod_rejects_zero_divisor_lead():
     ring = make_ring(2)
     with pytest.raises(ValueError):
-        poly_divmod(ring, [ring.one], [ring.one, ring.two])
+        poly_divmod(RingDomain(ring), [ring.one], [ring.one, ring.two])
     with pytest.raises(ZeroDivisionError):
-        poly_divmod(ring, [ring.one], [])
+        poly_divmod(RingDomain(ring), [ring.one], [])
 
 
 def test_derivative_examples():
@@ -59,19 +60,20 @@ def test_derivative_examples():
     assert derivative(Z4, [3]) == []
     ring = make_ring(2)
     a = ring.gen
-    sq = poly_mul(ring, [ring.one, -a], [ring.one, -a])  # (1 - az)^2
-    assert derivative(ring, sq) == [a * (-2), a * a * 2]
+    sq = poly_mul(RingDomain(ring), [ring.one, -a], [ring.one, -a])  # (1 - az)^2
+    assert derivative(RingDomain(ring), sq) == [a * (-2), a * a * 2]
 
 
 def test_derivative_leibniz():
     rng = random.Random(4)
     ring = make_ring(2)
+    dom = RingDomain(ring)
     for _ in range(100):
         f = rand_poly(rng, ring, rng.randrange(5))
         g = rand_poly(rng, ring, rng.randrange(5))
-        lhs = derivative(ring, poly_mul(ring, f, g))
-        rhs = poly_add(ring, poly_mul(ring, derivative(ring, f), g),
-                       poly_mul(ring, f, derivative(ring, g)))
+        lhs = derivative(dom, poly_mul(dom, f, g))
+        rhs = poly_add(dom, poly_mul(dom, derivative(dom, f), g),
+                       poly_mul(dom, f, derivative(dom, g)))
         assert lhs == rhs
 
 
@@ -85,16 +87,17 @@ def test_even_odd_split_examples():
 def test_even_odd_split_properties():
     rng = random.Random(5)
     ring = make_ring(4)
+    dom = RingDomain(ring)
     for _ in range(60):
         f = rand_poly(rng, ring, rng.randrange(8))
-        fe, fo = even_odd_split(ring, f)
-        assert poly_add(ring, fe, fo) == f
+        fe, fo = even_odd_split(dom, f)
+        assert poly_add(dom, fe, fo) == f
         # substituting -z negates exactly the odd part
         neg = [c * (-1) ** i for i, c in enumerate(f)]
-        assert poly_strip(neg) == poly_sub(ring, fe, fo)
+        assert poly_strip(neg) == poly_sub(dom, fe, fo)
     x0, x1 = ring.gen, ring.gen * 3 + 1
-    sigma = poly_mul(ring, [ring.one, -x0], [ring.one, -x1])
-    fe, fo = even_odd_split(ring, sigma)
+    sigma = poly_mul(dom, [ring.one, -x0], [ring.one, -x1])
+    fe, fo = even_odd_split(dom, sigma)
     assert fe == [ring.one, ring.zero, x0 * x1]
     assert fo == [ring.zero, -(x0 + x1)]
 
@@ -114,13 +117,13 @@ def test_series_inverse_property():
         for _ in range(60):
             f = [ring.one] + rand_poly(rng, ring, rng.randrange(4))
             n = rng.randrange(1, 8)
-            h = series_inverse(ring, f, n)
-            prod = poly_mul(ring, f, h)
+            h = series_inverse(RingDomain(ring), f, n)
+            prod = poly_mul(RingDomain(ring), f, h)
             assert poly_strip(prod[:n]) == [ring.one]
 
 
 def test_field_gcd_examples():
-    field = make_ring(2).residue_field()
+    field = FieldDomain(make_ring(2).residue_field())
     g, a, b = field_gcd(field, [1, 0, 1], [1, 1])  # z^2+1 = (z+1)^2 over GF(2)
     assert g == [1, 1]
     g, a, b = field_gcd(field, [0, 1, 1], [])
@@ -131,7 +134,7 @@ def test_field_gcd_examples():
 
 def test_field_gcd_bezout_and_divisibility():
     rng = random.Random(7)
-    field = make_ring(4).residue_field()
+    field = FieldDomain(make_ring(4).residue_field())
     for _ in range(100):
         f = poly_strip([rng.randrange(16) for _ in range(rng.randrange(1, 7))])
         g = poly_strip([rng.randrange(16) for _ in range(rng.randrange(1, 7))])
@@ -149,16 +152,17 @@ def test_field_gcd_bezout_and_divisibility():
 def test_gcd_shares_double_root_factor():
     rng = random.Random(8)
     ring = make_ring(4)
-    field = ring.residue_field()
+    field = FieldDomain(ring.residue_field())
+    tau_x = ring.from_pair(2, 0)
     for _ in range(40):
         # double error at x0 plus a single at x1 (distinct residues)
-        x0 = ring.teichmuller_generator() ** rng.randrange(1, 15)
-        x1 = ring.teichmuller_generator() ** rng.randrange(1, 15)
+        x0 = tau_x ** rng.randrange(1, 15)
+        x1 = tau_x ** rng.randrange(1, 15)
         if x0.residue() == x1.residue():
             continue
         sigma = [ring.one]
         for root in (x0, x0, x1):
-            sigma = poly_mul(ring, sigma, [ring.one, -root])
+            sigma = poly_mul(RingDomain(ring), sigma, [ring.one, -root])
         phi, omega = key_pair_from_locator(sigma)
         mu_phi = poly_strip([c.residue() for c in phi])
         mu_omega = poly_strip([c.residue() for c in omega])
@@ -169,7 +173,7 @@ def test_gcd_shares_double_root_factor():
 
 
 def test_root_multiplicity_examples():
-    field = make_ring(2).residue_field()
+    field = FieldDomain(make_ring(2).residue_field())
     assert root_multiplicity(field, [1, 0, 1], 1) == 2   # (z+1)^2
     assert root_multiplicity(field, [1, 1], 0) == 0
     with pytest.raises(ValueError):
@@ -178,7 +182,7 @@ def test_root_multiplicity_examples():
 
 def test_root_multiplicity_constructed():
     rng = random.Random(9)
-    field = make_ring(4).residue_field()
+    field = FieldDomain(make_ring(4).residue_field())
     for _ in range(50):
         roots = rng.sample(range(1, 16), 3)
         mults = [rng.randrange(1, 3) for _ in roots]
