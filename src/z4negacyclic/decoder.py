@@ -11,7 +11,8 @@ alpha^(n-j) separate the errors +1 and -1.
 Every stage boundary carries int lists: a polynomial or sequence over
 GR(4,m) is its two lists (a, b) of GF(2^m) ints (see keyeq), one over
 the residue field K = GF(2^m) a single list.  The trace strings are
-printed from those lists too, so a decode builds no ring element.
+printed from those lists too, by GaloisRing.pair_strs, so a decode
+builds no ring element.
 
 The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, applying the +-1 errors (returned as
@@ -114,24 +115,25 @@ def _ring_locator(ring, pair: PairVector) -> tuple[list, list]:
     return sa, sb
 
 
-def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray]:
-    """The degrees i of the nonzero terms c_i X^i of mu_sigma, and the
+def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray, np.ndarray]:
+    """The degrees i of the nonzero terms c_i X^i of mu_sigma, the
     terms x n gather of those terms at the residues X of all n points
-    alpha^-j from the antilog table."""
+    alpha^-j from the antilog table, and the positions j, ascending,
+    where their XOR, mu_sigma at the residue of alpha^-j, is zero."""
     field = code.field()
     log = field.log
     deg = [i for i, c in enumerate(mu_sigma) if c]
     logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
     # log of c_i X^i at point j: log c_i + i log X_j, both below the order
     index = np.array(deg, dtype=np.int64)[:, None] * code.residue_logs % field.order
-    return deg, code.field_exp[index + logc[:, None]]
+    terms = code.field_exp[index + logc[:, None]]
+    return deg, terms, np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
 
 
 def _root_positions(mu_sigma: list, code: Code) -> list[int]:
     """Positions j, ascending, where mu_sigma vanishes at the residue of
-    alpha^-j: the gather of _sweep, XOR-reduced over the terms."""
-    _, terms = _sweep(mu_sigma, code)
-    return np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0).tolist()
+    alpha^-j, by _sweep."""
+    return _sweep(mu_sigma, code)[2].tolist()
 
 
 def root_multiplicity(deg: list, at_root: list) -> int:
@@ -168,8 +170,7 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     """
     if not mu_sigma or not mu_sigma[0]:
         raise _StageFailure("residue locator has zero constant term")
-    deg, terms = _sweep(mu_sigma, code)
-    roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
+    deg, terms, roots = _sweep(mu_sigma, code)
     doubles, singles = set(), set()
     # per root j, ascending, the terms c_i X^i at its point
     for j, at_root in zip(roots.tolist(), terms[:, roots].T.tolist()):
@@ -270,10 +271,6 @@ def _nonzero(synd: tuple[list, list]) -> bool:
     return any(synd[0]) or any(synd[1])
 
 
-def _strs(ring, poly: tuple[list, list]) -> list[str]:
-    return [ring.pair_str(a, b) for a, b in zip(*poly)]
-
-
 def _read_word(word) -> np.ndarray:
     """The symbols of word as a fresh int64 array.
 
@@ -323,7 +320,7 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
 
     synd = syndromes(word, code)
     if trace is not None:
-        trace["syndromes"] = _strs(ring, synd)
+        trace["syndromes"] = ring.pair_strs(synd)
     if not _nonzero(synd):
         codeword, zero_err = word.tolist(), [0] * n
         if trace is not None:
@@ -334,9 +331,10 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         rounds: list | None = [] if with_trace else None
         pair, u, series = _solve_pass(ring, synd, t, trace_log=rounds)
         if trace is not None:
-            trace["u"] = _strs(ring, u)
-            trace["oneplusT"] = _strs(ring, series)
-            trace["solverpair"] = [";".join(_strs(ring, pair.a)), ";".join(_strs(ring, pair.b))]
+            trace["u"] = ring.pair_strs(u)
+            trace["oneplusT"] = ring.pair_strs(series)
+            trace["solverpair"] = [";".join(ring.pair_strs(pair.a)),
+                                   ";".join(ring.pair_strs(pair.b))]
             trace["solver_rounds"] = rounds
         mu_sigma = residue_locator(pair)
         if trace is not None:
@@ -355,7 +353,7 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         sigma2 = _ring_locator(ring, pair2)
         positions, values = resolve_unit_errors(sigma2, code, singles)
         if trace is not None:
-            trace["sigma_pass2"] = _strs(ring, sigma2)
+            trace["sigma_pass2"] = ring.pair_strs(sigma2)
     except (SolutionNotFound, _StageFailure) as exc:
         return DecodeOutcome(False, reason=str(exc), trace=trace)
 

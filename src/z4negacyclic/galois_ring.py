@@ -27,9 +27,10 @@ the code's tables come from pairs, and generators from Z4 minimal
 polynomials, which `graeffe_lift` alone supplies.  What the package
 prints or checks, the decoder's trace strings, the bundled reference
 checks and `code-info`, also comes from pairs, through
-`GaloisRing.pair_str`.  RingElement's operators and inverse and
-GaloisField.mul stay public: the tests use them as their oracle, and
-the benchmark's per-layer timings time them.
+`GaloisRing.pair_str` and, for an (a, b) list pair, `pair_strs`.
+RingElement's operators and inverse and GaloisField.mul stay public:
+the tests use them as their oracle, and the benchmark's per-layer
+timings time them.
 
 The supported extension degrees are 2 <= m <= 10.  The built-in
 modulus table is produced by Graeffe-lifting primitive polynomials
@@ -205,8 +206,8 @@ class RingElement:
         -(a, b) = (a, a + b),   (a, b)^-1 = (a^-1, b a^-2)
 
     The sum uses the carry identity tau(x) + tau(y) = tau(x + y) +
-    2 tau(sqrt(xy)).  The Z4 digits in the polynomial basis (`coeffs`,
-    `to_str`) are converted on demand.  Elements are immutable; they
+    2 tau(sqrt(xy)).  The Z4 digits in the polynomial basis (`coeffs`)
+    are converted on demand.  Elements are immutable; they
     hash and compare by (a, b, modulus).
     """
 
@@ -306,10 +307,6 @@ class RingElement:
     def __repr__(self):
         return f"RingElement({list(self.coeffs)})"
 
-    def is_unit(self) -> bool:
-        """Units are exactly the elements outside 2R."""
-        return self.a != 0
-
     def inverse(self) -> "RingElement":
         """Multiplicative inverse; raises for elements of 2R.
 
@@ -322,14 +319,6 @@ class RingElement:
         q, log, exp = ring._field.order, ring._log, ring._exp
         la = log[self.a]
         return _make(ring, exp[q - la], exp[log[self.b] + (-2 * la) % q])
-
-    def residue(self) -> int:
-        """Image in the residue field K = GF(2^m), as a bit-packed int."""
-        return self.a
-
-    def to_str(self) -> str:
-        """Serialize as comma-separated Z4 digits, constant term first."""
-        return self.ring.pair_str(self.a, self.b)
 
 
 # RingElement refuses attribute assignment; construction writes its slots
@@ -389,7 +378,8 @@ class GaloisRing:
 
     `pair` and `digits` are the one rule between an element's Z4 digits
     and its pair, one direction each, and `pair_str` prints a pair in
-    the digit form the CLI documents.  The package prints and checks
+    the digit form the CLI documents (`pair_strs` each entry of an
+    (a, b) list pair).  The package prints and checks
     elements through them, straight from the pairs.
     """
 
@@ -421,7 +411,6 @@ class GaloisRing:
         self.one = _make(self, 1, 0)
         self.two = _make(self, 0, 1)
         self._small = (self.zero, self.one, self.two, -self.one)
-        self.gen = self.element([0, 1] + [0] * (m - 2))
 
     def __eq__(self, other):
         return isinstance(other, GaloisRing) and self.modulus == other.modulus
@@ -464,6 +453,11 @@ class GaloisRing:
         """tau(a) + 2 tau(b) as comma-separated Z4 digits, constant term first."""
         return ",".join(map(str, self.digits(a, b)))
 
+    def pair_strs(self, poly: tuple[list, list]) -> list[str]:
+        """pair_str of each entry of a polynomial or sequence held as its
+        (a, b) int lists."""
+        return [self.pair_str(a, b) for a, b in zip(*poly)]
+
     def residue_field(self) -> GaloisField:
         return self._field
 
@@ -486,10 +480,10 @@ def _load_modulus_override(m: int):
     entry = table.get(str(m))
     if entry is None:
         return None
-    try:
-        return [int(c) for c in entry]
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: entry for m={m} is not a list of digits") from None
+    if not (isinstance(entry, list)
+            and all(type(c) is int and 0 <= c <= 3 for c in entry)):
+        raise ValueError(f"{where}: entry for m={m} is not a list of digits")
+    return entry
 
 
 @lru_cache(maxsize=None)

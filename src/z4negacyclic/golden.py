@@ -12,11 +12,12 @@ expected and got values are JSON values: strings, ints, bools and lists.
 
 from __future__ import annotations
 
-from .decoder import _strs, decode
+import numpy as np
+
+from .decoder import decode
 from .galois_ring import make_ring
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
-from .negacyclic import (build_code, encode, lee_weight, min_distance_exhaustive,
-                         word_from_str, word_to_str)
+from .negacyclic import LEE, build_code, min_distance_exhaustive, word_from_str, word_to_str
 from .solver import PairVector, select_minimal_regular, solve_by_approximations
 
 __all__ = ["solver_example_checks", "decode_example_checks", "table_checks", "run_all"]
@@ -36,10 +37,10 @@ PARAMETER_TABLE = [
     (31, 7, 6, 15, 26),
 ]
 
-# full 4^k scans are run only for these rows.  For the other rows only
-# the rank is checked exactly; their distance check compares the 2t+1
-# bound with the minimum weight of sampled codewords, which is an upper
-# bound on d, so it can pass when d < 2t+1
+# full 4^k scans are run only for these rows.  For the other rows the
+# distance check proves the designed bound d >= 2t+1 exactly, by the
+# syndromes of the words of Lee weight <= t (see _lee_distance_bound),
+# but does not compute d itself
 EXACT_SCAN_ROWS = {(15, 1), (15, 2), (15, 3), (31, 5), (31, 7)}
 
 
@@ -48,7 +49,7 @@ def _check(name: str, expected, got) -> tuple[str, bool, object, object]:
 
 
 def _pair_strs(ring, pair: PairVector) -> list[list[str]]:
-    return [_strs(ring, pair.a), _strs(ring, pair.b)]
+    return [ring.pair_strs(pair.a), ring.pair_strs(pair.b)]
 
 
 def solver_example_checks() -> list[tuple[str, bool, object, object]]:
@@ -75,13 +76,13 @@ def decode_example_checks() -> list[tuple[str, bool, object, object]]:
     word = word_from_str(DECODE_EXAMPLE_WORD, 15)
 
     synd = syndromes(word, code)
-    checks = [_check("decode-example syndromes", ["2,3,1,3", "1,2,1,2"], _strs(ring, synd))]
+    checks = [_check("decode-example syndromes", ["2,3,1,3", "1,2,1,2"], ring.pair_strs(synd))]
 
     u = odd_ratio_coefficients(ring, synd, code.t)
     ta, tb = key_series(ring, u, code.t)
     series = ([1] + ta, [0] + tb)
     checks.append(_check("decode-example key series", ["1,0,0,0", "2,3,1,3", "0,1,1,2"],
-                         _strs(ring, series)))
+                         ring.pair_strs(series)))
 
     basis = solve_by_approximations(ring, series, code.t + 1)
     checks.append(_check("decode-example solver pair",
@@ -106,30 +107,36 @@ def table_checks(quick: bool = False) -> list[tuple[str, bool, object, object]]:
             checks.append(_check(f"table n={n} t={t} distance", dist,
                                  min_distance_exhaustive(code)))
         elif (n, t) not in EXACT_SCAN_ROWS:
-            sampled = _sampled_weight_bound(code, trials=200)
-            ok = sampled >= bound
-            checks.append((f"table n={n} t={t} distance >= {bound} "
-                           f"(exact value out of desk scale)",
-                           ok, f">= {bound}", sampled))
+            checks.append(_check(f"table n={n} t={t} distance >= {bound}", bound,
+                                 _lee_distance_bound(code, t)))
     return checks
 
 
-def _sampled_weight_bound(code, trials: int, seed: int = 7) -> int:
-    """Smallest Lee weight among sampled nonzero codewords.
+def _lee_distance_bound(code, radius: int) -> int:
+    """min(d, 2 radius + 1) for the minimum Lee distance d of the code.
 
-    This is an upper bound on the minimum distance d, not a lower one:
-    a sample at or above 2t+1 does not show d >= 2t+1.
+    Two words of Lee weight <= radius with equal syndromes differ by a
+    nonzero codeword of Lee weight <= 2 radius, and every such codeword
+    is such a difference (split its Lee weight between two words).  So
+    the least Lee weight of a difference within one syndrome class is d
+    when d <= 2 radius, and there is no such difference otherwise.
     """
-    import random
-
-    rng = random.Random(seed)
-    best = None
-    for _ in range(trials):
-        msg = [rng.randrange(4) for _ in range(code.k)]
-        if not any(msg):
-            msg[0] = 1
-        w = lee_weight(encode(msg, code))
-        best = w if best is None else min(best, w)
+    lee = np.array(LEE, dtype=np.int64)
+    # every word of Lee weight <= radius, built one position at a time
+    words, weights = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(code.n):
+        parts = [(v, weights + lee[v] <= radius) for v in range(4)]
+        words = np.vstack([np.column_stack([words[keep], np.full(keep.sum(), v)])
+                           for v, keep in parts])
+        weights = np.concatenate([weights[keep] + lee[v] for v, keep in parts])
+    synd = (words @ code.syndrome_matrix).astype(np.int64) & 3
+    _, group, counts = np.unique(synd, axis=0, return_inverse=True, return_counts=True)
+    by_class = words[np.argsort(group.ravel(), kind="stable")]
+    best = 2 * radius + 1
+    for same in np.split(by_class, np.cumsum(counts)[:-1]):
+        if len(same) > 1:
+            dist = lee[(same[:, None] - same[None]) & 3].sum(axis=2)
+            best = min(best, int(dist[dist > 0].min()))
     return best
 
 

@@ -17,7 +17,7 @@ tau(a_i) + 2 tau(b_i), with a_i, b_i in GF(2^m).  The stages take and
 return that form and run every ring product and sum inline on the
 ring's log, antilog and half-log tables (the formulas of
 galois_ring.RingElement), so no ring element is built;
-GaloisRing.pair_str prints a result entry by entry.
+GaloisRing.pair_strs prints a result entry by entry.
 """
 
 from __future__ import annotations
@@ -162,8 +162,6 @@ def key_series(ring, u: tuple[list, list], t: int) -> tuple[list, list]:
     ua, ub = u
     if len(ua) != t:
         raise ValueError(f"expected {t} odd coefficients, got {len(ua)}")
-    if t == 0:
-        return [], []
     ha, hb = series_inverse(ring, ([1] + ua, [0] + ub), t + 1)  # 1 + u_1 y + u_3 y^2 + ...
     pad = [0] * (t + 1 - len(ha))
     return ha[1:] + pad, hb[1:] + pad

@@ -16,7 +16,10 @@ time (discrepancies 1, 2, -1, -2, leaving the basis [z,0], [2z,0],
 [1,1], [2,2]), and the solver starts from that basis at round 1,
 writing the fixed round-0 record to the trace.  An element multiplied
 by z keeps its discrepancy for the next round, which is therefore not
-computed again.
+computed again.  The right elements [0,1] and [0,2] start that way,
+with their round-0 discrepancies -1 and -2; a g component reaches
+degree k only by a z-shift in round k - 1, so every discrepancy the
+solver computes is a coefficient of f * series alone.
 
 Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
 [0,z^j] < [z^i,0] iff j < i.  That is the native order of the tuples
@@ -33,7 +36,7 @@ way.  Discrepancies, cancellation factors, cancellations and z-shifts
 run inline on the ring's log, antilog and half-log tables (the
 formulas of galois_ring.RingElement), and minimal_regular scales its
 pair the same way; the trace strings, when a trace_log is given, are
-printed from the lists by GaloisRing.pair_str.
+printed from the lists by GaloisRing.pair_strs.
 """
 
 from __future__ import annotations
@@ -109,21 +112,22 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
     lead = [0, 0, 1, 1]
     # the discrepancies of the slots, and which of them a z-shift carried
     # over from the round before: coefficient k + 1 of z (f series - g)
-    # is coefficient k of f series - g
-    za, zb = [0, 0, 0, 0], [0, 0, 0, 0]
-    carried = [False] * 4
+    # is coefficient k of f series - g.  The right slots start carried
+    # with their round-0 discrepancies -g_0, -1 = (1, 1) and -2 = (0, 1),
+    # so a computed discrepancy reads f alone (see the module docstring)
+    za, zb = [0, 0, 1, 0], [0, 0, 1, 1]
+    carried = [False, False, True, True]
     start = 0
     if series[0][:1] == [1] and not any(series[1][:1]):
         # round 0 sees only the constant term: discrepancies 1, 2, -1, -2;
-        # the left slots have no smaller element and shift, the right ones
-        # cancel against [1, 0] by the factors -1 and 2
+        # the left slots have no smaller element and shift, carrying 1
+        # and 2, the right ones cancel against [1, 0] by the factors -1, 2
+        za[:2], zb[:2] = [1, 0], [0, 1]
         if trace_log is not None:
-            _trace_round(trace_log, ring, 0, (fa, fb, ga, gb), [0, 1, 2, 3],
-                         ([1, 0, 1, 0], [0, 1, 1, 1]))
+            _trace_round(trace_log, ring, 0, (fa, fb, ga, gb), [0, 1, 2, 3], (za, zb))
         fa, fb = [[0, 1], [0, 0], [1], [0]], [[0, 0], [0, 1], [0], [1]]  # z, 2z, 1, 2
         lead = [2, 2, 1, 1]
-        za[:2], zb[:2] = [1, 0], [0, 1]  # the shifted slots carry 1 and 2
-        carried[:2] = True, True
+        carried = [True, True, False, False]
         start = 1
     for k in range(start, precision):
         off = precision - 1 - k
@@ -137,9 +141,6 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
                 ya = exp[la + l2a]
                 yb = exp[la + l2b] ^ exp[log[b] + l2a]
                 xa, xb = xa ^ ya, xb ^ yb ^ exp[hlog[xa] + hlog[ya]]
-            if k < len(ga[s]):  # minus g_k
-                c = ga[s][k]
-                xa, xb = xa ^ c, xb ^ c ^ gb[s][k] ^ exp[hlog[xa] + hlog[c]]
             za[s], zb[s] = xa, xb
         # slots by (leading degree, slot), the candidate and trace order;
         # the sort is stable, so equal leads keep slot order
@@ -216,14 +217,10 @@ def _trace_round(trace_log: list, ring, k: int, slots: tuple, order: list,
     fa, fb, ga, gb = slots
     trace_log.append({
         "round": k,
-        "basis": [[_poly_str(ring, (fa[i], fb[i])), _poly_str(ring, (ga[i], gb[i]))]
-                  for i in order],
-        "discrepancies": [ring.pair_str(a, b) for a, b in zip(*discrepancies)],
+        "basis": [[";".join(ring.pair_strs((fa[i], fb[i]))),
+                   ";".join(ring.pair_strs((ga[i], gb[i])))] for i in order],
+        "discrepancies": ring.pair_strs(discrepancies),
     })
-
-
-def _poly_str(ring, poly: tuple[list, list]) -> str:
-    return ";".join(ring.pair_str(a, b) for a, b in zip(*poly))
 
 
 def select_minimal_regular(basis: GroebnerBasis) -> PairVector:

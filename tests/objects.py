@@ -7,7 +7,8 @@ RingElement lists in place of those int lists: it converts its
 arguments with int_lists, calls the stage, and converts the result
 back with elements.  Tests written against ring elements check the
 int-list stages through these, unchanged.  from_str reads an element
-back from the digit string that GaloisRing.pair_str prints.
+back from the digit string that GaloisRing.pair_str prints, and gen
+gives the element [x] of a ring.
 resolve_unit_errors returns only the positions and values of the +-1
 errors; dense_unit_errors spreads them into the error word that the
 oracles compare.
@@ -33,6 +34,11 @@ def int_lists(els) -> tuple[list, list]:
 def from_str(ring, text: str):
     """The element with the comma-separated Z4 digits text."""
     return ring.element([int(t) for t in text.split(",")])
+
+
+def gen(ring):
+    """The element [x], whose Z4 digits are 0, 1, 0, ..., 0."""
+    return ring.element([0, 1] + [0] * (ring.m - 2))
 
 
 def pair_elements(ring, pair: PairVector) -> PairVector:

@@ -128,7 +128,7 @@ def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
     doubles, singles = set(), set()
     covered = 0
     for j in range(code.n):
-        point = code.alpha_pow(-j).residue()
+        point = code.alpha_pow(-j).a
         mult = root_multiplicity(field, mu_sigma, point)
         if mult > 2:
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
@@ -164,11 +164,11 @@ def resolve_by_scan(sigma: list, code: Code) -> list:
     """resolve_unit_errors by a residue evaluation at every position."""
     ring, n = RingDomain(code.ring), code.n
     field = FieldDomain(code.field())
-    mu_sigma = [c.residue() for c in sigma]
+    mu_sigma = [c.a for c in sigma]
     error = [0] * n
     found = 0
     for j in range(n):
-        if poly_eval(field, mu_sigma, code.alpha_pow(-j).residue()):
+        if poly_eval(field, mu_sigma, code.alpha_pow(-j).a):
             continue
         plus = poly_eval(ring, sigma, code.alpha_pow(-j))
         minus = poly_eval(ring, sigma, code.alpha_pow(n - j))
@@ -309,9 +309,9 @@ def solve_by_objects(ring, series: list, precision: int,
             order = sorted(range(4), key=lambda i: (degs[i], i))
             trace_log.append({
                 "round": k,
-                "basis": [[";".join(c.to_str() for c in part) for part in slots[i]]
+                "basis": [[";".join(ring.pair_str(c.a, c.b) for c in part) for part in slots[i]]
                           for i in order],
-                "discrepancies": [z.to_str() for z in zetas],
+                "discrepancies": [ring.pair_str(z.a, z.b) for z in zetas],
             })
         new_slots = []
         new_degs = list(degs)
@@ -320,14 +320,14 @@ def solve_by_objects(ring, series: list, precision: int,
             if not zi:
                 new_slots.append(slots[i])
                 continue
-            zi_even = not zi.is_unit()
+            zi_even = not zi.a
             candidates = [j for j in range(4)
                           if j != i and zetas[j] and (degs[j], j // 2) < (degs[i], i // 2)
-                          and (zetas[j].is_unit() or zi_even)]
+                          and (zetas[j].a or zi_even)]
             if candidates:
                 j = min(candidates, key=lambda jj: (degs[jj], jj))
                 zj = zetas[j]
-                if zj.is_unit():
+                if zj.a:
                     factor = zi * zj.inverse()
                 else:
                     # zi = 2 tau(bi), zj = 2 tau(bj): divide the elements
@@ -356,7 +356,7 @@ def minimal_regular_by_objects(ring, basis: GroebnerBasis, t: int) -> PairVector
     if 2 * (len(a) - 1) > t + 1 or 2 * (len(b) - 1) > t:
         raise SolutionNotFound(
             f"solution degrees ({len(a) - 1}, {len(b) - 1}) exceed the bounds for t={t}")
-    if not a or not a[0].is_unit():
+    if not a or not a[0].a:
         raise SolutionNotFound("solution constant term is not a unit")
     scale = a[0].inverse()
     a = poly_scale(RingDomain(ring), scale, a)
@@ -578,7 +578,7 @@ def select_by_scan(basis):
     best = best_term = None
     for el in basis.elements():
         term, coeff = leading(el)
-        if coeff.is_unit() and (best is None or term_less(term, best_term)):
+        if coeff.a and (best is None or term_less(term, best_term)):
             best, best_term = el, term
     return best
 
@@ -613,7 +613,7 @@ def lm_divides(lm1, lm2) -> bool:
     (side2, d2), c2 = lm2
     if side1 != side2 or d1 > d2:
         return False
-    if c1.is_unit():
+    if c1.a:
         return True
     return all(v % 2 == 0 for v in c2.coeffs)  # c1 in 2R: needs c2 in 2R
 
@@ -645,7 +645,7 @@ class RingDomain:
         return a * b
 
     def is_unit(self, a) -> bool:
-        return a.is_unit()
+        return a.a != 0
 
     def inv(self, a):
         return a.inverse()
@@ -711,7 +711,7 @@ def teichmuller_decompose(x) -> tuple:
 
 def multiplicative_order(x) -> int:
     """Order of a unit in the unit group, by repeated multiplication."""
-    if not x.is_unit():
+    if not x.a:
         raise ValueError("order is defined for units only")
     k, power = 1, x
     while power != x.ring.one:

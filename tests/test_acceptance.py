@@ -6,7 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import random
 import time
 
-from objects import key_series, odd_ratio_coefficients, solve_by_approximations, syndromes
+from objects import (gen, key_series, odd_ratio_coefficients, solve_by_approximations,
+                     syndromes)
 from oracles import (RingDomain, all_codewords, all_error_patterns, derivative, frobenius,
                      key_pair_from_locator, leading, lm_divides, locator_from_error,
                      module_members, poly_add, poly_shift, poly_sub, power_sums, random_error,
@@ -74,7 +75,7 @@ def test_criterion_2_table_n31():
 
 def test_criterion_3_solver_reference_run():
     ring = make_ring(2)
-    a = ring.gen
+    a = gen(ring)
     basis = solve_by_approximations(ring, [ring.one, a * 3 + 3], 2)
     expected = (
         PairVector([a * 3, ring.one], [a * 3]),          # [z+3a, 3a]

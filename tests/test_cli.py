@@ -172,6 +172,10 @@ def test_modulus_override_is_validated(tmp_path, monkeypatch, capsys):
     ("{\"4\": [1, 3,", "invalid JSON"),
     ("[1, 3, 2, 0, 1]", "JSON object"),
     ("{\"4\": 7}", "list of digits"),
+    ("{\"4\": \"11001\"}", "list of digits"),
+    ("{\"4\": [1.9, 1, 0, 0, 1]}", "list of digits"),
+    ("{\"4\": [5, 1, 0, 0, 1]}", "list of digits"),
+    ("{\"4\": [true, true, false, false, true]}", "list of digits"),
 ])
 def test_modulus_override_bad_file(tmp_path, monkeypatch, capsys, content, message):
     override = tmp_path / "moduli.json"

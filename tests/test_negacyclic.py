@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from objects import syndromes
+from objects import gen, syndromes
 from oracles import (RingDomain, construction_by_objects, multiplicative_order, poly_eval,
                      random_error)
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import MODULUS_TABLE_ENV, make_ring
+from z4negacyclic.golden import _lee_distance_bound
 from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_map,
                                      lee_distance, lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)
@@ -90,11 +91,11 @@ def test_construction_matches_objects(moduli):
 def test_override_changes_the_generators(tmp_path, monkeypatch):
     builtin = [build_code(15, t).generator for t in (1, 2, 3)]
     use_override(tmp_path, monkeypatch)
-    for t, gen in zip((1, 2, 3), builtin):
+    for t, g in zip((1, 2, 3), builtin):
         code = build_code(15, t)
         assert list(code.ring.modulus) == OVERRIDE_M4
-        assert multiplicative_order(code.ring.gen) == 30
-        assert code.generator != gen
+        assert multiplicative_order(gen(code.ring)) == 30
+        assert code.generator != g
 
 
 def test_decode_round_trip_under_override(tmp_path, monkeypatch):
@@ -171,6 +172,14 @@ def test_min_distance_meets_designed_bound():
             assert min_distance_exhaustive(code) >= 2 * t + 1
 
 
+def test_lee_distance_bound_reads_d_below_the_bound():
+    # min(d, 2 radius + 1): (15, 1) has d = 3 and (31, 1) d = 4, both
+    # below 5, so two words of Lee weight <= 2 share a syndrome
+    assert _lee_distance_bound(build_code(15, 1), 2) == 3
+    assert _lee_distance_bound(build_code(31, 1), 2) == 4
+    assert _lee_distance_bound(build_code(15, 2), 2) == 5
+
+
 def test_lambda_map_examples():
     assert lambda_map([1, 1], 15) == [1, 3]
     rng = random.Random(3)
@@ -200,4 +209,4 @@ def test_code_equality_and_hash_ignore_the_tables():
     assert not a.syndrome_matrix.flags.writeable
     field = a.field()
     assert [field.exp[lg] for lg in a.residue_logs] == [
-        a.alpha_pow(-j).residue() for j in range(15)]
+        a.alpha_pow(-j).a for j in range(15)]
