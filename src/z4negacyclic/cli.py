@@ -38,7 +38,7 @@ def cmd_code_info(args) -> int:
     payload = {
         "n": code.n, "t": code.t, "m": code.ring.m,
         "modulus": list(code.ring.modulus),
-        "alpha": code.ring.pair_str(code.alpha.a, code.alpha.b),
+        "alpha": code.ring.pair_str(*code.alpha),
         "generator": list(code.generator),
         "k": code.k,
         "designed_distance": 2 * code.t + 1,

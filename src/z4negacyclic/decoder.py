@@ -10,9 +10,9 @@ alpha^(n-j) separate the errors +1 and -1.
 
 Every stage boundary carries int lists: a polynomial or sequence over
 GR(4,m) is its two lists (a, b) of GF(2^m) ints (see keyeq), one over
-the residue field K = GF(2^m) a single list.  The trace strings are
-printed from those lists too, by GaloisRing.pair_strs, so a decode
-builds no ring element.
+the residue field K = GF(2^m) a single list, and each stage reads t
+as the length of its input.  The trace strings are printed from those
+lists too, by GaloisRing.pair_strs, so a decode builds no ring element.
 
 The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, applying the +-1 errors (returned as
@@ -258,11 +258,11 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
     return positions, errors
 
 
-def _solve_pass(ring, synd: tuple[list, list], t: int,
+def _solve_pass(ring, synd: tuple[list, list],
                 trace_log: list | None = None) -> tuple[PairVector, tuple, tuple]:
-    u = odd_ratio_coefficients(ring, synd, t)
-    ta, tb = key_series(ring, u, t)
-    series = ([1] + ta, [0] + tb)
+    t = len(synd[0])
+    u = odd_ratio_coefficients(ring, synd)
+    series = key_series(ring, u)
     basis = solve_by_approximations(ring, series, t + 1, trace_log=trace_log)
     return minimal_regular(ring, basis, t), u, series
 
@@ -277,7 +277,8 @@ def _read_word(word) -> np.ndarray:
     A 1-D integer or bool array in 0..3, or anything np.asarray turns
     into one, is taken as a whole.  Anything else goes through a loop
     whose only job is to find the symbol to blame: _StageFailure names
-    the first one that is not a Python or numpy integer in 0..3.
+    the first one that is not a Python or numpy integer in 0..3.  A
+    numpy timedelta64 subclasses np.signedinteger but is not a symbol.
     """
     try:
         arr = np.asarray(word)
@@ -295,7 +296,8 @@ def _read_word(word) -> np.ndarray:
         raise _StageFailure(f"word of type {type(word).__name__} is not a sequence") from None
     out = []
     for j, c in enumerate(symbols):
-        if not (isinstance(c, (int, np.integer)) and 0 <= c <= 3):
+        if not (isinstance(c, (int, np.integer)) and not isinstance(c, np.timedelta64)
+                and 0 <= c <= 3):
             raise _StageFailure(
                 f"symbol {reprlib.repr(c)} at position {j} is not an integer in 0..3")
         out.append(int(c))
@@ -329,7 +331,7 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
 
     try:
         rounds: list | None = [] if with_trace else None
-        pair, u, series = _solve_pass(ring, synd, t, trace_log=rounds)
+        pair, u, series = _solve_pass(ring, synd, trace_log=rounds)
         if trace is not None:
             trace["u"] = ring.pair_strs(u)
             trace["oneplusT"] = ring.pair_strs(series)
@@ -349,7 +351,7 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
 
         # the second pass always reruns the pipeline on the corrected word,
         # even when no double errors were found
-        pair2, _, _ = _solve_pass(ring, syndromes(prime, code), t)
+        pair2, _, _ = _solve_pass(ring, syndromes(prime, code))
         sigma2 = _ring_locator(ring, pair2)
         positions, values = resolve_unit_errors(sigma2, code, singles)
         if trace is not None:

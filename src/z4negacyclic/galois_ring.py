@@ -509,8 +509,9 @@ def make_ring(m: int) -> GaloisRing:
     return _builtin_ring(m)
 
 
-def negacyclic_root(ring: GaloisRing, n: int) -> RingElement:
-    """A root alpha with alpha^n = -1 and multiplicative order 2n.
+def negacyclic_root(ring: GaloisRing, n: int) -> tuple[int, int]:
+    """The pair (a, b) of a root alpha with alpha^n = -1 and
+    multiplicative order 2n.
 
     Requires n odd and dividing 2^m - 1; alpha is -beta for the
     canonical Teichmuller generator's power beta of order exactly n.
@@ -522,4 +523,4 @@ def negacyclic_root(ring: GaloisRing, n: int) -> RingElement:
     if full % n != 0:
         raise ValueError(f"n={n} does not divide 2^m-1={full}")
     b = ring._exp[full // n]
-    return ring.from_pair(b, b)
+    return b, b

@@ -17,7 +17,8 @@ import numpy as np
 from .decoder import decode
 from .galois_ring import make_ring
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
-from .negacyclic import LEE, build_code, min_distance_exhaustive, word_from_str, word_to_str
+from .negacyclic import (LEE, MAX_SCAN_RANK, build_code, min_distance_exhaustive, word_from_str,
+                         word_to_str)
 from .solver import PairVector, select_minimal_regular, solve_by_approximations
 
 __all__ = ["solver_example_checks", "decode_example_checks", "table_checks", "run_all"]
@@ -36,12 +37,6 @@ PARAMETER_TABLE = [
     (31, 5, 11, 11, 16),
     (31, 7, 6, 15, 26),
 ]
-
-# full 4^k scans are run only for these rows.  For the other rows the
-# distance check proves the designed bound d >= 2t+1 exactly, by the
-# syndromes of the words of Lee weight <= t (see _lee_distance_bound),
-# but does not compute d itself
-EXACT_SCAN_ROWS = {(15, 1), (15, 2), (15, 3), (31, 5), (31, 7)}
 
 
 def _check(name: str, expected, got) -> tuple[str, bool, object, object]:
@@ -78,9 +73,7 @@ def decode_example_checks() -> list[tuple[str, bool, object, object]]:
     synd = syndromes(word, code)
     checks = [_check("decode-example syndromes", ["2,3,1,3", "1,2,1,2"], ring.pair_strs(synd))]
 
-    u = odd_ratio_coefficients(ring, synd, code.t)
-    ta, tb = key_series(ring, u, code.t)
-    series = ([1] + ta, [0] + tb)
+    series = key_series(ring, odd_ratio_coefficients(ring, synd))
     checks.append(_check("decode-example key series", ["1,0,0,0", "2,3,1,3", "0,1,1,2"],
                          ring.pair_strs(series)))
 
@@ -103,10 +96,14 @@ def table_checks(quick: bool = False) -> list[tuple[str, bool, object, object]]:
     for n, t, k, bound, dist in PARAMETER_TABLE:
         code = build_code(n, t)
         checks.append(_check(f"table n={n} t={t} rank", k, code.k))
-        if (n, t) in EXACT_SCAN_ROWS and not quick:
+        # a full 4^k scan where min_distance_exhaustive allows one; else the
+        # syndromes of the words of Lee weight <= t prove d >= 2t+1 exactly
+        # (see _lee_distance_bound), but do not compute d itself
+        scan = code.k <= MAX_SCAN_RANK
+        if scan and not quick:
             checks.append(_check(f"table n={n} t={t} distance", dist,
                                  min_distance_exhaustive(code)))
-        elif (n, t) not in EXACT_SCAN_ROWS:
+        elif not scan:
             checks.append(_check(f"table n={n} t={t} distance >= {bound}", bound,
                                  _lee_distance_bound(code, t)))
     return checks

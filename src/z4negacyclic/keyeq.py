@@ -9,7 +9,9 @@ coefficients u_1, u_3, ... through the recursion obtained from
 s_o (u^2 - 1) = z u'; the divisions are by odd integers, which
 are always units here.  The series 1 + T with T(z^2) = (1+z u)^-1 - 1
 then feeds the solver: solutions [a, b] of a (1+T) = b mod z^(t+1)
-recover the even/odd split of sigma.
+recover the even/odd split of sigma.  Each stage reads t as the length
+of its input, and key_series returns 1 + T itself, its t + 1 terms
+being the solver's input.
 
 Every sequence over GR(4,m) here, syndromes and polynomials alike, is
 held as its two int lists (a, b): entry i is the element
@@ -66,9 +68,9 @@ def syndromes(word, code: Code) -> tuple[list, list]:
     return low, [h ^ corr[a] for a, h in zip(low, high)]
 
 
-def odd_ratio_coefficients(ring, synd: tuple[list, list], t: int) -> tuple[list, list]:
+def odd_ratio_coefficients(ring, synd: tuple[list, list]) -> tuple[list, list]:
     """Coefficients u_1, u_3, ..., u_(2t-1) of u = sigma_o / sigma_e,
-    from the (a, b) lists of the syndromes, as (a, b) lists.
+    from the (a, b) lists of the t syndromes, as (a, b) lists.
 
     For odd k the recursion reads
         k * u_k = -s_k + sum_j s_(k-2j) (u^2)_(2j),
@@ -78,14 +80,12 @@ def odd_ratio_coefficients(ring, synd: tuple[list, list], t: int) -> tuple[list,
     formed once, as soon as its u_i are known.
     """
     sa, sb = synd
-    if len(sa) != t:
-        raise ValueError(f"expected {t} syndromes, got {len(sa)}")
     log, exp, hlog = ring._log, ring._exp, ring._hlog
     s_la = [log[a] for a in sa]
     s_lb = [log[b] for b in sb]
     ua, ub = [], []  # u_1, u_3, ... as (a, b) pairs
     q_la, q_lb = [], []  # logs of the pairs of (u^2)_2, (u^2)_4, ...
-    for idx in range(t):  # k = 2 idx + 1
+    for idx in range(len(sa)):  # k = 2 idx + 1
         if idx:
             # (u^2)_(2 idx) sums u_(2p+1) u_(2q+1) over p + q = idx - 1:
             # twice the product for each p < q, plus the middle square
@@ -114,8 +114,8 @@ def odd_ratio_coefficients(ring, synd: tuple[list, list], t: int) -> tuple[list,
 
 
 def series_inverse(ring, f: tuple[list, list], order: int) -> tuple[list, list]:
-    """h with f*h = 1 mod z^order over GR(4,m), stripped of trailing zeros;
-    f and h are (a, b) lists.
+    """The order terms of h with f*h = 1 mod z^order over GR(4,m), the
+    last ones possibly zero; f and h are (a, b) lists.
 
     The coefficient recurrence h_0 = f_0^-1, h_k = -f_0^-1 sum_(i>=1)
     f_i h_(k-i).  Requires a unit constant term.
@@ -145,23 +145,16 @@ def series_inverse(ring, f: tuple[list, list], order: int) -> tuple[list, list]:
         hb.append(yb)
         h_la.append(log[ya])
         h_lb.append(log[yb])
-    while ha and not (ha[-1] or hb[-1]):
-        ha.pop()
-        hb.pop()
     return ha, hb
 
 
-def key_series(ring, u: tuple[list, list], t: int) -> tuple[list, list]:
-    """Coefficients T_1..T_t of T, where T(z^2) = (1 + z u(z))^-1 - 1,
-    from the (a, b) lists of u_1, u_3, ..., as (a, b) lists.
+def key_series(ring, u: tuple[list, list]) -> tuple[list, list]:
+    """The t + 1 coefficients of 1 + T, where T(z^2) = (1 + z u(z))^-1 - 1,
+    from the (a, b) lists of u_1, u_3, ..., u_(2t-1), as (a, b) lists.
 
     z u(z) only has even-degree terms, so the inversion happens on the
     polynomial in y = z^2 whose y^j coefficient is u_(2j-1), truncated
     at order t+1.
     """
     ua, ub = u
-    if len(ua) != t:
-        raise ValueError(f"expected {t} odd coefficients, got {len(ua)}")
-    ha, hb = series_inverse(ring, ([1] + ua, [0] + ub), t + 1)  # 1 + u_1 y + u_3 y^2 + ...
-    pad = [0] * (t + 1 - len(ha))
-    return ha[1:] + pad, hb[1:] + pad
+    return series_inverse(ring, ([1] + ua, [0] + ub), len(ua) + 1)  # 1 + u_1 y + u_3 y^2 + ...

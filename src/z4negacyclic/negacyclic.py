@@ -4,7 +4,8 @@ A negacyclic code of odd length n is an ideal of Z4[x]/<x^n + 1>.
 The codes built here are the free codes <g> whose generator has the
 roots alpha, alpha^3, ..., alpha^(2t-1) for a primitive 2n-th root of
 unity alpha (alpha^n = -1) in GR(4,m), m the order of 2 mod n.  Words
-are length-n sequences of Z4 digits, position 0 first.
+are length-n sequences of Z4 digits, position 0 first.  alpha and its
+powers are held as their GF(2^m) pairs (a, b), as in keyeq.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galois_ring import GaloisRing, RingElement, graeffe_lift, make_ring, negacyclic_root
+from .galois_ring import GaloisRing, graeffe_lift, make_ring, negacyclic_root
 from .polynomial import Z4, poly_divmod, poly_mul, poly_strip
 
 __all__ = [
@@ -35,7 +36,7 @@ class Code:
     n: int
     t: int
     ring: GaloisRing
-    alpha: RingElement
+    alpha: tuple[int, int]  # the pair (a, b) of alpha
     generator: tuple[int, ...]
     k: int
     # n x t*m Z4 matrix: row j holds the coefficients of alpha^(j*k),
@@ -52,22 +53,17 @@ class Code:
     # +-1 resolution; alpha^(n-j) = -alpha^-j needs no entry
     alpha_inv_pairs: tuple = field(compare=False, repr=False, default=())
 
-    def alpha_pow(self, j: int) -> RingElement:
-        """alpha^j, built from its pair (see build_code)."""
-        ring = self.ring
-        b = ring._exp[ring._log[self.alpha.a] * j % ring._field.order]
-        return ring.from_pair(b, b if j & 1 else 0)
-
     def field(self):
         return self.ring.residue_field()
 
 
-def _order_of_two(n: int) -> int:
-    m, p = 1, 2 % n
-    while p != 1:
-        p = (2 * p) % n
-        m += 1
-    return m
+def _order_of_two(n: int) -> int | None:
+    """The order m of 2 mod n when m <= 10, the largest supported ring;
+    None above that."""
+    for m in range(1, 11):
+        if pow(2, m, n) == 1:
+            return m
+    return None
 
 
 def _cyclotomic_coset(i: int, n: int) -> tuple[int, ...]:
@@ -98,13 +94,13 @@ def build_code(n: int, t: int) -> Code:
     if t < 1 or 2 * t - 1 >= n:
         raise ValueError(f"need 1 <= t with 2t-1 < n; got n={n}, t={t}")
     m = _order_of_two(n)
-    if m > 10:
-        raise ValueError(f"order of 2 mod {n} is {m}; supported rings stop at m=10")
+    if m is None:
+        raise ValueError(f"order of 2 mod {n} exceeds 10; supported rings stop at m=10")
     ring = make_ring(m)
     alpha = negacyclic_root(ring, n)
     log, exp = ring._log, ring._exp
     # the residues of beta^j, j = 0..n-1
-    step = log[alpha.a]
+    step = log[alpha[0]]
     res = [exp[j * step] for j in range(n)]
 
     seen = set()
@@ -126,13 +122,14 @@ def build_code(n: int, t: int) -> Code:
         g = [(-c) % 4 for c in g]
     assert g[-1] == 1, "generator failed to normalize monic"
 
-    # the digits of alpha^e, e = 0..2n-1
-    digits = [ring.digits(b, b if e & 1 else 0) for e, b in enumerate(res + res)]
+    # the pairs of alpha^e, e = 0..2n-1, and their digits
+    pairs = [(b, b if e & 1 else 0) for e, b in enumerate(res + res)]
+    digits = [ring.digits(*p) for p in pairs]
     syndrome_matrix = np.array(
         [[c for k in range(1, 2 * t, 2) for c in digits[j * k % (2 * n)]]
          for j in range(n)], dtype=np.float64)
-    # alpha^-j = alpha^(2n-j), whose exponent has the parity of j
-    alpha_inv_pairs = tuple((res[-j], res[-j] if j & 1 else 0) for j in range(n))
+    # alpha^-j = alpha^(2n-j)
+    alpha_inv_pairs = tuple(pairs[-j] for j in range(n))
     residue_logs = np.array([log[a] for a, _ in alpha_inv_pairs], dtype=np.int64)
     field_exp = np.array(exp, dtype=np.int64)
     for table in (syndrome_matrix, residue_logs, field_exp):

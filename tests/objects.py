@@ -7,8 +7,9 @@ RingElement lists in place of those int lists: it converts its
 arguments with int_lists, calls the stage, and converts the result
 back with elements.  Tests written against ring elements check the
 int-list stages through these, unchanged.  from_str reads an element
-back from the digit string that GaloisRing.pair_str prints, and gen
-gives the element [x] of a ring.
+back from the digit string that GaloisRing.pair_str prints, gen
+gives the element [x] of a ring, and alpha_pow the element alpha^j of
+a code, whose alpha is a pair.
 resolve_unit_errors returns only the positions and values of the +-1
 errors; dense_unit_errors spreads them into the error word that the
 oracles compare.
@@ -41,6 +42,14 @@ def gen(ring):
     return ring.element([0, 1] + [0] * (ring.m - 2))
 
 
+def alpha_pow(code, j: int):
+    """alpha^j = (-1)^j beta^j: the pair (b, b if j is odd else 0), b the
+    residue of beta^j, as an element."""
+    ring = code.ring
+    b = ring._exp[ring._log[code.alpha[0]] * j % ring._field.order]
+    return ring.from_pair(b, b if j & 1 else 0)
+
+
 def pair_elements(ring, pair: PairVector) -> PairVector:
     return PairVector(elements(ring, pair.a), elements(ring, pair.b))
 
@@ -62,12 +71,12 @@ def syndromes(word, code) -> list:
     return elements(code.ring, keyeq.syndromes(word, code))
 
 
-def odd_ratio_coefficients(ring, synd: list, t: int) -> list:
-    return elements(ring, keyeq.odd_ratio_coefficients(ring, int_lists(synd), t))
+def odd_ratio_coefficients(ring, synd: list) -> list:
+    return elements(ring, keyeq.odd_ratio_coefficients(ring, int_lists(synd)))
 
 
-def key_series(ring, u: list, t: int) -> list:
-    return elements(ring, keyeq.key_series(ring, int_lists(u), t))
+def key_series(ring, u: list) -> list:
+    return elements(ring, keyeq.key_series(ring, int_lists(u)))
 
 
 def series_inverse(ring, f: list, order: int) -> list:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from objects import alpha_pow
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.negacyclic import (LEE, Code, _cyclotomic_coset, _order_of_two, encode,
@@ -98,7 +99,7 @@ def syndromes_by_loop(word, code: Code) -> list:
         for j, c in enumerate(word):
             c = int(c) % 4
             if c:
-                acc = acc + code.alpha_pow(j * k) * c
+                acc = acc + alpha_pow(code, j * k) * c
         out.append(acc)
     return out
 
@@ -128,7 +129,7 @@ def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
     doubles, singles = set(), set()
     covered = 0
     for j in range(code.n):
-        point = code.alpha_pow(-j).a
+        point = alpha_pow(code, -j).a
         mult = root_multiplicity(field, mu_sigma, point)
         if mult > 2:
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
@@ -168,10 +169,10 @@ def resolve_by_scan(sigma: list, code: Code) -> list:
     error = [0] * n
     found = 0
     for j in range(n):
-        if poly_eval(field, mu_sigma, code.alpha_pow(-j).a):
+        if poly_eval(field, mu_sigma, alpha_pow(code, -j).a):
             continue
-        plus = poly_eval(ring, sigma, code.alpha_pow(-j))
-        minus = poly_eval(ring, sigma, code.alpha_pow(n - j))
+        plus = poly_eval(ring, sigma, alpha_pow(code, -j))
+        minus = poly_eval(ring, sigma, alpha_pow(code, n - j))
         if not plus and not minus:
             raise _StageFailure(f"locator vanishes at both units for position {j}")
         if not plus:
@@ -241,12 +242,11 @@ def construction_by_objects(n: int, t: int) -> dict:
 
 # ---------------------------------------------------------------- object-based key equation
 
-def odd_ratio_by_objects(synd: list, t: int) -> list:
+def odd_ratio_by_objects(synd: list) -> list:
     """keyeq.odd_ratio_coefficients on RingElement operators:
     k u_k = -s_k + sum_j s_(k-2j) (u^2)_(2j), with (u^2)_(2j) summed
     afresh for every k."""
-    if len(synd) != t:
-        raise ValueError(f"expected {t} syndromes, got {len(synd)}")
+    t = len(synd)
     u: dict[int, object] = {}
     for k in range(1, 2 * t, 2):
         acc = -synd[(k - 1) // 2]
@@ -261,8 +261,9 @@ def odd_ratio_by_objects(synd: list, t: int) -> list:
 
 
 def series_inverse(dom, f: list, order: int) -> list:
-    """h with f*h = 1 mod z^order over any coefficient domain, by the
-    standard coefficient recurrence.  Requires a unit constant term."""
+    """The order terms of h with f*h = 1 mod z^order over any coefficient
+    domain, by the standard coefficient recurrence.  Requires a unit
+    constant term."""
     if not f or not dom.is_unit(f[0]):
         raise ValueError("series inverse needs a unit constant term")
     c0inv = dom.inv(f[0])
@@ -272,16 +273,12 @@ def series_inverse(dom, f: list, order: int) -> list:
         for i in range(1, min(k, len(f) - 1) + 1):
             acc = dom.add(acc, dom.mul(f[i], h[k - i]))
         h.append(dom.neg(dom.mul(c0inv, acc)))
-    return poly_strip(h)
+    return h
 
 
-def key_series_by_objects(u: list, t: int) -> list:
+def key_series_by_objects(ring, u: list) -> list:
     """keyeq.key_series through the domain-protocol series_inverse."""
-    if t == 0:
-        return []
-    dom = RingDomain(u[0].ring)
-    inv = series_inverse(dom, [dom.one] + list(u), t + 1)
-    return [poly_coeff(dom, inv, j) for j in range(1, t + 1)]
+    return series_inverse(RingDomain(ring), [ring.one] + list(u), len(u) + 1)
 
 
 def solve_by_objects(ring, series: list, precision: int,
@@ -467,7 +464,7 @@ def locator_from_error(code: Code, error) -> list:
         e = int(e) % 4
         if not e:
             continue
-        x = code.alpha_pow(i) if e in (1, 2) else code.alpha_pow(i + code.n)
+        x = alpha_pow(code, i) if e in (1, 2) else alpha_pow(code, i + code.n)
         for _ in range(LEE[e]):
             sigma = poly_mul(RingDomain(ring), sigma, [ring.one, -x])
     return sigma
@@ -483,7 +480,7 @@ def power_sums(code: Code, error, kmax: int) -> list:
             e = int(e) % 4
             if not e:
                 continue
-            x = code.alpha_pow(i * k) if e in (1, 2) else code.alpha_pow((i + code.n) * k)
+            x = alpha_pow(code, i * k) if e in (1, 2) else alpha_pow(code, (i + code.n) * k)
             acc = acc + x * LEE[e]
         out.append(acc)
     return out

@@ -30,6 +30,14 @@ def test_code_info(capsys):
     assert info["k"] == 9 - (len(info["generator"]) - 1)
 
 
+def test_code_info_refuses_a_large_order_of_two(capsys):
+    # the order of 2 mod n is only looked for up to 10, not searched for
+    n = "1000000000000000001"
+    code, out, err = run(capsys, "code-info", "-n", n, "-t", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: order of 2 mod {n} exceeds 10; supported rings stop at m=10\n"
+
+
 def test_encode_decode_round_trip(capsys):
     code, out, _ = run(capsys, "encode", "-n", "15", "-t", "2", "--msg", "1032012")
     assert code == 0

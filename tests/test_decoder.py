@@ -1,13 +1,14 @@
+import itertools
 import json
 import random
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from objects import (dense_unit_errors, elements, int_lists, locator_from_pair,
+from objects import (alpha_pow, dense_unit_errors, elements, int_lists, locator_from_pair,
                      residue_locator, resolve_unit_errors, syndromes)
 from oracles import (FieldDomain, RingDomain, all_error_patterns, key_pair_from_locator,
                      locate_by_scan, locator_from_error, random_error, resolve_by_scan,
@@ -33,7 +34,7 @@ def test_residue_locator_single_and_double():
     code = build_code(15, 2)
     ring = code.ring
     field = FieldDomain(code.field())
-    x = code.alpha_pow(6)
+    x = alpha_pow(code, 6)
     # single error: g = 1 - x y, h = 1
     pair = PairVector([ring.one, -x], [ring.one])
     mu = residue_locator(ring, pair)
@@ -52,8 +53,8 @@ def test_locate_error_positions_examples():
     assert locate_error_positions([1], code) == (set(), set())
 
     # singles at 4 and 13
-    mu = poly_mul(field, [1, code.alpha_pow(4).a],
-                  [1, code.alpha_pow(13).a])
+    mu = poly_mul(field, [1, alpha_pow(code, 4).a],
+                  [1, alpha_pow(code, 13).a])
     assert locate_error_positions(mu, code) == (set(), {4, 13})
 
     # constructed double at position 5
@@ -125,6 +126,40 @@ def test_decode_every_pattern_within_radius(n, t, count):
     assert elapsed < 60, f"{count} decodes took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize("n, t", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3),
+                                  (9, 1), (15, 1), (21, 1), (31, 1)])
+def test_decode_is_exact_bounded_distance_on_every_coset(n, t):
+    """decode succeeds on exactly the words within Lee distance t of the
+    code, and then returns the error of Lee weight <= t.
+
+    Pass one reads only S(w), pass two only S(w) - S(2 e_D) for the
+    doubled positions D it found, and the final check only S(w) - S(e)
+    and the Lee weight of e.  So success, error and reason depend on the
+    coset w + C alone, and one word per coset decides them all.  The
+    words that are zero on the first k positions are such a set: a
+    codeword c zero there is x^k r with r = x^-k c in <g> of degree
+    below deg g, and a multiple of the monic g of that degree is 0.  So
+    they are 4^(n-k) words in distinct cosets, one per coset.
+    """
+    code = build_code(n, t)
+
+    def keys(words):  # the syndromes of the words, one bytes key each
+        synd = (np.array(words, dtype=np.float64) @ code.syndrome_matrix).astype(np.int64) & 3
+        return [row.tobytes() for row in synd]
+
+    patterns = all_error_patterns(n, t)
+    by_syndrome = dict(zip(keys(patterns), patterns))
+    assert len(by_syndrome) == len(patterns), "two patterns share a syndrome"
+    words = [[0] * code.k + list(tail)
+             for tail in itertools.product(range(4), repeat=n - code.k)]
+    disagreements = []
+    for word, key in zip(words, keys(words)):
+        err, out = by_syndrome.get(key), decode(word, code)
+        if out.success != (err is not None) or (out.success and out.error != err):
+            disagreements.append((word, out.reason))
+    assert not disagreements, f"{len(disagreements)} words, first {disagreements[0]}"
+
+
 def test_decode_round_trip_t3():
     code = build_code(15, 3)
     rng = random.Random(31)
@@ -160,7 +195,7 @@ def test_decode_at_every_t():
     rng = random.Random(47)
     codes = 0
     for n in range(3, 34, 2):
-        if _order_of_two(n) > 10:
+        if _order_of_two(n) is None:
             continue
         for t in range(1, (n + 1) // 2):
             code = build_code(n, t)
@@ -244,7 +279,7 @@ def _residue_locators(code, rng):
     for _ in range(40):
         mu = [1]
         for j in rng.sample(range(code.n), rng.randint(1, 3)):
-            x = code.alpha_pow(j).a
+            x = alpha_pow(code, j).a
             for _ in range(rng.choice((1, 1, 2, 2, 3))):
                 mu = poly_mul(dom, mu, [1, x])
         if rng.random() < 0.4:
@@ -543,6 +578,9 @@ _ANY_SYMBOL = st.one_of(st.integers(0, 3), st.integers(), st.none(),
 
 @PROPERTY_SETTINGS
 @given(st.lists(_ANY_SYMBOL, max_size=20))
+# np.timedelta64 subclasses np.signedinteger, but is not a symbol
+@example(np.ones(15, dtype="timedelta64[D]"))
+@example(np.ones(15, dtype="timedelta64[ns]"))
 def test_decode_never_raises(word):
     out = decode(word, CODE_15_2)
     valid = len(word) == 15 and all(type(c) is int and 0 <= c <= 3 for c in word)

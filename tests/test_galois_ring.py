@@ -192,14 +192,14 @@ def test_no_element_of_order_four():
 
 def test_negacyclic_root_examples():
     ring = make_ring(4)
-    alpha = negacyclic_root(ring, 15)
+    alpha = ring.from_pair(*negacyclic_root(ring, 15))
     assert alpha ** 15 == -ring.one
     assert alpha ** 30 == ring.one
     for j in range(1, 15):
         assert alpha ** j not in (ring.one, -ring.one)
 
     r2 = make_ring(2)
-    alpha = negacyclic_root(r2, 3)
+    alpha = r2.from_pair(*negacyclic_root(r2, 3))
     beta = -alpha
     assert multiplicative_order(beta) == 3
     assert alpha ** 3 == -r2.one

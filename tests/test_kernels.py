@@ -3,7 +3,7 @@ object-based oracles they replaced: equal coefficients, bases, shapes,
 normalized pairs, positions, error words, failures and trace records.
 Most tests go through the RingElement boundary of tests/objects.py; the
 last ones convert explicitly and check that a decode, traced or not,
-builds no ring element at all."""
+builds no ring element at all, nor does construction or output."""
 
 import random
 
@@ -16,7 +16,7 @@ from oracles import (FieldDomain, RingDomain, key_series_by_objects, locate_by_s
                      locator_by_objects, minimal_regular_by_objects, odd_ratio_by_objects,
                      random_error, resolve_by_scan, series_inverse as series_inverse_by_domain,
                      solve_by_objects, syndromes_by_loop)
-from z4negacyclic import decoder, galois_ring, keyeq, solver
+from z4negacyclic import cli, decoder, galois_ring, golden, keyeq, solver
 from z4negacyclic.galois_ring import GaloisRing, RingElement, make_ring
 from z4negacyclic.negacyclic import build_code, encode
 from z4negacyclic.solver import SolutionNotFound
@@ -60,9 +60,9 @@ def test_kernels_match_objects_on_random_series():
 
             t = rng.randrange(7)
             synd = [_random_element(ring, rng) for _ in range(t)]
-            u = odd_ratio_coefficients(ring, synd, t)
-            assert u == odd_ratio_by_objects(synd, t)
-            assert key_series(ring, u, t) == key_series_by_objects(u, t)
+            u = odd_ratio_coefficients(ring, synd)
+            assert u == odd_ratio_by_objects(synd)
+            assert key_series(ring, u) == key_series_by_objects(ring, u)
 
             unit = ring.element([1] + [rng.randrange(4) for _ in range(m - 1)])
             f = [unit] + series
@@ -81,19 +81,17 @@ def test_kernels_match_objects_on_key_series(n, t):
         err = random_error(rng, n, rng.randint(1, t + 2))
         for e in (err, [0 if v == 2 else v for v in err]):
             synd = syndromes(e, code)
-            u = odd_ratio_coefficients(ring, synd, t)
-            assert u == odd_ratio_by_objects(synd, t)
-            tail = key_series(ring, u, t)
-            assert tail == key_series_by_objects(u, t)
-            _assert_solver_matches(ring, [ring.one] + tail, t + 1, t)
+            u = odd_ratio_coefficients(ring, synd)
+            assert u == odd_ratio_by_objects(synd)
+            series = key_series(ring, u)
+            assert series == key_series_by_objects(ring, u)
+            _assert_solver_matches(ring, series, t + 1, t)
 
 
 def test_kernels_without_syndromes():
     ring = make_ring(2)
-    assert odd_ratio_coefficients(ring, [], 0) == [] == odd_ratio_by_objects([], 0)
-    assert key_series(ring, [], 0) == []
-    with pytest.raises(ValueError, match="expected 2 syndromes"):
-        odd_ratio_coefficients(ring, [ring.one], 2)
+    assert odd_ratio_coefficients(ring, []) == [] == odd_ratio_by_objects([])
+    assert key_series(ring, []) == [ring.one] == key_series_by_objects(ring, [])
 
 
 def test_solver_kernel_on_the_zero_series():
@@ -175,11 +173,10 @@ def test_int_list_stages_match_object_oracles(n, t):
         synd = keyeq.syndromes(word, code)
         assert elements(ring, synd) == syndromes_by_loop(word, code)
         for pass_no in (1, 2):
-            u = keyeq.odd_ratio_coefficients(ring, synd, t)
-            assert elements(ring, u) == odd_ratio_by_objects(elements(ring, synd), t)
-            tail = keyeq.key_series(ring, u, t)
-            assert elements(ring, tail) == key_series_by_objects(elements(ring, u), t)
-            series = ([1] + tail[0], [0] + tail[1])
+            u = keyeq.odd_ratio_coefficients(ring, synd)
+            assert elements(ring, u) == odd_ratio_by_objects(elements(ring, synd))
+            series = keyeq.key_series(ring, u)
+            assert elements(ring, series) == key_series_by_objects(ring, elements(ring, u))
             basis = solver.solve_by_approximations(ring, series, t + 1)
             expected = solve_by_objects(ring, elements(ring, series), t + 1)
             assert basis_elements(ring, basis) == expected
@@ -255,3 +252,25 @@ def test_traced_decode_builds_no_ring_element(n, t, monkeypatch):
     assert got == expected
     assert {o.success for o in got} == {True, False}
     assert any("sigma_pass2" in o.trace for o in got)
+
+
+def test_construction_and_output_build_no_ring_element(monkeypatch, capsys):
+    """alpha and every table of a code are pairs from the start: with the
+    rings built beforehand and every way to build a RingElement made to
+    raise, build_code, code-info and the quick reference checks return
+    what they return with them in place."""
+    params = [(9, 1), (15, 2), (31, 5), (63, 4), (255, 4)]
+
+    def run():
+        codes = [build_code(n, t) for n, t in params]
+        tables = [(c.generator, c.k, c.alpha, c.alpha_inv_pairs, c.syndrome_matrix.tolist(),
+                   c.residue_logs.tolist(), c.field_exp.tolist()) for c in codes]
+        for n, t in params:
+            for flags in ([], ["--json"]):
+                assert cli.main(flags + ["code-info", "-n", str(n), "-t", str(t)]) == 0
+        return tables, capsys.readouterr(), golden.run_all(quick=True)
+
+    expected = run()  # builds every ring the second run needs
+    _refuse_ring_elements(monkeypatch, build_code(15, 2))
+    assert run() == expected
+    assert all(ok for _, ok, _, _ in expected[2])

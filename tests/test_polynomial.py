@@ -106,8 +106,8 @@ def test_even_odd_split_properties():
 
 def test_series_inverse_examples():
     assert series_inverse(Z4, [1, 1], 4) == [1, 3, 1, 3]
-    assert series_inverse(Z4, [1], 6) == [1]
-    assert series_inverse(Z4, [1, 2], 3) == [1, 2]
+    assert series_inverse(Z4, [1], 6) == [1, 0, 0, 0, 0, 0]
+    assert series_inverse(Z4, [1, 2], 3) == [1, 2, 0]
     with pytest.raises(ValueError):
         series_inverse(Z4, [2, 1], 3)
 
@@ -120,6 +120,7 @@ def test_series_inverse_property():
             f = [ring.one] + rand_poly(rng, ring, rng.randrange(4))
             n = rng.randrange(1, 8)
             h = series_inverse(RingDomain(ring), f, n)
+            assert len(h) == n
             prod = poly_mul(RingDomain(ring), f, h)
             assert poly_strip(prod[:n]) == [ring.one]
 

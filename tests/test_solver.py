@@ -154,7 +154,7 @@ def test_carried_shape_matches_rescan():
             err = random_error(rng, n, rng.randint(1, t + 2))
             for e in (err, [0 if v == 2 else v for v in err]):
                 synd = syndromes(e, code)
-                series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, t), t)
+                series = key_series(ring, odd_ratio_coefficients(ring, synd))
                 _assert_carried_shape_matches_rescan(
                     ring, solve_by_approximations(ring, series, t + 1))
 
@@ -248,8 +248,7 @@ def test_minimal_regular_decode_example():
     code = build_code(15, 2)
     ring = code.ring
     word = [3, 1, 3, 0, 2, 3, 2, 2, 1, 0, 1, 0, 0, 3, 0]
-    u = odd_ratio_coefficients(ring, syndromes(word, code), 2)
-    series = [ring.one] + key_series(ring, u, 2)
+    series = key_series(ring, odd_ratio_coefficients(ring, syndromes(word, code)))
     basis = solve_by_approximations(ring, series, 3)
     assert select_minimal_regular(basis) == PairVector(
         [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
@@ -277,7 +276,7 @@ def test_solution_residue_matches_locator_pair():
         for _ in range(150):
             err = random_error(rng, code.n, rng.randint(1, t))
             synd = syndromes(err, code)
-            series = [ring.one] + key_series(ring, odd_ratio_coefficients(ring, synd, t), t)
+            series = key_series(ring, odd_ratio_coefficients(ring, synd))
             basis = solve_by_approximations(ring, series, t + 1)
             pair = minimal_regular(ring, basis, t)
             phi, omega = key_pair_from_locator(locator_from_error(code, err))
