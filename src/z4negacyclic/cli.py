@@ -82,7 +82,7 @@ def cmd_decode(args) -> int:
 
 def cmd_min_distance(args) -> int:
     code = build_code(args.n, args.t)
-    dist = min_distance_exhaustive(code, max_rank=args.max_rank)
+    dist = min_distance_exhaustive(code)
     _emit(args, {"min_distance": dist}, str(dist))
     return 0
 
@@ -107,18 +107,23 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.weight <= code.n:
         raise ValueError(f"--weight must be in 0..{code.n}; got {args.weight}")
     rng = random.Random(args.seed)
-    ok = 0
+    ok = failures = 0
     for _ in range(args.trials):
         msg = [rng.randrange(4) for _ in range(code.k)]
         codeword = encode(msg, code)
         error = _random_error(rng, code.n, args.weight)
         received = [(c + e) % 4 for c, e in zip(codeword, error)]
         outcome = decode(received, code)
-        if outcome.success and outcome.codeword == codeword:
+        if not outcome.success:
+            failures += 1
+        elif outcome.codeword == codeword:
             ok += 1
-    payload = {"trials": args.trials, "successes": ok,
-               "weight": args.weight, "seed": args.seed}
-    _emit(args, payload, f"{ok}/{args.trials} decoded exactly "
+    # a success with another codeword than the one sent
+    miscorrections = args.trials - ok - failures
+    payload = {"trials": args.trials, "successes": ok, "failures": failures,
+               "miscorrections": miscorrections, "weight": args.weight, "seed": args.seed}
+    _emit(args, payload, f"{ok}/{args.trials} decoded exactly, {failures} failed, "
+                         f"{miscorrections} miscorrected "
                          f"(error weight {args.weight}, seed {args.seed})")
     return 0
 
@@ -161,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="include the diagnostic trace")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("min-distance", help="exhaustive minimum Lee distance")
+    p = sub.add_parser("min-distance",
+                       help=f"exhaustive minimum Lee distance, for ranks up to {MAX_SCAN_RANK}")
     _add_code_args(p)
-    p.add_argument("--max-rank", type=int, default=MAX_SCAN_RANK,
-                   help="refuse scans beyond 4^max_rank codewords")
     p.set_defaults(func=cmd_min_distance)
 
     p = sub.add_parser("simulate", help="random decode trials at a fixed error weight")

@@ -11,8 +11,10 @@ alpha^(n-j) separate the errors +1 and -1.
 Every stage boundary carries int lists: a polynomial or sequence over
 GR(4,m) is its two lists (a, b) of GF(2^m) ints (see keyeq), one over
 the residue field K = GF(2^m) a single list, and each stage reads t
-as the length of its input.  The trace strings are printed from those
-lists too, by GaloisRing.pair_strs, so a decode builds no ring element.
+from its input: the number of syndromes, the t + 1 terms of the key
+series, and the shape of the solver's basis (see minimal_regular).
+The trace strings are printed from those lists too, by
+GaloisRing.pair_strs, so a decode builds no ring element.
 
 The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, applying the +-1 errors (returned as
@@ -260,11 +262,10 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
 
 def _solve_pass(ring, synd: tuple[list, list],
                 trace_log: list | None = None) -> tuple[PairVector, tuple, tuple]:
-    t = len(synd[0])
     u = odd_ratio_coefficients(ring, synd)
     series = key_series(ring, u)
-    basis = solve_by_approximations(ring, series, t + 1, trace_log=trace_log)
-    return minimal_regular(ring, basis, t), u, series
+    basis = solve_by_approximations(ring, series, trace_log=trace_log)
+    return minimal_regular(ring, basis), u, series
 
 
 def _nonzero(synd: tuple[list, list]) -> bool:

@@ -11,7 +11,7 @@ are always units here.  The series 1 + T with T(z^2) = (1+z u)^-1 - 1
 then feeds the solver: solutions [a, b] of a (1+T) = b mod z^(t+1)
 recover the even/odd split of sigma.  Each stage reads t as the length
 of its input, and key_series returns 1 + T itself, its t + 1 terms
-being the solver's input.
+being the solver's input and fixing its precision.
 
 Every sequence over GR(4,m) here, syndromes and polynomials alike, is
 held as its two int lists (a, b): entry i is the element
@@ -113,8 +113,8 @@ def odd_ratio_coefficients(ring, synd: tuple[list, list]) -> tuple[list, list]:
     return ua, ub
 
 
-def series_inverse(ring, f: tuple[list, list], order: int) -> tuple[list, list]:
-    """The order terms of h with f*h = 1 mod z^order over GR(4,m), the
+def series_inverse(ring, f: tuple[list, list]) -> tuple[list, list]:
+    """The len(f) terms of h with f*h = 1 mod z^len(f) over GR(4,m), the
     last ones possibly zero; f and h are (a, b) lists.
 
     The coefficient recurrence h_0 = f_0^-1, h_k = -f_0^-1 sum_(i>=1)
@@ -131,9 +131,9 @@ def series_inverse(ring, f: tuple[list, list], order: int) -> tuple[list, list]:
     lia, lib = log[ia], log[ib]
     ha, hb = [ia], [ib]
     h_la, h_lb = [lia], [lib]
-    for k in range(1, order):
+    for k in range(1, len(fa)):
         xa = xb = 0
-        for i in range(1, min(k, len(fa) - 1) + 1):
+        for i in range(1, k + 1):
             l1a, l2a = f_la[i], h_la[k - i]
             ya = exp[l1a + l2a]
             yb = exp[l1a + h_lb[k - i]] ^ exp[f_lb[i] + l2a]
@@ -153,8 +153,8 @@ def key_series(ring, u: tuple[list, list]) -> tuple[list, list]:
     from the (a, b) lists of u_1, u_3, ..., u_(2t-1), as (a, b) lists.
 
     z u(z) only has even-degree terms, so the inversion happens on the
-    polynomial in y = z^2 whose y^j coefficient is u_(2j-1), truncated
-    at order t+1.
+    polynomial in y = z^2 whose y^j coefficient is u_(2j-1), whose t + 1
+    terms give the order of the inverse.
     """
     ua, ub = u
-    return series_inverse(ring, ([1] + ua, [0] + ub), len(ua) + 1)  # 1 + u_1 y + u_3 y^2 + ...
+    return series_inverse(ring, ([1] + ua, [0] + ub))  # 1 + u_1 y + u_3 y^2 + ...

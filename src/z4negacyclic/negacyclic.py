@@ -185,17 +185,17 @@ def lambda_map(f: list[int], n: int) -> list[int]:
     return poly_strip([(c if i % 2 == 0 else -c) % 4 for i, c in enumerate(f)])
 
 
-def min_distance_exhaustive(code: Code, max_rank: int = MAX_SCAN_RANK) -> int:
+def min_distance_exhaustive(code: Code) -> int:
     """Minimum Lee weight over all 4^k nonzero codewords, by full enumeration.
 
     Message blocks are scanned in lexicographic chunks (vectorized);
     the result is the true minimum, with no early exit.  Refuses codes
-    with k above max_rank to keep the scan at desk scale.
+    with k above MAX_SCAN_RANK to keep the scan at desk scale.
     """
     k, n = code.k, code.n
-    if k > max_rank:
+    if k > MAX_SCAN_RANK:
         raise ValueError(
-            f"rank {k} exceeds the enumeration bound {max_rank} (4^{k} codewords)")
+            f"rank {k} exceeds the enumeration bound {MAX_SCAN_RANK} (4^{k} codewords)")
     gen = np.zeros((k, n), dtype=np.int16)
     g = np.array(code.generator, dtype=np.int16)
     for i in range(k):

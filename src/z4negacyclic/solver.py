@@ -1,14 +1,15 @@
 """Groebner-basis solver for the key equation over R[z]^2.
 
-The solution module M = {[a,b] : a U = b mod z^r} is approximated one
-precision level at a time: starting from a basis of M^(0), each round
-computes the k-th discrepancy of every tracked element and repairs it
-by cancellation against a strictly smaller element (when the
-discrepancy divides) or by multiplication with z.  Four elements are
-tracked, one per leading-monomial shape [z^i,0], [2z^j,0], [0,z^r],
-[0,2z^s]; the update rules preserve each element's leading monomial,
-so the shapes (and leading coefficients 1, 2, 1, 2) persist, and the
-solver carries the four leading terms instead of rescanning them.
+The solution module M = {[a,b] : a U = b mod z^p}, p the number of
+terms of the series U, is approximated one precision level at a time:
+starting from a basis of M^(0), each round computes the k-th
+discrepancy of every tracked element and repairs it by cancellation
+against a strictly smaller element (when the discrepancy divides) or
+by multiplication with z.  Four elements are tracked, one per
+leading-monomial shape [z^i,0], [2z^j,0], [0,z^r], [0,2z^s]; the
+update rules preserve each element's leading monomial, so the shapes
+(and leading coefficients 1, 2, 1, 2) persist, and the solver carries
+the four leading terms instead of rescanning them.
 
 Round 0 sees only the constant term of the series.  When that is 1,
 as for every series the decoder builds, the round is the same every
@@ -79,10 +80,10 @@ class GroebnerBasis:
         return (self.unit_left, self.two_left, self.unit_right, self.two_right)
 
 
-def solve_by_approximations(ring, series: tuple[list, list], precision: int,
+def solve_by_approximations(ring, series: tuple[list, list],
                             trace_log: list | None = None) -> GroebnerBasis:
-    """Groebner basis of {[a,b] in R[z]^2 : a * series = b mod z^precision},
-    for the series as (a, b) lists.
+    """Groebner basis of {[a,b] in R[z]^2 : a * series = b mod z^p},
+    for the series as (a, b) lists and p its number of terms.
 
     Per round k, the discrepancy of [f,g] is the k-th coefficient of
     f*series - g.  A nonzero discrepancy is repaired against the
@@ -92,16 +93,15 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
     within a round always use the round's starting basis.  On equal
     leading terms the unit-led element (slot 0 or 2) comes first.
     """
-    if precision < 1:
-        raise ValueError("precision must be at least 1")
+    precision = len(series[0])
+    if not precision:
+        raise ValueError("the series needs at least one term")
     log, exp, hlog, q = ring._log, ring._exp, ring._hlog, ring._field.order
     corr = ring._corr
-    # the series' logs to precision terms (a missing term is zero, of log
-    # 2q), last first: coefficient k of f*series pairs f_0, f_1, ... with
-    # the entries from precision - 1 - k on
-    pad = [2 * q] * (precision - len(series[0]))
-    r_la = ([log[a] for a in series[0]] + pad)[precision - 1::-1]
-    r_lb = ([log[b] for b in series[1]] + pad)[precision - 1::-1]
+    # the series' logs, last first: coefficient k of f*series pairs
+    # f_0, f_1, ... with the entries from precision - 1 - k on
+    r_la = [log[a] for a in series[0]][::-1]
+    r_lb = [log[b] for b in series[1]][::-1]
     # slot k holds [f, g] as the (a, b) lists fa[k], fb[k], ga[k], gb[k]:
     # [1, 0], [2, 0], [0, 1], [0, 2]
     fa, fb = [[1], [0], [], []], [[0], [1], [], []]
@@ -118,7 +118,7 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
     za, zb = [0, 0, 1, 0], [0, 0, 1, 1]
     carried = [False, False, True, True]
     start = 0
-    if series[0][:1] == [1] and not any(series[1][:1]):
+    if series[0][0] == 1 and not series[1][0]:
         # round 0 sees only the constant term: discrepancies 1, 2, -1, -2;
         # the left slots have no smaller element and shift, carrying 1
         # and 2, the right ones cancel against [1, 0] by the factors -1, 2
@@ -205,7 +205,8 @@ def solve_by_approximations(ring, series: tuple[list, list], precision: int,
             assert new_fa[s] or new_ga[s]
         fa, fb, ga, gb, lead = new_fa, new_fb, new_ga, new_gb, new_lead
     i, j, r, s = (t >> 1 for t in lead)
-    assert i >= j and r >= s, f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s"
+    assert i >= j and r >= s and i + j + r + s == 2 * precision, (
+        f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s or i+j+r+s = {2 * precision}")
     return GroebnerBasis(*(PairVector((fa[k], fb[k]), (ga[k], gb[k])) for k in range(4)),
                          shape=(i, j, r, s))
 
@@ -230,13 +231,20 @@ def select_minimal_regular(basis: GroebnerBasis) -> PairVector:
     return basis.unit_right if r < i else basis.unit_left
 
 
-def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
+def minimal_regular(ring, basis: GroebnerBasis) -> PairVector:
     """The normalized locator pair, or SolutionNotFound past capability.
 
     Selects the minimal regular basis element, enforces the degree
     constraints 2 deg a <= t+1, 2 deg b <= t, and scales by a(0)^-1 so
     that a(0) = b(0) = 1.  The pair's components are (a, b) lists.
+
+    t + 1 is the precision p the basis was solved to, and i + j + r + s
+    = 2p for its shape: (a, b) -> a U - b mod z^p maps R[z]^2 onto
+    R[z]/z^p with kernel M, so R[z]^2/M has |R|^p = 2^(2mp) elements,
+    and the standard monomials outside the leading terms [z^i,0],
+    [2z^j,0], [0,z^r], [0,2z^s] number 2^(m(i+j+r+s)).
     """
+    t = sum(basis.shape) // 2 - 1
     (aa, ab), (ba, bb) = select_minimal_regular(basis)
     if 2 * (len(aa) - 1) > t + 1 or 2 * (len(ba) - 1) > t:
         raise SolutionNotFound(

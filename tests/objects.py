@@ -10,6 +10,9 @@ int-list stages through these, unchanged.  from_str reads an element
 back from the digit string that GaloisRing.pair_str prints, gen
 gives the element [x] of a ring, and alpha_pow the element alpha^j of
 a code, whose alpha is a pair.
+The solver and series_inverse read their precision as the length of
+their series; to_precision truncates or zero-pads a series to a given
+precision.
 resolve_unit_errors returns only the positions and values of the +-1
 errors; dense_unit_errors spreads them into the error word that the
 oracles compare.
@@ -79,19 +82,23 @@ def key_series(ring, u: list) -> list:
     return elements(ring, keyeq.key_series(ring, int_lists(u)))
 
 
-def series_inverse(ring, f: list, order: int) -> list:
-    return elements(ring, keyeq.series_inverse(ring, int_lists(f), order))
+def series_inverse(ring, f: list) -> list:
+    return elements(ring, keyeq.series_inverse(ring, int_lists(f)))
 
 
-def solve_by_approximations(ring, series: list, precision: int,
-                            trace_log: list | None = None) -> GroebnerBasis:
-    basis = solver.solve_by_approximations(ring, int_lists(series), precision,
-                                           trace_log=trace_log)
+def solve_by_approximations(ring, series: list, trace_log: list | None = None) -> GroebnerBasis:
+    basis = solver.solve_by_approximations(ring, int_lists(series), trace_log=trace_log)
     return basis_elements(ring, basis)
 
 
-def minimal_regular(ring, basis: GroebnerBasis, t: int) -> PairVector:
-    return pair_elements(ring, solver.minimal_regular(ring, basis_ints(basis), t))
+def minimal_regular(ring, basis: GroebnerBasis) -> PairVector:
+    return pair_elements(ring, solver.minimal_regular(ring, basis_ints(basis)))
+
+
+def to_precision(ring, series: list, precision: int) -> list:
+    """The first precision terms of series, a missing term zero: the
+    series the solver reads at that precision."""
+    return (list(series) + [ring.zero] * precision)[:precision]
 
 
 def locator_from_pair(ring, g: list, h: list) -> list:

@@ -7,7 +7,7 @@ import random
 import time
 
 from objects import (gen, key_series, odd_ratio_coefficients, solve_by_approximations,
-                     syndromes)
+                     syndromes, to_precision)
 from oracles import (RingDomain, all_codewords, all_error_patterns, derivative, frobenius,
                      key_pair_from_locator, leading, lm_divides, locator_from_error,
                      module_members, poly_add, poly_shift, poly_sub, power_sums, random_error,
@@ -76,7 +76,7 @@ def test_criterion_2_table_n31():
 def test_criterion_3_solver_reference_run():
     ring = make_ring(2)
     a = gen(ring)
-    basis = solve_by_approximations(ring, [ring.one, a * 3 + 3], 2)
+    basis = solve_by_approximations(ring, [ring.one, a * 3 + 3])
     expected = (
         PairVector([a * 3, ring.one], [a * 3]),          # [z+3a, 3a]
         PairVector([a * 2, ring.two], [a * 2]),          # [2z+2a, 2a]
@@ -99,7 +99,7 @@ def test_criterion_4_decode_reference_run():
     ok = ok and series == [ring.one, ring.element([2, 3, 1, 3]),
                            ring.element([0, 1, 1, 2])]
 
-    basis = solve_by_approximations(ring, series, 3)
+    basis = solve_by_approximations(ring, series)
     pair = select_minimal_regular(basis)
     ok = ok and pair == PairVector(
         [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
@@ -192,7 +192,7 @@ def test_criterion_6_property_suites():
         precision = rng.randrange(1, 5)
         series = poly_strip([ring.element([rng.randrange(4), rng.randrange(4)])
                              for _ in range(rng.randrange(1, precision + 2))])
-        basis = solve_by_approximations(ring, series, precision)
+        basis = solve_by_approximations(ring, to_precision(ring, series, precision))
         basis_lms = [leading(el) for el in basis.elements()]
         deg_limit = min(1, precision - 1) if cases % 5 else min(2, precision - 1)
         for a, b in module_members(ring, series, precision, deg_limit):

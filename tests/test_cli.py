@@ -102,6 +102,48 @@ def test_min_distance(capsys):
     assert out.strip() == "10"
 
 
+def test_min_distance_refuses_a_rank_past_the_scan_bound(capsys):
+    # (63,1) has rank 57: a 4^57 scan is refused at once, not started
+    code, out, err = run(capsys, "min-distance", "-n", "63", "-t", "1")
+    assert code == 2
+    assert out == ""
+    assert "rank 57 exceeds the enumeration bound 12" in err
+    assert "Traceback" not in err
+
+
+def test_min_distance_has_no_rank_option(capsys):
+    # a bound raised past 12 used to start that scan
+    with pytest.raises(SystemExit) as exc:
+        main(["min-distance", "-n", "63", "-t", "1", "--max-rank", "100"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "unrecognized arguments: --max-rank 100" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_counts_failures_and_miscorrections(capsys):
+    code, out, _ = run(capsys, "--json", "simulate", "-n", "15", "-t", "2",
+                       "--weight", "2", "--trials", "200", "--seed", "1")
+    result = json.loads(out)
+    assert code == 0
+    assert (result["successes"], result["failures"], result["miscorrections"]) == (200, 0, 0)
+
+    # past the radius a decode fails or, now and then, lands on another codeword
+    code, out, _ = run(capsys, "--json", "simulate", "-n", "15", "-t", "2",
+                       "--weight", "3", "--trials", "400", "--seed", "1")
+    result = json.loads(out)
+    assert code == 0
+    assert result["successes"] + result["failures"] + result["miscorrections"] == 400
+    assert result["miscorrections"] > 0
+
+    code, out, _ = run(capsys, "simulate", "-n", "15", "-t", "2",
+                       "--weight", "3", "--trials", "400", "--seed", "1")
+    assert out.startswith(f"{result['successes']}/400 decoded exactly, "
+                          f"{result['failures']} failed, "
+                          f"{result['miscorrections']} miscorrected")
+
+
 def test_simulate_guaranteed_weights(capsys):
     code, out, _ = run(capsys, "simulate", "-n", "15", "-t", "2",
                        "--weight", "2", "--trials", "1000", "--seed", "1")

@@ -208,6 +208,19 @@ def test_decode_at_every_t():
     assert codes == 71
 
 
+@pytest.mark.parametrize("n, t", [(63, 31), (127, 63), (255, 127), (1023, 128)])
+def test_decode_at_large_t(n, t):
+    """Past the n <= 33 sweep: codes with t up to (n - 1) / 2 and t past
+    100 decode seeded words at Lee weight exactly t to the codeword sent."""
+    code = build_code(n, t)
+    rng = random.Random(48 + n)
+    for _ in range(20):
+        codeword = encode([rng.randrange(4) for _ in range(code.k)], code)
+        err = random_error(rng, n, t)
+        out = decode([(c + e) % 4 for c, e in zip(codeword, err)], code)
+        assert out.success and out.codeword == codeword, (n, t, out.reason)
+
+
 def test_pass_one_singles_match_support_without_doubles():
     code = build_code(15, 3)
     rng = random.Random(32)

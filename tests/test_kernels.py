@@ -11,7 +11,7 @@ import pytest
 
 from objects import (basis_elements, dense_unit_errors, elements, gen, key_series,
                      minimal_regular, odd_ratio_coefficients, pair_elements, series_inverse,
-                     solve_by_approximations, syndromes)
+                     solve_by_approximations, syndromes, to_precision)
 from oracles import (FieldDomain, RingDomain, key_series_by_objects, locate_by_scan,
                      locator_by_objects, minimal_regular_by_objects, odd_ratio_by_objects,
                      random_error, resolve_by_scan, series_inverse as series_inverse_by_domain,
@@ -37,16 +37,20 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _assert_solver_matches(ring, series, precision, t):
+def _assert_solver_matches(ring, series, precision):
+    """The solver on the series cut or padded to precision terms against
+    the object solver on the series at that precision, and the
+    normalized pairs at t = precision - 1."""
     rounds, expected_rounds = [], []
-    basis = solve_by_approximations(ring, series, precision, trace_log=rounds)
+    cut = to_precision(ring, series, precision)
+    basis = solve_by_approximations(ring, cut, trace_log=rounds)
     expected = solve_by_objects(ring, series, precision, trace_log=expected_rounds)
     assert basis.elements() == expected.elements()
     assert basis.shape == expected.shape
     assert rounds == expected_rounds
-    assert solve_by_approximations(ring, series, precision).elements() == expected.elements()
-    assert (_outcome(minimal_regular, ring, basis, t)
-            == _outcome(minimal_regular_by_objects, ring, expected, t))
+    assert solve_by_approximations(ring, cut).elements() == expected.elements()
+    assert (_outcome(minimal_regular, ring, basis)
+            == _outcome(minimal_regular_by_objects, ring, expected, precision - 1))
 
 
 def test_kernels_match_objects_on_random_series():
@@ -56,7 +60,7 @@ def test_kernels_match_objects_on_random_series():
         for _ in range(200):
             precision = rng.randrange(1, 7)
             series = [_random_element(ring, rng) for _ in range(rng.randrange(precision + 2))]
-            _assert_solver_matches(ring, series, precision, precision - 1)
+            _assert_solver_matches(ring, series, precision)
 
             t = rng.randrange(7)
             synd = [_random_element(ring, rng) for _ in range(t)]
@@ -67,7 +71,7 @@ def test_kernels_match_objects_on_random_series():
             unit = ring.element([1] + [rng.randrange(4) for _ in range(m - 1)])
             f = [unit] + series
             order = rng.randrange(1, 8)
-            assert (series_inverse(ring, f, order)
+            assert (series_inverse(ring, to_precision(ring, f, order))
                     == series_inverse_by_domain(RingDomain(ring), f, order))
 
 
@@ -85,7 +89,7 @@ def test_kernels_match_objects_on_key_series(n, t):
             assert u == odd_ratio_by_objects(synd)
             series = key_series(ring, u)
             assert series == key_series_by_objects(ring, u)
-            _assert_solver_matches(ring, series, t + 1, t)
+            _assert_solver_matches(ring, series, t + 1)
 
 
 def test_kernels_without_syndromes():
@@ -97,7 +101,7 @@ def test_kernels_without_syndromes():
 def test_solver_kernel_on_the_zero_series():
     ring = make_ring(3)
     for precision in range(1, 5):
-        _assert_solver_matches(ring, [], precision, precision - 1)
+        _assert_solver_matches(ring, [], precision)
 
 
 def test_solver_fixed_first_round_matches_objects():
@@ -111,13 +115,12 @@ def test_solver_fixed_first_round_matches_objects():
         for _ in range(60):
             precision = rng.randrange(1, 7)
             tail = [_random_element(ring, rng) for _ in range(rng.randrange(precision + 2))]
-            _assert_solver_matches(ring, [ring.one] + tail, precision, precision - 1)
-            _assert_solver_matches(ring, [rng.choice(heads)] + tail, precision, precision - 1)
+            _assert_solver_matches(ring, [ring.one] + tail, precision)
+            _assert_solver_matches(ring, [rng.choice(heads)] + tail, precision)
         for precision in (1, 2, 5):
-            _assert_solver_matches(ring, [], precision, precision - 1)
-            _assert_solver_matches(ring, [ring.one], precision, precision - 1)
-            _assert_solver_matches(ring, [ring.one, ring.zero, ring.two], precision,
-                                   precision - 1)
+            _assert_solver_matches(ring, [], precision)
+            _assert_solver_matches(ring, [ring.one], precision)
+            _assert_solver_matches(ring, [ring.one, ring.zero, ring.two], precision)
 
 
 def test_solver_kernel_on_zero_divisor_cancellations():
@@ -128,17 +131,18 @@ def test_solver_kernel_on_zero_divisor_cancellations():
         ([ring.two, ring.element([0, 3])], 3),
         ([ring.element([2, 2]), ring.two, ring.element([0, 2])], 5),
     ):
-        _assert_solver_matches(ring, series, precision, precision - 1)
+        _assert_solver_matches(ring, series, precision)
 
 
 def test_series_inverse_kernel_needs_a_unit_constant_term():
     ring = make_ring(3)
     for f in ([], [ring.zero], [ring.two, ring.one], [ring.element([2, 0, 2]), ring.one]):
         with pytest.raises(ValueError, match="unit constant term"):
-            series_inverse(ring, f, 3)
+            series_inverse(ring, to_precision(ring, f, 3))
     # a unit constant term other than 1, and an order past the length
     f = [ring.element([3, 2, 1]), ring.element([2, 1, 1])]
-    assert series_inverse(ring, f, 6) == series_inverse_by_domain(RingDomain(ring), f, 6)
+    assert (series_inverse(ring, to_precision(ring, f, 6))
+            == series_inverse_by_domain(RingDomain(ring), f, 6))
 
 
 def _seeded_words(code, rng, count):
@@ -177,10 +181,10 @@ def test_int_list_stages_match_object_oracles(n, t):
             assert elements(ring, u) == odd_ratio_by_objects(elements(ring, synd))
             series = keyeq.key_series(ring, u)
             assert elements(ring, series) == key_series_by_objects(ring, elements(ring, u))
-            basis = solver.solve_by_approximations(ring, series, t + 1)
+            basis = solver.solve_by_approximations(ring, series)
             expected = solve_by_objects(ring, elements(ring, series), t + 1)
             assert basis_elements(ring, basis) == expected
-            pair = _caught(solver.minimal_regular, ring, basis, t)
+            pair = _caught(solver.minimal_regular, ring, basis)
             expected_pair = _caught(minimal_regular_by_objects, ring, expected, t)
             if not isinstance(pair, solver.PairVector):
                 assert pair == expected_pair

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from objects import (from_str, gen, key_series, minimal_regular, odd_ratio_coefficients,
-                     solve_by_approximations, syndromes)
+                     solve_by_approximations, syndromes, to_precision)
 from oracles import (LEFT, RIGHT, RingDomain, key_pair_from_locator, leading, lm_divides,
                      locator_from_error, module_members, poly_sub, random_error,
                      select_by_scan, term_less)
+from z4negacyclic import solver
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.negacyclic import build_code
 from z4negacyclic.polynomial import poly_mul, poly_strip
@@ -59,7 +60,7 @@ def test_leading_examples():
 def test_sba_reference_run():
     ring = make_ring(2)
     a = gen(ring)
-    basis = solve_by_approximations(ring, [ring.one, a * 3 + 3], 2)
+    basis = solve_by_approximations(ring, [ring.one, a * 3 + 3])
     assert basis.elements() == (
         PairVector([a * 3, ring.one], [a * 3]),
         PairVector([a * 2, ring.two], [a * 2]),
@@ -71,7 +72,7 @@ def test_sba_reference_run():
 
 def test_sba_constant_one():
     ring = make_ring(2)
-    basis = solve_by_approximations(ring, [ring.one], 2)
+    basis = solve_by_approximations(ring, [ring.one, ring.zero])
     assert basis.unit_right == PairVector([ring.one], [ring.one])
     assert basis.two_right == PairVector([ring.two], [ring.two])
     assert basis.unit_left == PairVector([ring.zero, ring.zero, ring.one], [])
@@ -80,7 +81,7 @@ def test_sba_constant_one():
 
 def test_sba_zero_series():
     ring = make_ring(2)
-    basis = solve_by_approximations(ring, [], 1)
+    basis = solve_by_approximations(ring, [ring.zero])
     assert basis.elements() == (
         PairVector([ring.one], []),
         PairVector([ring.two], []),
@@ -98,7 +99,7 @@ def test_sba_repairs_against_smallest_candidate():
         return [from_str(ring, c) for c in text.split(";")]
 
     series = poly("1,3;0,2;0,2;3,3")
-    basis = solve_by_approximations(ring, series, 5)
+    basis = solve_by_approximations(ring, to_precision(ring, series, 5))
     assert basis.shape == (3, 3, 2, 2)
     assert basis.unit_left == PairVector(poly("3,2;2,2;2,2;1,0"), poly("1,1"))
 
@@ -106,7 +107,7 @@ def test_sba_repairs_against_smallest_candidate():
 def test_sba_rejects_zero_precision():
     ring = make_ring(2)
     with pytest.raises(ValueError):
-        solve_by_approximations(ring, [ring.one], 0)
+        solve_by_approximations(ring, [])
 
 
 def _random_series(ring, rng, deg):
@@ -120,7 +121,7 @@ def test_sba_members_and_shape():
     for _ in range(150):
         precision = rng.randrange(1, 5)
         series = _random_series(ring, rng, rng.randrange(0, precision + 1))
-        basis = solve_by_approximations(ring, series, precision)
+        basis = solve_by_approximations(ring, to_precision(ring, series, precision))
         for pair in basis.elements():
             prod = poly_mul(RingDomain(ring), pair.a, series)
             residue = poly_sub(RingDomain(ring), prod[:precision], pair.b[:precision])
@@ -128,6 +129,29 @@ def test_sba_members_and_shape():
         i, j, r, s = basis.shape
         assert i >= j and r >= s
         _assert_carried_shape_matches_rescan(ring, basis)
+
+
+def test_basis_shape_sums_to_twice_the_precision():
+    """i + j + r + s = 2p for the basis at precision p, the identity that
+    minimal_regular reads t = p - 1 from: R[z]^2/M has |R|^p elements,
+    and the standard monomials outside the four leading terms count
+    2^(m(i+j+r+s)) of them.  Random series over m = 2..5, a third of
+    their terms in 2R, with unit, non-unit and zero constant terms."""
+    rng = random.Random(27)
+    for m in (2, 3, 4, 5):
+        ring = make_ring(m)
+        q = 1 << m
+        for _ in range(100):
+            p = rng.randint(1, 8)
+            terms = [(rng.randrange(q) if rng.random() < 2 / 3 else 0, rng.randrange(q))
+                     for _ in range(p)]
+            for head in ((rng.randrange(1, q), rng.randrange(q)), (0, rng.randrange(1, q)),
+                         (0, 0)):
+                series = tuple(map(list, zip(head, *terms[1:])))
+                basis = solver.solve_by_approximations(ring, series)
+                assert sum(basis.shape) == 2 * p, (m, series, basis.shape)
+    basis = solver.solve_by_approximations(make_ring(2), ([0], [0]))
+    assert basis.shape == (0, 0, 1, 1)
 
 
 def _assert_carried_shape_matches_rescan(ring, basis):
@@ -145,7 +169,7 @@ def test_carried_shape_matches_rescan():
             precision = rng.randrange(1, 7)
             series = _random_series(ring, rng, rng.randrange(0, precision + 1))
             _assert_carried_shape_matches_rescan(
-                ring, solve_by_approximations(ring, series, precision))
+                ring, solve_by_approximations(ring, to_precision(ring, series, precision)))
     # key series of both passes: any error, and the same error without its 2s
     for n, t in ((15, 2), (15, 3), (31, 5), (63, 4)):
         code = build_code(n, t)
@@ -156,7 +180,7 @@ def test_carried_shape_matches_rescan():
                 synd = syndromes(e, code)
                 series = key_series(ring, odd_ratio_coefficients(ring, synd))
                 _assert_carried_shape_matches_rescan(
-                    ring, solve_by_approximations(ring, series, t + 1))
+                    ring, solve_by_approximations(ring, series))
 
 
 def test_sba_zero_divisor_cancellations():
@@ -169,7 +193,7 @@ def test_sba_zero_divisor_cancellations():
           ring.element([1, 1]), ring.element([0, 2])], 4),
         ([ring.two, ring.element([0, 3])], 3),
     ):
-        basis = solve_by_approximations(ring, series, precision)
+        basis = solve_by_approximations(ring, to_precision(ring, series, precision))
         for pair in basis.elements():
             prod = poly_mul(RingDomain(ring), pair.a, series)
             assert not any(poly_sub(RingDomain(ring), prod[:precision],
@@ -183,8 +207,8 @@ def test_sba_deterministic():
     rng = random.Random(21)
     for _ in range(20):
         series = _random_series(ring, rng, 3)
-        b1 = solve_by_approximations(ring, series, 4)
-        b2 = solve_by_approximations(ring, series, 4)
+        b1 = solve_by_approximations(ring, to_precision(ring, series, 4))
+        b2 = solve_by_approximations(ring, to_precision(ring, series, 4))
         assert b1.elements() == b2.elements()
 
 
@@ -197,7 +221,7 @@ def test_groebner_property_shallow():
     while cases < 40:
         precision = rng.randrange(1, 5)
         series = _random_series(ring, rng, rng.randrange(0, precision + 1))
-        basis = solve_by_approximations(ring, series, precision)
+        basis = solve_by_approximations(ring, to_precision(ring, series, precision))
         basis_lms = [leading(el) for el in basis.elements()]
         deg_limit = min(2, precision - 1)
         checked = 0
@@ -218,7 +242,7 @@ def test_groebner_property_full_degree():
     rng = random.Random(23)
     for _ in range(2):
         series = _random_series(ring, rng, 3)
-        basis = solve_by_approximations(ring, series, 4)
+        basis = solve_by_approximations(ring, to_precision(ring, series, 4))
         basis_lms = [leading(el) for el in basis.elements()]
         for a, b in module_members(ring, series, 4, 3):
             if not a and not b:
@@ -231,17 +255,17 @@ def test_minimal_regular_reference_runs():
     ring = make_ring(2)
     a = gen(ring)
     series = [ring.one, a * 3 + 3]
-    basis = solve_by_approximations(ring, series, 2)
+    basis = solve_by_approximations(ring, series)
     raw = select_minimal_regular(basis)
     assert raw == PairVector([a * 3, ring.one], [a * 3])
-    norm = minimal_regular(ring, basis, 1)
+    norm = minimal_regular(ring, basis)
     assert norm.a[0] == ring.one and norm.b == [ring.one]
     # re-substitution: a U = b mod z^2
     prod = poly_mul(RingDomain(ring), norm.a, series)
     assert not any(poly_sub(RingDomain(ring), prod[:2], norm.b)[:2])
 
-    basis = solve_by_approximations(ring, [ring.one], 2)
-    assert minimal_regular(ring, basis, 1) == PairVector([ring.one], [ring.one])
+    basis = solve_by_approximations(ring, [ring.one, ring.zero])
+    assert minimal_regular(ring, basis) == PairVector([ring.one], [ring.one])
 
 
 def test_minimal_regular_decode_example():
@@ -249,7 +273,7 @@ def test_minimal_regular_decode_example():
     ring = code.ring
     word = [3, 1, 3, 0, 2, 3, 2, 2, 1, 0, 1, 0, 0, 3, 0]
     series = key_series(ring, odd_ratio_coefficients(ring, syndromes(word, code)))
-    basis = solve_by_approximations(ring, series, 3)
+    basis = solve_by_approximations(ring, series)
     assert select_minimal_regular(basis) == PairVector(
         [ring.element([3, 2, 3, 3]), ring.element([3, 3, 2, 1])],
         [ring.element([3, 2, 3, 3]), ring.one])
@@ -259,9 +283,9 @@ def test_minimal_regular_degree_rejection():
     # weight-(t+1) syndromes usually force degrees past the bound
     ring = make_ring(2)
     x = gen(ring)
-    basis = solve_by_approximations(ring, [ring.one, x, x], 3)
+    basis = solve_by_approximations(ring, [ring.one, x, x])
     try:
-        pair = minimal_regular(ring, basis, 2)
+        pair = minimal_regular(ring, basis)
     except SolutionNotFound:
         return
     assert 2 * (len(pair.a) - 1) <= 3 and 2 * (len(pair.b) - 1) <= 2
@@ -277,8 +301,8 @@ def test_solution_residue_matches_locator_pair():
             err = random_error(rng, code.n, rng.randint(1, t))
             synd = syndromes(err, code)
             series = key_series(ring, odd_ratio_coefficients(ring, synd))
-            basis = solve_by_approximations(ring, series, t + 1)
-            pair = minimal_regular(ring, basis, t)
+            basis = solve_by_approximations(ring, series)
+            pair = minimal_regular(ring, basis)
             phi, omega = key_pair_from_locator(locator_from_error(code, err))
             assert [c.a for c in pair.a] == [c.a for c in phi]
             assert [c.a for c in pair.b] == [c.a for c in omega]
