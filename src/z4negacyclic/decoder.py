@@ -193,13 +193,13 @@ def _unit_values(even: list, odd: list, code: Code, points) -> dict:
     y = alpha^-2j and x O at x = alpha^-j, for sigma(x) = E(x^2) + x O(x^2)
     with E and O as (a, b) pairs, highest degree first.  As
     (a, b)^2 = (a^2, 0), y is a Teichmuller element, so each Horner step
-    multiplies by one GF(2^m) element."""
+    multiplies by one GF(2^m) element.  x = (r, r if j is odd else 0) with
+    log r = residue_logs[j], so x O = (r oa, r ob + (r oa if j is odd))."""
     log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
     out = {}
     for j in points:
-        xa, xb = code.alpha_inv_pairs[j]
-        lxa = log[xa]
-        ly = 2 * lxa % q  # the log of y = (xa^2, 0)
+        lx = int(code.residue_logs[j])
+        ly = 2 * lx % q  # the log of y = (r^2, 0)
         evaluated = []
         for poly in (even, odd):
             va = vb = 0
@@ -208,7 +208,8 @@ def _unit_values(even: list, odd: list, code: Code, points) -> dict:
                 va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
             evaluated.append((va, vb))
         (ea, eb), (oa, ob) = evaluated
-        out[j] = ea, eb, exp[lxa + log[oa]], exp[lxa + log[ob]] ^ exp[log[xb] + log[oa]]
+        pa = exp[lx + log[oa]]
+        out[j] = ea, eb, pa, exp[lx + log[ob]] ^ (pa if j & 1 else 0)
     return out
 
 

@@ -134,16 +134,19 @@ class GaloisField:
     """GF(2^m) with int elements; bit i of an element is the x^i coefficient.
 
     Products go through tables built once from the powers of x, so the
-    modulus must be primitive (x of order 2^m - 1); every GaloisRing
-    modulus is, by its order check.  The tables, which GaloisRing
-    shares for its element arithmetic:
+    modulus, whose degree is m, must be primitive (x of order 2^m - 1);
+    every GaloisRing modulus is, by its order check.  The tables, which
+    GaloisRing shares for its element arithmetic:
     - `log`: discrete log, with the sentinel 2(2^m - 1) for 0;
     - `exp`: antilog over two periods, then zeros, so that a sum of
       two logs needs no reduction and any sum with the sentinel reads 0;
     - `hlog`: the log of the square root (the sentinel for 0).
     """
 
-    def __init__(self, m: int, modulus_bits: int):
+    def __init__(self, modulus_bits: int):
+        m = modulus_bits.bit_length() - 1
+        if m < 1:
+            raise ValueError(f"modulus {modulus_bits:#b} must have degree at least 1")
         self.m = m
         self.modulus_bits = modulus_bits
         self.size = 1 << m
@@ -168,11 +171,10 @@ class GaloisField:
         self.hlog = [zero_log] + [lg * half % order for lg in log[1:]]
 
     def __eq__(self, other):
-        return (isinstance(other, GaloisField)
-                and (self.m, self.modulus_bits) == (other.m, other.modulus_bits))
+        return isinstance(other, GaloisField) and self.modulus_bits == other.modulus_bits
 
     def __hash__(self):
-        return hash(("GaloisField", self.m, self.modulus_bits))
+        return hash(("GaloisField", self.modulus_bits))
 
     def __repr__(self):
         return f"GaloisField(m={self.m})"
@@ -399,7 +401,7 @@ class GaloisRing:
         # exponent 2, so [x] has order 2^m-1 or 2(2^m-1) exactly when its
         # residue x is primitive, which the field tables require.
         try:
-            field = GaloisField(m, sum((c & 1) << i for i, c in enumerate(modulus)))
+            field = GaloisField(sum((c & 1) << i for i, c in enumerate(modulus)))
         except ValueError:
             raise ValueError("[x] must have order 2^m-1 or 2(2^m-1), "
                              "but its residue x is not primitive") from None

@@ -5,7 +5,9 @@ The codes built here are the free codes <g> whose generator has the
 roots alpha, alpha^3, ..., alpha^(2t-1) for a primitive 2n-th root of
 unity alpha (alpha^n = -1) in GR(4,m), m the order of 2 mod n.  Words
 are length-n sequences of Z4 digits, position 0 first.  alpha and its
-powers are held as their GF(2^m) pairs (a, b), as in keyeq.
+powers are held as their GF(2^m) pairs (a, b), as in keyeq; alpha^-j
+is (r, r if j is odd else 0), so Code keeps only the log of r.  A
+codeword m(x) g(x) has degree at most (k-1) + (n-k) = n-1: it never wraps.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .polynomial import Z4, poly_divmod, poly_mul, poly_strip
 
 __all__ = [
     "Code", "build_code", "encode",
-    "lee_weight", "lee_distance", "min_distance_exhaustive",
-    "lambda_map", "negacyclic_reduce",
+    "lee_weight", "lee_distance", "min_distance_exhaustive", "lambda_map",
     "word_to_str", "word_from_str",
 ]
 
@@ -43,15 +44,12 @@ class Code:
     # k = 1, 3, ..., 2t-1, so the odd syndromes of w are w @ H mod 4.
     # Read-only float64, so that the product runs on BLAS; it stays
     # exact, as each entry of w @ H is at most 9n <= 9207 < 2^53
-    syndrome_matrix: np.ndarray = field(compare=False, repr=False, default=None)
+    syndrome_matrix: np.ndarray = field(compare=False, repr=False)
     # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
-    residue_logs: np.ndarray = field(compare=False, repr=False, default=None)
+    residue_logs: np.ndarray = field(compare=False, repr=False)
     # read-only int64 copy of the residue field's antilog table `exp`, for
     # the decoder's root sweep over all n points at once
-    field_exp: np.ndarray = field(compare=False, repr=False, default=None)
-    # the GF(2^m) pairs (a, b) of alpha^-j, j = 0..n-1, for the decoder's
-    # +-1 resolution; alpha^(n-j) = -alpha^-j needs no entry
-    alpha_inv_pairs: tuple = field(compare=False, repr=False, default=())
+    field_exp: np.ndarray = field(compare=False, repr=False)
 
     def field(self):
         return self.ring.residue_field()
@@ -128,9 +126,8 @@ def build_code(n: int, t: int) -> Code:
     syndrome_matrix = np.array(
         [[c for k in range(1, 2 * t, 2) for c in digits[j * k % (2 * n)]]
          for j in range(n)], dtype=np.float64)
-    # alpha^-j = alpha^(2n-j)
-    alpha_inv_pairs = tuple(pairs[-j] for j in range(n))
-    residue_logs = np.array([log[a] for a, _ in alpha_inv_pairs], dtype=np.int64)
+    # alpha^-j = alpha^(2n-j), whose residue is that of beta^-j
+    residue_logs = np.array([log[res[-j % n]] for j in range(n)], dtype=np.int64)
     field_exp = np.array(exp, dtype=np.int64)
     for table in (syndrome_matrix, residue_logs, field_exp):
         table.setflags(write=False)
@@ -138,7 +135,7 @@ def build_code(n: int, t: int) -> Code:
     code = Code(n=n, t=t, ring=ring, alpha=alpha,
                 generator=tuple(g), k=n - (len(g) - 1),
                 syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
-                field_exp=field_exp, alpha_inv_pairs=alpha_inv_pairs)
+                field_exp=field_exp)
 
     # g vanishes at alpha, alpha^3, ..., alpha^(2t-1) exactly when its
     # syndromes do, which also checks the syndrome matrix
@@ -150,22 +147,13 @@ def build_code(n: int, t: int) -> Code:
     return code
 
 
-def negacyclic_reduce(f: list[int], n: int) -> list[int]:
-    """Reduce a Z4 polynomial mod x^n + 1 (wrapped terms negate)."""
-    out = [0] * n
-    for i, c in enumerate(f):
-        q, r = divmod(i, n)
-        out[r] = (out[r] + (c if q % 2 == 0 else -c)) % 4
-    return out
-
-
 def encode(msg, code: Code) -> list[int]:
-    """Multiply the message polynomial by the generator, reduced mod x^n + 1."""
+    """The message polynomial times the generator, padded to length n."""
     msg = [int(c) % 4 for c in msg]
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != rank k={code.k}")
     prod = poly_mul(Z4, msg, list(code.generator))
-    return negacyclic_reduce(prod, code.n)
+    return prod + [0] * (code.n - len(prod))
 
 
 def lee_weight(word) -> int:

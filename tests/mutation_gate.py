@@ -34,9 +34,12 @@ MUTANTS = (
     ("series_inverse one term short", "keyeq.py",
      "for k in range(1, len(fa)):",
      "for k in range(1, len(fa) - 1):"),
-    ("alpha_inv_pairs as pairs[j]", "negacyclic.py",
-     "alpha_inv_pairs = tuple(pairs[-j] for j in range(n))",
-     "alpha_inv_pairs = tuple(pairs[j] for j in range(n))"),
+    ("residue_logs at beta^j, not beta^-j", "negacyclic.py",
+     "log[res[-j % n]]",
+     "log[res[j]]"),
+    ("x O with the parity of j flipped", "decoder.py",
+     "exp[lx + log[ob]] ^ (pa if j & 1 else 0)",
+     "exp[lx + log[ob]] ^ (pa if not j & 1 else 0)"),
     ("seeded round-0 discrepancy -1 as +1", "solver.py",
      "za, zb = [0, 0, 1, 0], [0, 0, 1, 1]",
      "za, zb = [0, 0, 1, 0], [0, 0, 0, 1]"),
@@ -52,6 +55,12 @@ MUTANTS = (
     ("minimal_regular t off by one", "solver.py",
      "t = sum(basis.shape) // 2 - 1",
      "t = sum(basis.shape) // 2"),
+    ("no residual-syndrome guard", "decoder.py",
+     "    if _nonzero(syndromes(codeword, code)):",
+     "    if False and _nonzero(syndromes(codeword, code)):"),
+    ("no Lee-distance guard", "decoder.py",
+     "    if _LEE[error].sum() > t:",
+     "    if False and _LEE[error].sum() > t:"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

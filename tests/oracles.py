@@ -36,7 +36,7 @@ from objects import alpha_pow
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.negacyclic import (LEE, Code, _cyclotomic_coset, _order_of_two, encode,
-                                     lambda_map, lee_distance)
+                                     lambda_map)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
@@ -233,11 +233,9 @@ def construction_by_objects(n: int, t: int) -> dict:
     syndrome_matrix = [[c for k in range(1, 2 * t, 2) for c in alpha_pows[j * k % (2 * n)].coeffs]
                        for j in range(n)]
     log = ring.residue_field().log
-    alpha_inv_pairs = tuple((x.a, x.b) for x in (alpha_pows[-j % (2 * n)] for j in range(n)))
-    residue_logs = [log[a] for a, _ in alpha_inv_pairs]
+    residue_logs = [log[alpha_pows[-j % (2 * n)].a] for j in range(n)]
     return {"alpha": alpha, "alpha_pows": alpha_pows, "generator": tuple(g),
-            "syndrome_matrix": syndrome_matrix, "alpha_inv_pairs": alpha_inv_pairs,
-            "residue_logs": residue_logs}
+            "syndrome_matrix": syndrome_matrix, "residue_logs": residue_logs}
 
 
 # ---------------------------------------------------------------- object-based key equation
@@ -528,11 +526,6 @@ def all_codewords(code: Code) -> list[list[int]]:
     for msg in itertools.product(range(4), repeat=code.k):
         out.append(encode(list(msg), code))
     return out
-
-
-def nearest_codeword_distance(code: Code, word) -> int:
-    """Exhaustive Lee distance from word to the code."""
-    return min(lee_distance(word, c) for c in all_codewords(code))
 
 
 # ---------------------------------------------------------------- solution modules

@@ -251,6 +251,48 @@ def test_decode_never_claims_distant_codeword():
     assert over  # weight t+1 on a distance-10 code can never decode
 
 
+def test_decode_final_guards_refuse_a_wrong_resolution(monkeypatch):
+    """decode's last two checks catch a +-1 resolution that went wrong
+    on a correctable word with no 2s: one value flipped 1 <-> 3 leaves
+    syndromes behind, and errors that land on another codeword put it
+    beyond the radius."""
+    code = CODE_15_2
+    rng = random.Random(29)
+    sent = encode([rng.randrange(4) for _ in range(code.k)], code)
+    received = list(sent)
+    received[3], received[10] = (sent[3] + 1) % 4, (sent[10] + 3) % 4
+    assert decode(received, code).codeword == sent
+    resolve = decoder.resolve_unit_errors
+
+    def one_value_flipped(*args):
+        positions, values = resolve(*args)
+        return positions, [4 - values[0]] + values[1:]
+
+    monkeypatch.setattr(decoder, "resolve_unit_errors", one_value_flipped)
+    out = decode(received, code)
+    assert (out.success, out.reason) == (False, "candidate codeword has residual syndromes")
+
+    shifted = encode([0, 1] + [0] * (code.k - 2), code)
+    other = [(c + d) % 4 for c, d in zip(sent, shifted)]
+    error = [(r - c) % 4 for r, c in zip(received, other)]
+    positions = [j for j, e in enumerate(error) if e]
+    monkeypatch.setattr(decoder, "resolve_unit_errors",
+                        lambda *args: (positions, [error[j] for j in positions]))
+    out = decode(received, code)
+    assert (out.success, out.reason) == (False, "nearest candidate lies at Lee distance > 2")
+
+
+@pytest.mark.parametrize("locator, pair", [
+    (decoder.residue_locator, PairVector(([1], [0]), ([2], [0]))),
+    (lambda pair: decoder._ring_locator(CODE_15_2.ring, pair), PairVector(([1], [0]), ([2], [0]))),
+    # g = 1 and h = 3: the residues agree, g - h = 2 does not vanish
+    (lambda pair: decoder._ring_locator(CODE_15_2.ring, pair), PairVector(([1], [0]), ([1], [1]))),
+], ids=["residue", "ring-residues-differ", "ring-high-parts-differ"])
+def test_locators_refuse_mismatched_constant_terms(locator, pair):
+    with pytest.raises(_StageFailure, match="^locator pair has mismatched constant terms$"):
+        locator(pair)
+
+
 def test_decode_wrong_length():
     code = build_code(15, 2)
     out = decode([0] * 14, code)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -8,8 +9,8 @@ from objects import from_str, gen
 from oracles import (FieldDomain, digit_add, digit_mul, digit_neg, digit_sub, frobenius,
                      gf_inv_bitloop, gf_mul_bitloop, multiplicative_order,
                      teichmuller_decompose, teichmuller_set)
-from z4negacyclic.galois_ring import (GaloisField, GaloisRing, graeffe_lift, make_ring,
-                                      negacyclic_root)
+from z4negacyclic.galois_ring import (MODULUS_TABLE_ENV, GaloisField, GaloisRing, graeffe_lift,
+                                      make_ring, negacyclic_root)
 from z4negacyclic.polynomial import Z4, poly_divmod
 
 
@@ -220,6 +221,7 @@ def test_element_serialization_round_trip():
 @pytest.mark.parametrize("m", range(2, 11))
 def test_field_tables_match_bit_loop(m):
     field = make_ring(m).residue_field()
+    assert field.m == m and field == GaloisField(field.modulus_bits)
     if m <= 6:
         pairs = list(itertools.product(range(field.size), repeat=2))
         units = range(1, field.size)
@@ -243,10 +245,34 @@ def test_field_tables_match_bit_loop(m):
 def test_field_tables_need_a_primitive_modulus():
     # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 in GF(16)
     with pytest.raises(ValueError, match="primitive"):
-        GaloisField(4, 0b11111)
+        GaloisField(0b11111)
     # the ring's own order check rejects its Graeffe lift first
     with pytest.raises(ValueError, match="order"):
         GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GaloisField(0b1), ValueError, "^modulus 0b1 must have degree at least 1$"),
+    (lambda: GaloisField(0), ValueError, "^modulus 0b0 must have degree at least 1$"),
+    (lambda: GaloisRing([1, 1]), ValueError, "^modulus must have degree at least 2$"),
+    (lambda: make_ring(4).pair([1, 2]), ValueError, "^expected 4 coefficients, got 2$"),
+    (lambda: graeffe_lift([1, 1, 0]), ValueError,
+     "^expected a monic GF\\(2\\) polynomial with nonzero constant term$"),
+    (lambda: graeffe_lift([1, 2, 1]), ValueError, "^coefficients must be 0 or 1$"),
+    (lambda: setattr(make_ring(4).one, "a", 3), AttributeError, "^RingElement is immutable$"),
+], ids=["field-degree-0", "field-zero", "ring-degree-1", "pair-length", "lift-not-monic",
+        "lift-not-binary", "immutable"])
+def test_validation_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_override_of_the_wrong_degree_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "moduli.json"
+    path.write_text(json.dumps({"4": OVERRIDE_MODULUS}))
+    monkeypatch.setenv(MODULUS_TABLE_ENV, str(path))
+    with pytest.raises(ValueError, match="^override modulus for m=4 has degree 3$"):
+        make_ring(4)
 
 
 # [x] has order 2(2^3 - 1) in Z4[x]/<x^3 + x^2 + 1>: not the Teichmuller lift

@@ -267,7 +267,7 @@ def test_construction_and_output_build_no_ring_element(monkeypatch, capsys):
 
     def run():
         codes = [build_code(n, t) for n, t in params]
-        tables = [(c.generator, c.k, c.alpha, c.alpha_inv_pairs, c.syndrome_matrix.tolist(),
+        tables = [(c.generator, c.k, c.alpha, c.syndrome_matrix.tolist(),
                    c.residue_logs.tolist(), c.field_exp.tolist()) for c in codes]
         for n, t in params:
             for flags in ([], ["--json"]):

@@ -56,6 +56,12 @@ def test_divmod_rejects_zero_divisor_lead():
         poly_divmod(RingDomain(ring), [ring.one], [])
 
 
+@pytest.mark.parametrize("a", [0, 2])
+def test_z4_refuses_to_invert_a_non_unit(a):
+    with pytest.raises(ZeroDivisionError, match=f"^{a} is not a unit mod 4$"):
+        Z4.inv(a)
+
+
 def test_derivative_examples():
     assert derivative(Z4, [1, 0, 1]) == [0, 2]   # 1 + z^2 -> 2z
     assert derivative(Z4, [3]) == []
