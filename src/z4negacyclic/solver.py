@@ -11,16 +11,16 @@ update rules preserve each element's leading monomial, so the shapes
 (and leading coefficients 1, 2, 1, 2) persist, and the solver carries
 the four leading terms instead of rescanning them.
 
-Round 0 sees only the constant term of the series.  When that is 1,
-as for every series the decoder builds, the round is the same every
-time (discrepancies 1, 2, -1, -2, leaving the basis [z,0], [2z,0],
-[1,1], [2,2]), and the solver starts from that basis at round 1,
-writing the fixed round-0 record to the trace.  An element multiplied
-by z keeps its discrepancy for the next round, which is therefore not
-computed again.  The right elements [0,1] and [0,2] start that way,
-with their round-0 discrepancies -1 and -2; a g component reaches
-degree k only by a z-shift in round k - 1, so every discrepancy the
-solver computes is a coefficient of f * series alone.
+An element multiplied by z keeps its discrepancy for the next round,
+which is therefore not computed again.  Round 0 sees only the
+constant term U_0 of the series, so every element starts that way,
+with its round-0 discrepancy f_0 U_0 - g_0: U_0, 2 U_0, -1 and -2 for
+[1,0], [2,0], [0,1] and [0,2].  A g component reaches degree k only
+by a z-shift in round k - 1, so every discrepancy the solver computes
+is a coefficient of f * series alone.  Each round rewrites the basis
+in place, slots in descending leading-term order: an element is
+repaired only against strictly smaller ones, which are therefore
+rewritten after every element that reads them.
 
 Terms of R[z]^2 are ordered by <_-1: within one side by degree, and
 [0,z^j] < [z^i,0] iff j < i.  That is the native order of the tuples
@@ -112,24 +112,13 @@ def solve_by_approximations(ring, series: tuple[list, list],
     lead = [0, 0, 1, 1]
     # the discrepancies of the slots, and which of them a z-shift carried
     # over from the round before: coefficient k + 1 of z (f series - g)
-    # is coefficient k of f series - g.  The right slots start carried
-    # with their round-0 discrepancies -g_0, -1 = (1, 1) and -2 = (0, 1),
-    # so a computed discrepancy reads f alone (see the module docstring)
-    za, zb = [0, 0, 1, 0], [0, 0, 1, 1]
-    carried = [False, False, True, True]
-    start = 0
-    if series[0][0] == 1 and not series[1][0]:
-        # round 0 sees only the constant term: discrepancies 1, 2, -1, -2;
-        # the left slots have no smaller element and shift, carrying 1
-        # and 2, the right ones cancel against [1, 0] by the factors -1, 2
-        za[:2], zb[:2] = [1, 0], [0, 1]
-        if trace_log is not None:
-            _trace_round(trace_log, ring, 0, (fa, fb, ga, gb), [0, 1, 2, 3], (za, zb))
-        fa, fb = [[0, 1], [0, 0], [1], [0]], [[0, 0], [0, 1], [0], [1]]  # z, 2z, 1, 2
-        lead = [2, 2, 1, 1]
-        carried = [True, True, False, False]
-        start = 1
-    for k in range(start, precision):
+    # is coefficient k of f series - g.  Every slot starts carried with
+    # its round-0 discrepancy f_0 U_0 - g_0, for U_0 = (u, v): U_0,
+    # 2 U_0 = (0, u), -1 = (1, 1) and -2 = (0, 1)
+    u, v = series[0][0], series[1][0]
+    za, zb = [u, 0, 1, 0], [v, u, 1, 1]
+    carried = [True] * 4
+    for k in range(precision):
         off = precision - 1 - k
         sa, sb = r_la[off:], r_lb[off:]
         for s in range(4):
@@ -147,10 +136,10 @@ def solve_by_approximations(ring, series: tuple[list, list],
         order = sorted(range(4), key=lead.__getitem__)
         if trace_log is not None:
             _trace_round(trace_log, ring, k, (fa, fb, ga, gb), order, (za, zb))
-        new_fa, new_fb, new_ga, new_gb = list(fa), list(fb), list(ga), list(gb)
-        new_lead = list(lead)
         carried = [False] * 4
-        for s in range(4):
+        # in place, largest first: a slot's partner leads strictly lower,
+        # so it is rewritten only after every slot that reads it
+        for s in order[::-1]:
             ai, bi = za[s], zb[s]
             if not (ai or bi):
                 continue
@@ -162,10 +151,10 @@ def solve_by_approximations(ring, series: tuple[list, list],
                     break
             else:
                 if fa[s]:
-                    new_fa[s], new_fb[s] = [0] + fa[s], [0] + fb[s]
+                    fa[s], fb[s] = [0] + fa[s], [0] + fb[s]
                 if ga[s]:
-                    new_ga[s], new_gb[s] = [0] + ga[s], [0] + gb[s]
-                new_lead[s] += 2
+                    ga[s], gb[s] = [0] + ga[s], [0] + gb[s]
+                lead[s] += 2
                 carried[s] = True
                 continue
             aj, bj = za[j], zb[j]
@@ -180,9 +169,9 @@ def solve_by_approximations(ring, series: tuple[list, list],
             lai = log[ai]
             lc = log[exp[lai + lia]]
             ld = log[exp[lai + lib] ^ exp[log[bi] + lia]]
-            # x - (c, d) y on each side, into new lists: with (pa, pb) =
-            # (c, d) y_i, x_i - (pa, pb) = x_i + (pa, pa + pb)
-            for xas, xbs, outa, outb in ((fa, fb, new_fa, new_fb), (ga, gb, new_ga, new_gb)):
+            # x - (c, d) y on each side: with (pa, pb) = (c, d) y_i,
+            # x_i - (pa, pb) = x_i + (pa, pa + pb)
+            for xas, xbs in ((fa, fb), (ga, gb)):
                 ya, yb = xas[j], xbs[j]
                 if not ya:
                     continue
@@ -199,11 +188,10 @@ def solve_by_approximations(ring, series: tuple[list, list],
                 while ra and not (ra[-1] or rb[-1]):
                     ra.pop()
                     rb.pop()
-                outa[s], outb[s] = ra, rb
+                xas[s], xbs[s] = ra, rb
             # cancellation against a strictly smaller element keeps
             # the leading monomial, so the result is never zero
-            assert new_fa[s] or new_ga[s]
-        fa, fb, ga, gb, lead = new_fa, new_fb, new_ga, new_gb, new_lead
+            assert fa[s] or ga[s]
     i, j, r, s = (t >> 1 for t in lead)
     assert i >= j and r >= s and i + j + r + s == 2 * precision, (
         f"basis shape ({i},{j},{r},{s}) violates i>=j, r>=s or i+j+r+s = {2 * precision}")

@@ -41,8 +41,14 @@ MUTANTS = (
      "exp[lx + log[ob]] ^ (pa if j & 1 else 0)",
      "exp[lx + log[ob]] ^ (pa if not j & 1 else 0)"),
     ("seeded round-0 discrepancy -1 as +1", "solver.py",
-     "za, zb = [0, 0, 1, 0], [0, 0, 1, 1]",
-     "za, zb = [0, 0, 1, 0], [0, 0, 0, 1]"),
+     "za, zb = [u, 0, 1, 0], [v, u, 1, 1]",
+     "za, zb = [u, 0, 1, 0], [v, u, 0, 1]"),
+    ("2U_0 seeded as 0", "solver.py",
+     "za, zb = [u, 0, 1, 0], [v, u, 1, 1]",
+     "za, zb = [u, 0, 1, 0], [v, 0, 1, 1]"),
+    ("rounds updated in ascending order", "solver.py",
+     "for s in order[::-1]:",
+     "for s in order:"),
     ("pair_strs reversed", "galois_ring.py",
      "return [self.pair_str(a, b) for a, b in zip(*poly)]",
      "return [self.pair_str(a, b) for a, b in zip(*poly)][::-1]"),

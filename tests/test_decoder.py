@@ -127,7 +127,10 @@ def test_decode_every_pattern_within_radius(n, t, count):
 
 
 @pytest.mark.parametrize("n, t", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3),
-                                  (9, 1), (15, 1), (21, 1), (31, 1)])
+                                  (9, 1), (15, 1), (21, 1), (31, 1),
+                                  # 65,536 cosets each, opt-in: pytest -m slow
+                                  pytest.param(9, 2, marks=pytest.mark.slow),
+                                  pytest.param(15, 2, marks=pytest.mark.slow)])
 def test_decode_is_exact_bounded_distance_on_every_coset(n, t):
     """decode succeeds on exactly the words within Lee distance t of the
     code, and then returns the error of Lee weight <= t.

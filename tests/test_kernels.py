@@ -5,6 +5,7 @@ Most tests go through the RingElement boundary of tests/objects.py; the
 last ones convert explicitly and check that a decode, traced or not,
 builds no ring element at all, nor does construction or output."""
 
+import itertools
 import random
 
 import pytest
@@ -105,9 +106,11 @@ def test_solver_kernel_on_the_zero_series():
 
 
 def test_solver_fixed_first_round_matches_objects():
-    """A series with constant term 1 starts the solver from its fixed
-    round-0 basis, any other from round 0 itself: both must give the
-    object solver's bases, shape and every trace round, round 0 too."""
+    """Round 0 reads only the constant term U_0, through the seeded
+    discrepancies U_0, 2 U_0, -1 and -2: for every head, a unit, in 2R
+    or 0, the solver must give the object solver's bases, shape and
+    every trace round, round 0 too.  Every constant term of GR(4,2) and
+    GR(4,3) is tried at precisions 1-3."""
     rng = random.Random(45)
     for m in (2, 3, 4):
         ring = make_ring(m)
@@ -121,6 +124,12 @@ def test_solver_fixed_first_round_matches_objects():
             _assert_solver_matches(ring, [], precision)
             _assert_solver_matches(ring, [ring.one], precision)
             _assert_solver_matches(ring, [ring.one, ring.zero, ring.two], precision)
+    for m in (2, 3):
+        ring = make_ring(m)
+        for digits in itertools.product(range(4), repeat=m):
+            for precision in (1, 2, 3):
+                tail = [_random_element(ring, rng) for _ in range(precision - 1)]
+                _assert_solver_matches(ring, [ring.element(list(digits))] + tail, precision)
 
 
 def test_solver_kernel_on_zero_divisor_cancellations():
