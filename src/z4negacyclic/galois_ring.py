@@ -40,8 +40,6 @@ table entries for m = 2 and m = 4 are x^2+x+1 and x^4+2x^2+3x+1.
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 
 from .polynomial import Z4, poly_mul
@@ -53,10 +51,7 @@ __all__ = [
     "make_ring",
     "graeffe_lift",
     "negacyclic_root",
-    "MODULUS_TABLE_ENV",
 ]
-
-MODULUS_TABLE_ENV = "Z4NEGACYCLIC_MODULI"
 
 # Primitive polynomials over GF(2), constant term first.
 _PRIMITIVE_GF2 = {
@@ -464,51 +459,13 @@ class GaloisRing:
         return self._field
 
 
-def _load_modulus_override(m: int):
-    """The override entry for m, or None; ValueError on a bad table file."""
-    path = os.environ.get(MODULUS_TABLE_ENV)
-    if not path:
-        return None
-    where = f"{MODULUS_TABLE_ENV}={path}"
-    try:
-        with open(path) as fh:
-            table = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"{where}: cannot read the file ({exc.strerror})") from None
-    except ValueError as exc:
-        raise ValueError(f"{where}: invalid JSON ({exc})") from None
-    if not isinstance(table, dict):
-        raise ValueError(f"{where}: expected a JSON object {{\"m\": [digits...]}}")
-    entry = table.get(str(m))
-    if entry is None:
-        return None
-    if not (isinstance(entry, list)
-            and all(type(c) is int and 0 <= c <= 3 for c in entry)):
-        raise ValueError(f"{where}: entry for m={m} is not a list of digits")
-    return entry
-
-
 @lru_cache(maxsize=None)
-def _builtin_ring(m: int) -> GaloisRing:
-    return GaloisRing(graeffe_lift(_PRIMITIVE_GF2[m]))
-
-
 def make_ring(m: int) -> GaloisRing:
-    """GR(4,m) with the built-in verified modulus (2 <= m <= 10).
-
-    The environment variable named by MODULUS_TABLE_ENV may point at a
-    JSON file {"m": [digits...]} overriding individual table entries;
-    overrides are validated like built-in moduli.
-    """
+    """GR(4,m) over the built-in modulus for m (2 <= m <= 10): the
+    Graeffe lift of the table's primitive binary polynomial."""
     if not 2 <= m <= 10:
         raise ValueError(f"unsupported extension degree m={m}; supported range is 2..10")
-    override = _load_modulus_override(m)
-    if override is not None:
-        ring = GaloisRing(override)
-        if ring.m != m:
-            raise ValueError(f"override modulus for m={m} has degree {ring.m}")
-        return ring
-    return _builtin_ring(m)
+    return GaloisRing(graeffe_lift(_PRIMITIVE_GF2[m]))
 
 
 def negacyclic_root(ring: GaloisRing, n: int) -> tuple[int, int]:

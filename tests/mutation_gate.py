@@ -55,6 +55,9 @@ MUTANTS = (
     ("_sweep roots shifted by one", "decoder.py",
      "np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)",
      "(np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0) + 1) % code.n"),
+    ("make_ring accepts m = 11", "galois_ring.py",
+     "if not 2 <= m <= 10:",
+     "if not 2 <= m <= 11:"),
     ("[x]^i without its d term", "galois_ring.py",
      "xb = exp[i - 1 + ld] if i & 1 else 0",
      "xb = 0"),

@@ -20,7 +20,9 @@ multiplication) are element functions that only tests need.
 Code construction appears here as it was before it moved to int
 pairs and Graeffe lifts: powers of beta and alpha as RingElement
 objects, and the generator as products of linear factors over R
-through the polynomial domain protocol.
+through the polynomial domain protocol.  use_modulus swaps one
+built-in ring for another presentation of GR(4,m), for both
+constructions at once.
 It also holds the polynomial helpers that only tests need, among them
 Horner evaluation and root multiplicity by repeated synthetic division
 over any coefficient domain, the references for the decoder's
@@ -31,10 +33,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 from objects import alpha_pow
+from z4negacyclic import galois_ring, negacyclic
 from z4negacyclic.decoder import _StageFailure
-from z4negacyclic.galois_ring import make_ring
+from z4negacyclic.galois_ring import GaloisRing, make_ring
 from z4negacyclic.negacyclic import (LEE, Code, _cyclotomic_coset, _order_of_two, encode,
                                      lambda_map)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
@@ -236,6 +240,19 @@ def construction_by_objects(n: int, t: int) -> dict:
     residue_logs = [log[alpha_pows[-j % (2 * n)].a] for j in range(n)]
     return {"alpha": alpha, "alpha_pows": alpha_pows, "generator": tuple(g),
             "syndrome_matrix": syndrome_matrix, "residue_logs": residue_logs}
+
+
+def use_modulus(monkeypatch, modulus: list[int]) -> None:
+    """Build every code of degree m = deg(modulus) over GaloisRing(modulus)
+    in place of make_ring(m), in build_code and construction_by_objects
+    alike, until the monkeypatch undoes it."""
+    ring = GaloisRing(modulus)
+
+    def swapped(m: int) -> GaloisRing:
+        return ring if m == ring.m else galois_ring.make_ring(m)
+
+    for module in (negacyclic, sys.modules[__name__]):
+        monkeypatch.setattr(module, "make_ring", swapped)
 
 
 # ---------------------------------------------------------------- object-based key equation

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from oracles import use_modulus
 from z4negacyclic.cli import main
 
 REFERENCE_WORD = "313023221010030"
@@ -169,11 +170,13 @@ def test_reproduce_paper_quick(capsys):
     assert "FAIL" not in out
 
 
-def test_reproduce_paper_fault_injection(tmp_path, monkeypatch, capsys):
-    # a valid but different m=4 modulus must be flagged by the decode example
-    override = tmp_path / "moduli.json"
-    override.write_text(json.dumps({"4": [1, 0, 2, 3, 1]}))
-    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
+# a valid m = 4 modulus other than the built-in x^4 + 2x^2 + 3x + 1
+FAULT_M4 = [1, 0, 2, 3, 1]
+
+
+def test_reproduce_paper_fault_injection(monkeypatch, capsys):
+    # a different presentation of GR(4,4) must be flagged by the decode example
+    use_modulus(monkeypatch, FAULT_M4)
     code, out, _ = run(capsys, "reproduce-paper", "--quick")
     assert code == 1
     assert "FAIL decode-example" in out
@@ -195,10 +198,8 @@ def test_reproduce_paper_quick_json(capsys):
     assert [f"PASS {c['name']}" for c in payload["checks"]] == text.splitlines()[:-1]
 
 
-def test_reproduce_paper_fault_injection_json(tmp_path, monkeypatch, capsys):
-    override = tmp_path / "moduli.json"
-    override.write_text(json.dumps({"4": [1, 0, 2, 3, 1]}))
-    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
+def test_reproduce_paper_fault_injection_json(monkeypatch, capsys):
+    use_modulus(monkeypatch, FAULT_M4)
     code, out, _ = run(capsys, "--json", "reproduce-paper", "--quick")
     assert code == 1
     payload = json.loads(out)
@@ -208,35 +209,20 @@ def test_reproduce_paper_fault_injection_json(tmp_path, monkeypatch, capsys):
     assert all(c["expected"] != c["got"] for c in failed)
 
 
-def test_modulus_override_is_validated(tmp_path, monkeypatch, capsys):
-    override = tmp_path / "moduli.json"
-    override.write_text(json.dumps({"4": [1, 0, 1, 0, 1]}))  # reducible mod 2
-    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
-    code, _, err = run(capsys, "code-info", "-n", "15", "-t", "2")
-    assert code == 2
-    assert "irreducible" in err
-
-
-@pytest.mark.parametrize("content,message", [
-    (None, "cannot read"),
-    ("{\"4\": [1, 3,", "invalid JSON"),
-    ("[1, 3, 2, 0, 1]", "JSON object"),
-    ("{\"4\": 7}", "list of digits"),
-    ("{\"4\": \"11001\"}", "list of digits"),
-    ("{\"4\": [1.9, 1, 0, 0, 1]}", "list of digits"),
-    ("{\"4\": [5, 1, 0, 0, 1]}", "list of digits"),
-    ("{\"4\": [true, true, false, false, true]}", "list of digits"),
-])
-def test_modulus_override_bad_file(tmp_path, monkeypatch, capsys, content, message):
-    override = tmp_path / "moduli.json"
-    if content is not None:
-        override.write_text(content)
-    monkeypatch.setenv("Z4NEGACYCLIC_MODULI", str(override))
-    code, _, err = run(capsys, "code-info", "-n", "15", "-t", "2")
-    assert code == 2
+@pytest.mark.parametrize("argv,message", [
+    (("code-info", "-n", "14", "-t", "1"), "length n=14 must be odd and at least 3"),
+    (("code-info", "-n", "1", "-t", "1"), "length n=1 must be odd and at least 3"),
+    (("code-info", "-n", "15", "-t", "0"), "need 1 <= t with 2t-1 < n; got n=15, t=0"),
+    (("code-info", "-n", "15", "-t", "8"), "need 1 <= t with 2t-1 < n; got n=15, t=8"),
+    (("decode", "-n", "15", "-t", "2", "--word", "0" * 14), "word length 14 != code length 15"),
+    (("encode", "-n", "15", "-t", "2", "--msg", "103201x"),
+     "invalid digit 'x' at position 6; expected 0-3"),
+], ids=["even-n", "short-n", "t-zero", "t-too-large", "word-length", "msg-digit"])
+def test_error_paths_end_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
     assert "Traceback" not in err
-    assert message in err
-    assert "Z4NEGACYCLIC_MODULI" in err and str(override) in err
 
 
 @pytest.mark.parametrize("flag,value", [

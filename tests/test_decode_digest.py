@@ -10,7 +10,9 @@ rejected.  Every outcome is serialised as
 
 and fed to one SHA-256 per group, so any change in a codeword, error,
 failure reason or trace field changes the digest, and a numpy scalar
-leaking into an outcome makes `json.dumps` raise.
+leaking into an outcome makes `json.dumps` raise.  The untraced path,
+the one the benchmark times, is held to the traced one: on every word,
+`decode(w, code)` equals the traced outcome with its trace dropped.
 
 The expected digests in tests/data/decode_digest.json were written by
 this file's `__main__` from a tree whose outputs are the reference:
@@ -20,6 +22,7 @@ this file's `__main__` from a tree whose outputs are the reference:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -118,6 +121,16 @@ def test_decode_digest(n, t, expected):
 def test_decode_digest_malformed(expected):
     assert _digest(malformed(), build_code(15, 2)) == expected["malformed-15-2"]
 
+
+@pytest.mark.parametrize("group", [f"{n}-{t}" for n, t in CODES] + ["malformed-15-2"])
+def test_untraced_decode_matches_traced(group):
+    n, t = map(int, group.split("-")[-2:])
+    code = build_code(n, t)
+    # two fresh copies of the words: a generator input is spent by one decode
+    words = malformed if group.startswith("malformed") else lambda: corpus(n, t)
+    for plain, traced in zip(words(), words()):
+        expected = dataclasses.replace(decode(traced, code, with_trace=True), trace=None)
+        assert decode(plain, code) == expected
 
 if __name__ == "__main__":
     DATA.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")

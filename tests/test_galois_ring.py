@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import random
 
@@ -9,8 +8,8 @@ from objects import from_str, gen
 from oracles import (FieldDomain, digit_add, digit_mul, digit_neg, digit_sub, frobenius,
                      gf_inv_bitloop, gf_mul_bitloop, multiplicative_order,
                      teichmuller_decompose, teichmuller_set)
-from z4negacyclic.galois_ring import (MODULUS_TABLE_ENV, GaloisField, GaloisRing, graeffe_lift,
-                                      make_ring, negacyclic_root)
+from z4negacyclic.galois_ring import (GaloisField, GaloisRing, graeffe_lift, make_ring,
+                                      negacyclic_root)
 from z4negacyclic.polynomial import Z4, poly_divmod
 
 
@@ -265,14 +264,6 @@ def test_field_tables_need_a_primitive_modulus():
 def test_validation_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
-
-
-def test_override_of_the_wrong_degree_is_refused(tmp_path, monkeypatch):
-    path = tmp_path / "moduli.json"
-    path.write_text(json.dumps({"4": OVERRIDE_MODULUS}))
-    monkeypatch.setenv(MODULUS_TABLE_ENV, str(path))
-    with pytest.raises(ValueError, match="^override modulus for m=4 has degree 3$"):
-        make_ring(4)
 
 
 # [x] has order 2(2^3 - 1) in Z4[x]/<x^3 + x^2 + 1>: not the Teichmuller lift

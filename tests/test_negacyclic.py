@@ -1,14 +1,13 @@
 import itertools
-import json
 import random
 
 import pytest
 
 from objects import alpha_pow, gen, syndromes
 from oracles import (RingDomain, construction_by_objects, multiplicative_order, poly_eval,
-                     random_error)
+                     random_error, use_modulus)
 from z4negacyclic.decoder import decode
-from z4negacyclic.galois_ring import MODULUS_TABLE_ENV, make_ring
+from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.golden import _lee_distance_bound
 from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_map,
                                      lee_distance, lee_weight, min_distance_exhaustive,
@@ -21,17 +20,12 @@ from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
 OVERRIDE_M4 = [1, 0, 0, 1, 1]
 
 
-def use_override(tmp_path, monkeypatch):
-    path = tmp_path / "moduli.json"
-    path.write_text(json.dumps({"4": OVERRIDE_M4}))
-    monkeypatch.setenv(MODULUS_TABLE_ENV, str(path))
-
 
 @pytest.fixture(params=["builtin", "override"])
-def moduli(request, tmp_path, monkeypatch):
+def moduli(request, monkeypatch):
     """Codes over the built-in rings, or with OVERRIDE_M4 for m = 4."""
     if request.param == "override":
-        use_override(tmp_path, monkeypatch)
+        use_modulus(monkeypatch, OVERRIDE_M4)
     return request.param
 
 
@@ -87,9 +81,9 @@ def test_construction_matches_objects(moduli):
             ref["alpha_pows"][-1:] + ref["alpha_pows"])
 
 
-def test_override_changes_the_generators(tmp_path, monkeypatch):
+def test_override_changes_the_generators(monkeypatch):
     builtin = [build_code(15, t).generator for t in (1, 2, 3)]
-    use_override(tmp_path, monkeypatch)
+    use_modulus(monkeypatch, OVERRIDE_M4)
     for t, g in zip((1, 2, 3), builtin):
         code = build_code(15, t)
         assert list(code.ring.modulus) == OVERRIDE_M4
@@ -97,8 +91,8 @@ def test_override_changes_the_generators(tmp_path, monkeypatch):
         assert code.generator != g
 
 
-def test_decode_round_trip_under_override(tmp_path, monkeypatch):
-    use_override(tmp_path, monkeypatch)
+def test_decode_round_trip_under_override(monkeypatch):
+    use_modulus(monkeypatch, OVERRIDE_M4)
     code = build_code(15, 3)
     rng = random.Random(41)
     for _ in range(200):
