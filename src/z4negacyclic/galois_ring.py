@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .polynomial import Z4, poly_mul
+from .polynomial import poly_mul
 
 __all__ = [
     "GaloisRing",
@@ -95,10 +95,10 @@ def graeffe_lift(p: list[int]) -> list[int]:
     Input is a monic polynomial over GF(2) with p(0) = 1, as a 0/1
     coefficient list (constant first).  The result f is the monic
     polynomial over Z4 whose roots are the Teichmuller lifts of the
-    squares of p's roots: with e, o the even and odd parts of p read
-    over Z4, f(x^2) = +-(e(x)^2 - o(x)^2), sign chosen to make f
-    monic.  Since squaring permutes the conjugate roots, f == p mod 2
-    and f divides x^(2^deg - 1) - 1 over Z4.
+    squares of p's roots: reading p over Z4, f(x^2) = +-p(x) p(-x),
+    which is e(x)^2 - o(x)^2 for the even and odd parts e, o of p, sign
+    chosen to make f monic.  Since squaring permutes the conjugate
+    roots, f == p mod 2 and f divides x^(2^deg - 1) - 1 over Z4.
     """
     if not p or p[0] != 1 or p[-1] != 1:
         raise ValueError("expected a monic GF(2) polynomial with nonzero constant term")
@@ -106,18 +106,9 @@ def graeffe_lift(p: list[int]) -> list[int]:
         raise ValueError("coefficients must be 0 or 1")
     if not _gf2_is_irreducible(p):
         raise ValueError("polynomial is reducible over GF(2)")
-    deg = len(p) - 1
-    even = [c if i % 2 == 0 else 0 for i, c in enumerate(p)]
-    odd = [c if i % 2 == 1 else 0 for i, c in enumerate(p)]
-    e2 = poly_mul(Z4, even, even)
-    o2 = poly_mul(Z4, odd, odd)
-    diff = [0] * (2 * deg + 1)
-    for i, c in enumerate(e2):
-        diff[i] = c
-    for i, c in enumerate(o2):
-        diff[i] = (diff[i] - c) % 4
-    assert all(c == 0 for i, c in enumerate(diff) if i % 2 == 1)
-    f = [diff[2 * i] for i in range(deg + 1)]
+    prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])
+    assert not any(prod[1::2])
+    f = prod[::2]
     if f[-1] == 3:
         f = [(-c) % 4 for c in f]
     assert f[-1] == 1

@@ -113,7 +113,7 @@ def build_code(n: int, t: int) -> Code:
         for j in coset:
             lr = log[res[j]]
             factor = [a ^ exp[log[b] + lr] for a, b in zip([0] + factor, factor + [0])]
-        f = poly_mul(Z4, f, graeffe_lift(factor))
+        f = poly_mul(f, graeffe_lift(factor))
 
     g = lambda_map(f, n)
     if g[-1] == 3:
@@ -152,7 +152,7 @@ def encode(msg, code: Code) -> list[int]:
     msg = [int(c) % 4 for c in msg]
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} != rank k={code.k}")
-    prod = poly_mul(Z4, msg, list(code.generator))
+    prod = poly_mul(msg, code.generator)
     return prod + [0] * (code.n - len(prod))
 
 

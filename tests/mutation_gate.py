@@ -70,6 +70,12 @@ MUTANTS = (
     ("no Lee-distance guard", "decoder.py",
      "    if _LEE[error].sum() > t:",
      "    if False and _LEE[error].sum() > t:"),
+    ("Z4 product not reduced", "polynomial.py",
+     "return poly_strip((np.convolve(f, g) & 3).tolist())",
+     "return poly_strip(np.convolve(f, g).tolist())"),
+    ("Graeffe from p(x)^2", "galois_ring.py",
+     "prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])",
+     "prod = poly_mul(p, p)"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

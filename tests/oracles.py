@@ -3,16 +3,17 @@
 Everything here recomputes expected values by brute force or by a
 different route than the code under test: linear solving over Z4,
 direct locator construction from error patterns, exhaustive
-nearest-codeword search, exhaustive enumeration of key-equation
-solution modules, the whole <_l family of module term orders with a
-leading-term scan (the solver only carries four degrees), and the
-plain loops that the table-driven kernels replaced (bit-loop GF(2^m)
-arithmetic, Z4 digit-vector ring arithmetic, per-position syndrome
-sums, per-position root scans, and the per-point log-table loop that
-the decoder's one-gather root sweep replaced, and the generic-domain
-locator assembly).  The key-equation stages appear here once more on
-RingElement objects and the polynomial domain protocol, the form the
-int-pair kernels of keyeq and solver replaced.
+nearest-codeword search, a bounded-distance decoder of its own (two
+binary BCH decodings over K, decode_two_bch), exhaustive enumeration of
+key-equation solution modules, the whole <_l family of module term
+orders with a leading-term scan (the solver only carries four
+degrees), and the plain loops that the table-driven kernels replaced
+(bit-loop GF(2^m) arithmetic, Z4 digit-vector ring arithmetic,
+per-position syndrome sums, per-position root scans, and the per-point
+log-table loop that the decoder's one-gather root sweep replaced, and
+the generic-domain locator assembly).  The key-equation stages appear
+here once more on RingElement objects and the polynomial domain
+protocol, the form the int-pair kernels of keyeq and solver replaced.
 RingDomain and FieldDomain are that protocol over R and K, for the
 polynomial routines; the Teichmuller set, the Frobenius map, the
 Teichmuller decomposition and the multiplicative order (by repeated
@@ -24,9 +25,10 @@ through the polynomial domain protocol.  use_modulus swaps one
 built-in ring for another presentation of GR(4,m), for both
 constructions at once.
 It also holds the polynomial helpers that only tests need, among them
-Horner evaluation and root multiplicity by repeated synthetic division
-over any coefficient domain, the references for the decoder's
-Hasse-derivative rule.
+the product by the schoolbook double loop, the reference for the
+package's Z4 convolution, and Horner evaluation and root multiplicity by
+repeated synthetic division over any coefficient domain, the references
+for the decoder's Hasse-derivative rule.
 """
 
 from __future__ import annotations
@@ -35,13 +37,15 @@ import itertools
 import random
 import sys
 
+import numpy as np
+
 from objects import alpha_pow
 from z4negacyclic import galois_ring, negacyclic
 from z4negacyclic.decoder import _StageFailure
 from z4negacyclic.galois_ring import GaloisRing, make_ring
 from z4negacyclic.negacyclic import (LEE, Code, _cyclotomic_coset, _order_of_two, encode,
                                      lambda_map)
-from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_strip
 from z4negacyclic.solver import GroebnerBasis, PairVector, SolutionNotFound, select_minimal_regular
 
 
@@ -188,6 +192,97 @@ def resolve_by_scan(sigma: list, code: Code) -> list:
     if found != len(sigma) - 1:
         raise _StageFailure("locator degree does not match the resolved error count")
     return error
+
+
+# ---------------------------------------------------------------- two binary BCH decodings
+
+def _bch_positions(field, step: int, n: int, odd: list[int]) -> list[int] | None:
+    """The positions j of the binary BCH error pattern whose syndromes
+    sum_j X^(jk) (X = x^step, k = 1, 3, ..., 2t-1) are `odd`: the roots
+    x^-(j step) of the Berlekamp-Massey connection polynomial of
+    s_1 .. s_2t, where s_2i = s_i^2.  None when that polynomial has
+    more than t, or not deg-many distinct, roots among the n points."""
+    exp, log, order = field.exp, field.log, field.order
+
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    s = [0] * (2 * len(odd))  # s[r] is s_(r+1)
+    for r in range(len(s)):
+        s[r] = odd[r // 2] if r % 2 == 0 else mul(s[r // 2], s[r // 2])
+    c, prev, length, gap, prev_d = [1], [1], 0, 1, 1
+    for r in range(len(s)):
+        d = s[r]
+        for i in range(1, min(length, len(c) - 1) + 1):
+            d ^= mul(c[i], s[r - i])
+        if not d:
+            gap += 1
+            continue
+        scale = exp[(log[d] - log[prev_d]) % order]
+        shifted = [0] * gap + [mul(scale, b) for b in prev]
+        updated = [a ^ b for a, b in itertools.zip_longest(c, shifted, fillvalue=0)]
+        if 2 * length <= r:
+            prev, length, prev_d, gap = c, r + 1 - length, d, 1
+        else:
+            gap += 1
+        c = poly_strip(updated)
+    if len(c) - 1 != length or length > len(odd):
+        return None
+    terms = [(log[a], i) for i, a in enumerate(c) if a]
+    roots = []
+    for j in range(n):
+        point = -j * step % order  # the log of x^-(j step)
+        acc = 0
+        for la, i in terms:
+            acc ^= exp[(la + i * point) % order]
+        if not acc:
+            roots.append(j)
+    return roots if len(roots) == length else None
+
+
+def decode_two_bch(word, code: Code) -> tuple[list, list] | None:
+    """The codeword within Lee distance t of word and the error, or None:
+    a bounded-distance decoder from two binary BCH decodings over
+    K = GF(2^m), with no Galois-ring arithmetic and no Groebner basis.
+
+    Write the error as e = 1_S + 2 1_T, S its +-1 positions and T = B u D
+    its -1 and 2 positions (-1 = 1 + 2).  The residues of the syndromes
+    of w are the binary BCH syndromes of S, at the residue X of alpha;
+    then w - 1_S = c + 2 1_T, and the halves of its syndromes are those
+    of T.  Within the radius |S| + 2|D| <= t, so |S| <= t and |T| <= t,
+    and the BCH bound makes both sets unique.  The candidate is kept
+    only when it has zero syndromes and Lee weight <= t.  Syndrome
+    digits come from the code's Z4 syndrome matrix, whose digits are
+    the bits of an element's residue and, for an element of 2R, twice
+    the bits of its half.
+    """
+    n, t, m = code.n, code.t, code.ring.m
+    field = code.field()
+    step = field.log[code.alpha[0]]
+    w = np.array([int(c) % 4 for c in word], dtype=np.int64)
+
+    def digits(v):  # row k: the Z4 digits of the k-th odd syndrome of v
+        return (v @ code.syndrome_matrix).astype(np.int64).reshape(t, m) & 3
+
+    def packed(bits):
+        return [sum(int(b) << i for i, b in enumerate(row)) for row in bits]
+
+    singles = _bch_positions(field, step, n, packed(digits(w) & 1))
+    if singles is None:
+        return None
+    error = np.zeros(n, dtype=np.int64)
+    error[singles] = 1
+    halves = digits((w - error) & 3)
+    if (halves & 1).any():
+        return None
+    twos = _bch_positions(field, step, n, packed(halves >> 1))
+    if twos is None:
+        return None
+    error[twos] += 2
+    codeword = (w - error) & 3
+    if digits(codeword).any() or sum(LEE[e] for e in error.tolist()) > t:
+        return None
+    return codeword.tolist(), error.tolist()
 
 
 # ---------------------------------------------------------------- object-based construction
@@ -764,6 +859,18 @@ def poly_sub(dom, f: list, g: list) -> list:
     n = max(len(f), len(g))
     return poly_strip([dom.sub(poly_coeff(dom, f, i), poly_coeff(dom, g, i))
                        for i in range(n)])
+
+
+def poly_mul(dom, f: list, g: list) -> list:
+    """The product over any coefficient domain, term by term."""
+    if not f or not g:
+        return []
+    out = [dom.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = dom.add(out[i + j], dom.mul(a, b))
+    return poly_strip(out)
 
 
 def poly_scale(dom, c, f: list) -> list:

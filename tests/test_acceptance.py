@@ -10,14 +10,14 @@ from objects import (gen, key_series, odd_ratio_coefficients, solve_by_approxima
                      syndromes, to_precision)
 from oracles import (RingDomain, all_codewords, all_error_patterns, derivative, frobenius,
                      key_pair_from_locator, leading, lm_divides, locator_from_error,
-                     module_members, poly_add, poly_shift, poly_sub, power_sums, random_error,
-                     teichmuller_decompose, teichmuller_set)
+                     module_members, poly_add, poly_mul, poly_shift, poly_sub, power_sums,
+                     random_error, teichmuller_decompose, teichmuller_set)
 from test_keyeq import _bezout_reaches_two
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.negacyclic import (build_code, encode, lee_distance, lee_weight,
                                      min_distance_exhaustive)
-from z4negacyclic.polynomial import poly_mul, poly_strip
+from z4negacyclic.polynomial import poly_strip
 from z4negacyclic.solver import PairVector, select_minimal_regular
 
 

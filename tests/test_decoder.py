@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from objects import (alpha_pow, dense_unit_errors, elements, int_lists, locator_from_pair,
                      residue_locator, resolve_unit_errors, syndromes)
-from oracles import (FieldDomain, RingDomain, all_error_patterns, key_pair_from_locator,
-                     locate_by_scan, locator_from_error, random_error, resolve_by_scan,
-                     root_positions_by_loop, syndromes_by_loop)
+from oracles import (FieldDomain, RingDomain, all_error_patterns, decode_two_bch,
+                     key_pair_from_locator, locate_by_scan, locator_from_error, poly_mul,
+                     random_error, resolve_by_scan, root_positions_by_loop, syndromes_by_loop)
 from z4negacyclic import decoder
 from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
 from z4negacyclic.negacyclic import _order_of_two, build_code, encode, lee_distance, lee_weight
-from z4negacyclic.polynomial import poly_mul
 from z4negacyclic.solver import PairVector
 
 CODE_15_2 = build_code(15, 2)
@@ -670,3 +669,29 @@ def test_decode_success_is_honest(case):
         assert lee_distance(word, out.codeword) <= code.t
     if sent is not None and lee_distance(word, sent) <= code.t:
         assert out.success and out.codeword == sent
+
+
+@pytest.mark.parametrize("n,t", [(31, 5), (63, 4), (255, 4), (63, 15), (255, 63), (1023, 8)])
+def test_decode_agrees_with_two_binary_bch_decodings(n, t):
+    """decode against oracles.decode_two_bch on words of Lee weight t - 1
+    to t + 2 and on i.i.d. channel words (+1 : -1 : 2 = 2 : 2 : 1) of mean
+    Lee weight t: the same successes, codewords and errors."""
+    code = build_code(n, t)
+    rng = random.Random(f"two-bch:{n}:{t}")
+    errors = [random_error(rng, n, weight) for weight in range(t - 1, t + 3) for _ in range(8)]
+    p = t / (1.2 * n)
+    errors += [[rng.choice((1, 1, 3, 3, 2)) if rng.random() < p else 0 for _ in range(n)]
+               for _ in range(16)]
+    successes = 0
+    for error in errors:
+        sent = encode([rng.randrange(4) for _ in range(code.k)], code)
+        received = [(c + e) % 4 for c, e in zip(sent, error)]
+        outcome = decode(received, code)
+        ref = decode_two_bch(received, code)
+        assert outcome.success == (ref is not None), received
+        if ref is not None:
+            assert (outcome.codeword, outcome.error) == ref, received
+            successes += 1
+        if lee_weight(error) <= t:
+            assert ref == (sent, error)
+    assert 0 < successes < len(errors)

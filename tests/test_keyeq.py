@@ -5,11 +5,11 @@ import pytest
 import numpy as np
 
 from oracles import (RingDomain, derivative, even_odd_split, key_pair_from_locator,
-                     locator_from_error, poly_add, poly_shift, poly_sub, power_sums,
-                     random_error, syndromes_by_loop, z4_solve)
+                     locator_from_error, poly_add, poly_mul, poly_shift, poly_sub,
+                     power_sums, random_error, syndromes_by_loop, z4_solve)
 from objects import alpha_pow, key_series, odd_ratio_coefficients, syndromes
 from z4negacyclic.negacyclic import build_code, encode
-from z4negacyclic.polynomial import poly_mul, poly_strip
+from z4negacyclic.polynomial import poly_strip
 
 
 def test_syndromes_reference_word():

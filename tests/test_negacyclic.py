@@ -1,18 +1,20 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 from objects import alpha_pow, gen, syndromes
 from oracles import (RingDomain, construction_by_objects, multiplicative_order, poly_eval,
-                     random_error, use_modulus)
+                     poly_mul, random_error, use_modulus)
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.golden import _lee_distance_bound
+from z4negacyclic.golden import PARAMETER_TABLE, _lee_distance_bound
 from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_map,
                                      lee_distance, lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)
-from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_strip
 
 # [x] has order 30 in Z4[x]/<x^4 + x^3 + 1>, so it is not the Teichmuller
 # lift of x; the (15, t) generators for t = 1, 2, 3 differ from the
@@ -81,6 +83,28 @@ def test_construction_matches_objects(moduli):
             ref["alpha_pows"][-1:] + ref["alpha_pows"])
 
 
+# every (n, t) build_code accepts with n <= 63, the PARAMETER_TABLE rows
+# among them, and the longer codes of the benchmark and the docs
+PINNED_CODES = ([(n, t) for n in range(3, 64, 2) if _order_of_two(n) is not None
+                 for t in range(1, (n + 1) // 2)]
+                + [(255, t) for t in (1, 2, 3, 4, 8, 63, 127)]
+                + [(1023, t) for t in range(1, 9)])
+# sha256 of the JSON list of their [n, t, modulus, generator], as the
+# domain-generic products built them
+PINNED_GENERATORS_SHA256 = "d99085805b5a899721c0bf9282ec2a27d2548c15af3afefe653f50504aeafac4"
+
+
+def test_generators_are_pinned():
+    assert len(PINNED_CODES) == 142
+    assert {(n, t) for n, t, *_ in PARAMETER_TABLE} <= set(PINNED_CODES)
+    rows = []
+    for n, t in PINNED_CODES:
+        code = build_code(n, t)
+        rows.append([n, t, list(code.ring.modulus), list(code.generator)])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_GENERATORS_SHA256
+
+
 def test_override_changes_the_generators(monkeypatch):
     builtin = [build_code(15, t).generator for t in (1, 2, 3)]
     use_modulus(monkeypatch, OVERRIDE_M4)
@@ -119,6 +143,8 @@ def test_encode_examples():
     assert encode([0] * code.k, code) == [0] * 15
     unit = [1] + [0] * (code.k - 1)
     assert encode(unit, code) == list(code.generator) + [0] * (code.k - 1)
+    word = encode([3] * code.k, code)
+    assert type(word) is list and len(word) == 15 and all(type(c) is int for c in word)
     with pytest.raises(ValueError):
         encode([0] * (code.k + 1), code)
 

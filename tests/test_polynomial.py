@@ -4,10 +4,11 @@ import pytest
 
 from objects import gen
 from oracles import (FieldDomain, RingDomain, derivative, even_odd_split, field_gcd,
-                     key_pair_from_locator, poly_add, poly_eval, poly_sub, root_multiplicity,
-                     series_inverse)
+                     key_pair_from_locator, poly_add, poly_eval, poly_mul, poly_sub,
+                     root_multiplicity, series_inverse)
+from z4negacyclic import polynomial
 from z4negacyclic.galois_ring import make_ring
-from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul, poly_strip
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_strip
 
 
 def rand_poly(rng, ring, deg):
@@ -27,6 +28,23 @@ def test_eval_example():
     a = gen(ring)
     val = poly_eval(RingDomain(ring), [ring.one, ring.from_int(3), ring.one], a)  # 1 + 3z + z^2
     assert val == a * 2
+
+
+def test_z4_product_is_the_generic_product():
+    rng = random.Random(27)
+    pairs = [([], []), ([], [1, 3]), ([2, 1], []), ([2], [2]), ([1, 2], [3, 2]),
+             ([0, 2, 2], [2, 0, 2])]  # 2 * 2 = 0: the top terms vanish
+    z4, even = (0, 1, 2, 3), (0, 2)
+    for lf, lg, symbols in ((1, 1, z4), (3, 5, z4), (17, 9, even), (64, 64, z4),
+                            (943, 81, z4), (1024, 1024, z4), (1024, 333, even)):
+        f, g = ([rng.choice(symbols) for _ in range(length - 1)] + [rng.choice(symbols[1:])]
+                for length in (lf, lg))
+        pairs += [(f, g), (g, f)]
+    for f, g in pairs:
+        prod = polynomial.poly_mul(f, g)
+        assert prod == poly_mul(Z4, f, g), (f, g)
+        assert all(type(c) is int for c in prod)
+    assert polynomial.poly_mul([1, 2], [3, 2]) == [3]  # 3 + 8x + 4x^2
 
 
 def test_divmod_example_z4():

@@ -6,12 +6,12 @@ import pytest
 from objects import (from_str, gen, key_series, minimal_regular, odd_ratio_coefficients,
                      solve_by_approximations, syndromes, to_precision)
 from oracles import (LEFT, RIGHT, RingDomain, key_pair_from_locator, leading, lm_divides,
-                     locator_from_error, module_members, poly_sub, random_error,
+                     locator_from_error, module_members, poly_mul, poly_sub, random_error,
                      select_by_scan, term_less)
 from z4negacyclic import solver
 from z4negacyclic.galois_ring import make_ring
 from z4negacyclic.negacyclic import build_code
-from z4negacyclic.polynomial import poly_mul, poly_strip
+from z4negacyclic.polynomial import poly_strip
 from z4negacyclic.solver import PairVector, SolutionNotFound, select_minimal_regular
 
 
