@@ -1,8 +1,8 @@
 """Exact arithmetic in the Galois ring GR(4,m) = Z4[x]/<h(x)>.
 
-h is a monic basic irreducible polynomial of degree m: it stays
-irreducible after reducing its coefficients mod 2.  The quotient R is
-then a local ring with maximal ideal 2R and residue field
+h is a monic polynomial of degree m with x primitive modulo h mod 2,
+which makes h mod 2 irreducible and h basic irreducible.  The
+quotient R is then a local ring with maximal ideal 2R and residue field
 K = GF(2^m).  Residue field elements are plain ints whose bits are the
 GF(2) coefficients (bit i = coefficient of x^i), in the style of most
 GF(2^m) libraries; the GaloisField object carries the modulus and the
@@ -23,8 +23,8 @@ build no RingElement: they pass every polynomial over R as its two
 int lists (a, b) and run the same formulas inline on the ring's
 shared tables `_log`, `_exp` and `_hlog`.  Ring and code construction
 work the same way: the digit corrections, the negacyclic root and
-the code's tables come from pairs, and generators from Z4 minimal
-polynomials, which `graeffe_lift` alone supplies.  What the package
+the code's tables come from pairs, and a code's generator from one
+`graeffe_lift`, of the binary BCH generator.  What the package
 prints or checks, the decoder's trace strings, the bundled reference
 checks and `code-info`, also comes from pairs, through
 `GaloisRing.pair_str` and, for an (a, b) list pair, `pair_strs`.
@@ -67,45 +67,23 @@ _PRIMITIVE_GF2 = {
 }
 
 
-def _gf2_is_irreducible(bits: list[int]) -> bool:
-    """Exhaustive irreducibility test over GF(2) (fine for degree <= 16)."""
-    deg = len(bits) - 1
-    if deg < 1 or bits[-1] != 1:
-        return False
-    p = sum(b << i for i, b in enumerate(bits))
-
-    def mod2(a, d):
-        da, dd = a.bit_length() - 1, d.bit_length() - 1
-        while da >= dd:
-            a ^= d << (da - dd)
-            da = a.bit_length() - 1
-        return a
-
-    for ddeg in range(1, deg // 2 + 1):
-        for low in range(1 << ddeg):
-            divisor = (1 << ddeg) | low
-            if mod2(p, divisor) == 0:
-                return False
-    return True
-
-
 def graeffe_lift(p: list[int]) -> list[int]:
-    """Lift an irreducible GF(2) polynomial to its basic irreducible over Z4.
+    """The Graeffe (Hensel) lift of a GF(2) polynomial to Z4.
 
-    Input is a monic polynomial over GF(2) with p(0) = 1, as a 0/1
-    coefficient list (constant first).  The result f is the monic
-    polynomial over Z4 whose roots are the Teichmuller lifts of the
-    squares of p's roots: reading p over Z4, f(x^2) = +-p(x) p(-x),
-    which is e(x)^2 - o(x)^2 for the even and odd parts e, o of p, sign
-    chosen to make f monic.  Since squaring permutes the conjugate
-    roots, f == p mod 2 and f divides x^(2^deg - 1) - 1 over Z4.
+    Input is any monic polynomial over GF(2) with p(0) = 1, as a 0/1
+    coefficient list (constant first).  The result is the monic f over
+    Z4 with f(x^2) = +-p(x) p(-x), reading p over Z4: e(x)^2 - o(x)^2
+    for the even and odd parts e, o of p.  f == p mod 2, as f(x^2) =
+    p(x)^2 = p(x^2) mod 2, so f is basic irreducible exactly when p is
+    irreducible.  The lift is multiplicative, as p(x) p(-x) is and both
+    sides are monic.  For p squarefree, f's roots are the Teichmuller
+    lifts of p's roots; for p irreducible of degree d, f divides
+    x^(2^d - 1) - 1 over Z4.
     """
     if not p or p[0] != 1 or p[-1] != 1:
         raise ValueError("expected a monic GF(2) polynomial with nonzero constant term")
     if any(b not in (0, 1) for b in p):
         raise ValueError("coefficients must be 0 or 1")
-    if not _gf2_is_irreducible(p):
-        raise ValueError("polynomial is reducible over GF(2)")
     prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])
     assert not any(prod[1::2])
     f = prod[::2]
@@ -378,14 +356,13 @@ class GaloisRing:
             raise ValueError("modulus must have degree at least 2")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _gf2_is_irreducible([c % 2 for c in modulus]):
-            raise ValueError("modulus is not basic irreducible (reducible mod 2)")
         self.m = m
         self.modulus = tuple(modulus)
 
-        # The unit group is the Teichmuller group times 1 + 2R, which has
-        # exponent 2, so [x] has order 2^m-1 or 2(2^m-1) exactly when its
-        # residue x is primitive, which the field tables require.
+        # The field tables require x primitive modulo h mod 2, so h mod 2
+        # is irreducible: modulo a reducible one, fewer than 2^m - 1
+        # residues are units.  The unit group is the Teichmuller group
+        # times 1 + 2R, of exponent 2, so [x] has order 2^m-1 or 2(2^m-1).
         try:
             field = GaloisField(sum((c & 1) << i for i, c in enumerate(modulus)))
         except ValueError:

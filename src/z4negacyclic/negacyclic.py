@@ -79,9 +79,10 @@ def build_code(n: int, t: int) -> Code:
     The generator is the product over the cyclotomic cosets of the odd
     exponents 1..2t-1 of the Z4 minimal polynomials of beta^i (beta =
     -alpha, a Teichmuller element of order n), pushed through x -> -x.
-    Squaring permutes the conjugates of beta^i, so its minimal
-    polynomial is the Graeffe lift of the binary minimal polynomial of
-    its residue, formed over the ring's own residue field.
+    As the Graeffe lift is multiplicative, that product is one lift of
+    the binary BCH generator: the GF(2) product of the binary minimal
+    polynomials of the residues of beta^i, over the ring's own residue
+    field.
 
     The tables need only the pairs of the powers of alpha: alpha^e =
     (-1)^e beta^e is the pair (b, b if e is odd else 0), b the residue
@@ -101,21 +102,16 @@ def build_code(n: int, t: int) -> Code:
     step = log[alpha[0]]
     res = [exp[j * step] for j in range(n)]
 
-    seen = set()
     f = [1]
-    for i in range(1, 2 * t, 2):
-        coset = _cyclotomic_coset(i, n)
-        if coset in seen:
-            continue
-        seen.add(coset)
+    for coset in {_cyclotomic_coset(i, n) for i in range(1, 2 * t, 2)}:
         # the binary minimal polynomial: the product of x + res[j]
         factor = [1]
         for j in coset:
             lr = log[res[j]]
             factor = [a ^ exp[log[b] + lr] for a, b in zip([0] + factor, factor + [0])]
-        f = poly_mul(f, graeffe_lift(factor))
+        f = [c & 1 for c in poly_mul(f, factor)]
 
-    g = lambda_map(f, n)
+    g = lambda_map(graeffe_lift(f), n)
     if g[-1] == 3:
         g = [(-c) % 4 for c in g]
     assert g[-1] == 1, "generator failed to normalize monic"

@@ -3,7 +3,8 @@
 Polynomials are plain Python lists of coefficients, constant term
 first, with no trailing zeros; the zero polynomial is the empty list.
 poly_mul multiplies Z4 digit lists (graeffe_lift's p(x) p(-x), the
-generator's product of Graeffe lifts, codewords); the tests keep the
+binary minimal polynomials that build_code multiplies and reduces
+mod 2 into the generator's one lift, codewords); the tests keep the
 domain-generic product in tests/oracles.py as its reference.
 poly_divmod still takes a coefficient domain, the Z4 singleton below
 being the package's only one, because the benchmark harness calls

@@ -76,6 +76,12 @@ MUTANTS = (
     ("Graeffe from p(x)^2", "galois_ring.py",
      "prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])",
      "prod = poly_mul(p, p)"),
+    ("binary product not reduced mod 2", "negacyclic.py",
+     "f = [c & 1 for c in poly_mul(f, factor)]",
+     "f = poly_mul(f, factor)"),
+    ("field accepts a non-primitive modulus", "galois_ring.py",
+     "if a != 1 or len(set(exp)) != order:",
+     "if False:"),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",

@@ -645,17 +645,17 @@ def all_codewords(code: Code) -> list[list[int]]:
 LEFT, RIGHT = 0, 1
 
 
-def term_less(t1: tuple[int, int], t2: tuple[int, int], offset: int = -1) -> bool:
-    """Strict comparison of module terms (side, degree) under <_offset:
-    within one side by degree, across sides [0,z^j] < [z^i,0] iff
-    j <= i + offset.  The solver uses offset -1."""
+def term_less(t1: tuple[int, int], t2: tuple[int, int]) -> bool:
+    """Strict comparison of module terms (side, degree) under <_-1, the
+    solver's order: within one side by degree, across sides
+    [0,z^j] < [z^i,0] iff j <= i - 1."""
     s1, d1 = t1
     s2, d2 = t2
     if s1 == s2:
         return d1 < d2
     if s1 == RIGHT:  # [0,z^d1] vs [z^d2,0]
-        return d1 <= d2 + offset
-    return d2 > d1 + offset
+        return d1 <= d2 - 1
+    return d2 > d1 - 1
 
 
 def leading(pair) -> tuple[tuple[int, int], object]:

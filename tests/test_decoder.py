@@ -141,7 +141,9 @@ def test_decode_is_exact_bounded_distance_on_every_coset(n, t):
     words that are zero on the first k positions are such a set: a
     codeword c zero there is x^k r with r = x^-k c in <g> of degree
     below deg g, and a multiple of the monic g of that degree is 0.  So
-    they are 4^(n-k) words in distinct cosets, one per coset.
+    they are 4^(n-k) words in distinct cosets, one per coset.  The
+    independent two-binary-BCH oracle must agree with decode on each of
+    them: success, codeword and error.
     """
     code = build_code(n, t)
 
@@ -159,6 +161,8 @@ def test_decode_is_exact_bounded_distance_on_every_coset(n, t):
         err, out = by_syndrome.get(key), decode(word, code)
         if out.success != (err is not None) or (out.success and out.error != err):
             disagreements.append((word, out.reason))
+        if decode_two_bch(word, code) != ((out.codeword, out.error) if out.success else None):
+            disagreements.append((word, "the two-binary-BCH oracle disagrees"))
     assert not disagreements, f"{len(disagreements)} words, first {disagreements[0]}"
 
 

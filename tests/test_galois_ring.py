@@ -10,7 +10,7 @@ from oracles import (FieldDomain, digit_add, digit_mul, digit_neg, digit_sub, fr
                      teichmuller_decompose, teichmuller_set)
 from z4negacyclic.galois_ring import (GaloisField, GaloisRing, graeffe_lift, make_ring,
                                       negacyclic_root)
-from z4negacyclic.polynomial import Z4, poly_divmod
+from z4negacyclic.polynomial import Z4, poly_divmod, poly_mul
 
 
 def all_elements(ring):
@@ -71,9 +71,42 @@ def test_graeffe_lift_quartic():
     assert rem == []
 
 
-def test_graeffe_lift_rejects_reducible():
-    with pytest.raises(ValueError):
-        graeffe_lift([1, 0, 1])
+def _clmul(a: int, b: int) -> int:
+    """The product of two GF(2) polynomials held as bit-packed ints."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def _bits(p: int) -> list[int]:
+    return [p >> i & 1 for i in range(p.bit_length())]
+
+
+def _gf2_irreducibles(max_degree: int) -> list[int]:
+    """Every irreducible GF(2) polynomial of degree 1..max_degree, as
+    bit-packed ints: those no product of two of degree >= 1 gives."""
+    top = 1 << (max_degree + 1)
+    reducible = {_clmul(a, b) for a in range(2, top)
+                 for b in range(2, top >> (a.bit_length() - 1))}
+    return [p for p in range(2, top) if p not in reducible]
+
+
+def test_graeffe_lift_is_multiplicative():
+    # graeffe(p q) = graeffe(p) graeffe(q): what lets build_code lift the
+    # binary BCH generator once instead of each minimal polynomial
+    irreducibles = [p for p in _gf2_irreducibles(10) if p & 1]  # p(0) = 1: all but x
+    assert len(irreducibles) == sum((2, 1, 2, 3, 6, 9, 18, 30, 56, 99)) - 1  # less x
+    rng = random.Random(28)
+    for _ in range(200):
+        p, q = rng.sample(irreducibles, 2)
+        assert graeffe_lift(_bits(_clmul(p, q))) == poly_mul(graeffe_lift(_bits(p)),
+                                                             graeffe_lift(_bits(q)))
+    # not squarefree: (x + 1)^2 lifts to (x - 1)^2
+    assert graeffe_lift(_bits(_clmul(0b11, 0b11))) == [1, 2, 1]
+    assert poly_mul(graeffe_lift([1, 1]), graeffe_lift([1, 1])) == [1, 2, 1]
 
 
 def test_mul_examples_gr42():
@@ -248,6 +281,37 @@ def test_field_tables_need_a_primitive_modulus():
     # the ring's own order check rejects its Graeffe lift first
     with pytest.raises(ValueError, match="order"):
         GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))
+
+
+# phi(2^m - 1)/m primitive residue moduli, each with 2^m lifts to Z4
+@pytest.mark.parametrize("m, accepted", [(2, 1 * 4), (3, 2 * 8), (4, 2 * 16)])
+def test_ring_accepts_exactly_the_moduli_whose_residue_x_is_primitive(m, accepted):
+    # a primitive residue modulus is irreducible, so the field tables'
+    # primitivity check is the ring's whole validity check: over every
+    # monic Z4 modulus of degree m (336 for m = 2..4), GaloisRing(h) raises
+    # exactly when x has order below 2^m - 1 modulo h mod 2 (no order
+    # when h(0) is even)
+    irreducibles = set(_gf2_irreducibles(m))
+    count = 0
+    for low in itertools.product(range(4), repeat=m):
+        h = list(low) + [1]
+        h2 = sum((c & 1) << i for i, c in enumerate(h))
+        order, a = None, 1
+        for k in range(1, 1 << m):
+            a <<= 1
+            if a >> m & 1:
+                a ^= h2
+            if a == 1:
+                order = k
+                break
+        if order == (1 << m) - 1:
+            GaloisRing(h)
+            assert h2 in irreducibles
+            count += 1
+        else:
+            with pytest.raises(ValueError):
+                GaloisRing(h)
+    assert count == accepted
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -16,32 +16,31 @@ from z4negacyclic.solver import PairVector, SolutionNotFound, select_minimal_reg
 
 
 def test_term_less_examples():
-    assert term_less((RIGHT, 0), (LEFT, 1), -1)        # [0,1] < [z,0]
-    assert not term_less((RIGHT, 0), (LEFT, 0), -1)    # [0,1] > [1,0]
-    assert term_less((LEFT, 0), (RIGHT, 0), -1)
-    assert term_less((LEFT, 2), (LEFT, 3), -1)
-    assert not term_less((LEFT, 3), (LEFT, 2), -1)
+    assert term_less((RIGHT, 0), (LEFT, 1))        # [0,1] < [z,0]
+    assert not term_less((RIGHT, 0), (LEFT, 0))    # [0,1] > [1,0]
+    assert term_less((LEFT, 0), (RIGHT, 0))
+    assert term_less((LEFT, 2), (LEFT, 3))
+    assert not term_less((LEFT, 3), (LEFT, 2))
 
 
 def test_term_less_total_order():
     terms = [(side, d) for side in (LEFT, RIGHT) for d in range(5)]
-    for ell in (-2, -1, 0, 1):
-        for t1, t2 in itertools.product(terms, terms):
-            if t1 == t2:
-                assert not term_less(t1, t2, ell)
-            else:
-                assert term_less(t1, t2, ell) != term_less(t2, t1, ell)
-        # transitivity on triples
-        for t1, t2, t3 in itertools.product(terms, repeat=3):
-            if term_less(t1, t2, ell) and term_less(t2, t3, ell):
-                assert term_less(t1, t3, ell)
+    for t1, t2 in itertools.product(terms, terms):
+        if t1 == t2:
+            assert not term_less(t1, t2)
+        else:
+            assert term_less(t1, t2) != term_less(t2, t1)
+    # transitivity on triples
+    for t1, t2, t3 in itertools.product(terms, repeat=3):
+        if term_less(t1, t2) and term_less(t2, t3):
+            assert term_less(t1, t3)
 
 
 def test_degree_side_tuples_follow_term_less():
     # the solver compares terms as (degree, side) tuples
     terms = [(side, d) for side in (LEFT, RIGHT) for d in range(5)]
     for (s1, d1), (s2, d2) in itertools.product(terms, terms):
-        assert ((d1, s1) < (d2, s2)) == term_less((s1, d1), (s2, d2), -1)
+        assert ((d1, s1) < (d2, s2)) == term_less((s1, d1), (s2, d2))
 
 
 def test_leading_examples():
