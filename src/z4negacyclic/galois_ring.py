@@ -1,12 +1,12 @@
 """Exact arithmetic in the Galois ring GR(4,m) = Z4[x]/<h(x)>.
 
-h is a monic polynomial of degree m with x primitive modulo h mod 2,
-which makes h mod 2 irreducible and h basic irreducible.  The
-quotient R is then a local ring with maximal ideal 2R and residue field
-K = GF(2^m).  Residue field elements are plain ints whose bits are the
-GF(2) coefficients (bit i = coefficient of x^i), in the style of most
-GF(2^m) libraries; the GaloisField object carries the modulus and the
-log/antilog tables.
+h is the Graeffe lift of a primitive polynomial of degree m over GF(2)
+(GaloisRing refuses any other h), so h is basic irreducible, its root
+[x] is the Teichmuller lift of x, and the quotient R is a local ring
+with maximal ideal 2R and residue field K = GF(2^m).  Residue field
+elements are plain ints whose bits are the GF(2) coefficients (bit i =
+coefficient of x^i), in the style of most GF(2^m) libraries; the
+GaloisField object carries the modulus and the log/antilog tables.
 
 Ring elements use the 2-adic (Teichmuller) form: every element of R is
 uniquely tau(a) + 2 tau(b) with a, b in K, where tau lifts K onto the
@@ -292,43 +292,20 @@ _set_ring, _set_a, _set_b = (RingElement.ring.__set__, RingElement.a.__set__,
                             RingElement.b.__set__)
 
 
-def _digit_corrections(modulus: tuple, field: GaloisField) -> list[int]:
+def _digit_corrections(field: GaloisField) -> list[int]:
     """corr with P(c) = tau(c) + 2 tau(corr[c]) for every c in GF(2^m),
     where P(c) is the element whose Z4 digits are the bits of c.
 
-    Everything is pair arithmetic over the field tables.  Write [x] =
-    tau(x) + 2 tau(d); as 4 = 0, Taylor's formula stops after one step,
-    h([x]) = h(tau(x)) + 2 tau(d h'(x)) = 0, and h(tau(x)) = (0, e) is a
-    pair sum of the terms h_i tau(x)^i.  So d = e / h'(x), where h'(x)
-    != 0 as h mod 2 is irreducible; d = 0 exactly when [x] is the
-    Teichmuller lift of x.  Then [x]^i = (x^i, x^(i-1) d if i is odd
-    else 0), and P(c) is the pair sum of [x]^i over the bits i of c.
+    h is a Graeffe lift, so [x]^i = tau(x^i) and P(c) is the sum of the
+    tau(x^i) over the bits i of c: corr holds its carries, one top bit
+    at a time, as tau(rest) + tau(top) = tau(c) + 2 tau(sqrt(rest top)).
     """
-    log, exp, hlog = field.log, field.exp, field.hlog
-    # h(tau(x)) = sum of h_i (x^i, 0); 2 (a, 0) = (0, a), -(a, 0) = (a, a)
-    a = b = 0
-    for i, h in enumerate(modulus):
-        xa = exp[i] if h & 1 else 0
-        xb = exp[i] if h & 2 else 0
-        a, b = a ^ xa, b ^ xb ^ exp[hlog[a] + hlog[xa]]
-    assert a == 0, "h(tau(x)) is not in 2R"
-    dh = 0  # h'(x): the odd terms of h, mod 2
-    for i in range(1, len(modulus), 2):
-        if modulus[i] & 1:
-            dh ^= exp[i - 1]
-    q = field.order
-    ld = (log[b] - log[dh]) % q if b else 2 * q  # log d, the zero sentinel for d = 0
-    # P(c) = P(c - top bit) + [x]^top, one top bit at a time
-    low, corr = [0] * field.size, [0] * field.size
+    exp, hlog = field.exp, field.hlog
+    corr = [0] * field.size
     for c in range(1, field.size):
-        i = c.bit_length() - 1
-        rest = c ^ (1 << i)
-        xa = exp[i]
-        xb = exp[i - 1 + ld] if i & 1 else 0
-        ra = low[rest]
-        low[c] = ra ^ xa
-        corr[c] = corr[rest] ^ xb ^ exp[hlog[ra] + hlog[xa]]
-    assert low == list(range(field.size)), "P(c) does not have residue c"
+        top = 1 << (c.bit_length() - 1)
+        rest = c ^ top
+        corr[c] = corr[rest] ^ exp[hlog[rest] + hlog[top]]
     return corr
 
 
@@ -361,16 +338,19 @@ class GaloisRing:
 
         # The field tables require x primitive modulo h mod 2, so h mod 2
         # is irreducible: modulo a reducible one, fewer than 2^m - 1
-        # residues are units.  The unit group is the Teichmuller group
-        # times 1 + 2R, of exponent 2, so [x] has order 2^m-1 or 2(2^m-1).
+        # residues are units.  h must also be the Graeffe lift of h mod 2,
+        # so that [x] is tau(x), of order 2^m - 1.
+        residue = [c & 1 for c in modulus]
         try:
-            field = GaloisField(sum((c & 1) << i for i, c in enumerate(modulus)))
+            field = GaloisField(sum(c << i for i, c in enumerate(residue)))
         except ValueError:
-            raise ValueError("[x] must have order 2^m-1 or 2(2^m-1), "
-                             "but its residue x is not primitive") from None
+            raise ValueError("[x] must have order 2^m-1; its residue x is not primitive") from None
+        if modulus != graeffe_lift(residue):
+            raise ValueError("modulus must be the Graeffe lift of its residue, "
+                             "so that [x] is the Teichmuller lift of x")
         self._field = field
         self._log, self._exp, self._hlog = field.log, field.exp, field.hlog
-        self._corr = _digit_corrections(self.modulus, field)
+        self._corr = _digit_corrections(field)
 
         self.zero = _make(self, 0, 0)
         self.one = _make(self, 1, 0)

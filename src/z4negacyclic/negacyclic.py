@@ -86,7 +86,9 @@ def build_code(n: int, t: int) -> Code:
 
     The tables need only the pairs of the powers of alpha: alpha^e =
     (-1)^e beta^e is the pair (b, b if e is odd else 0), b the residue
-    of beta^e, whose Z4 digits GaloisRing.digits reads off.
+    of beta^e = x^(e step), step = (2^m - 1)/n.  syndrome_matrix gathers
+    the Z4 digits of alpha^e, e = 0..2n-1, at e = j k mod 2n, and
+    residue_logs holds the logs -j step mod 2^m - 1.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"length n={n} must be odd and at least 3")
@@ -116,14 +118,12 @@ def build_code(n: int, t: int) -> Code:
         g = [(-c) % 4 for c in g]
     assert g[-1] == 1, "generator failed to normalize monic"
 
-    # the pairs of alpha^e, e = 0..2n-1, and their digits
-    pairs = [(b, b if e & 1 else 0) for e, b in enumerate(res + res)]
-    digits = [ring.digits(*p) for p in pairs]
-    syndrome_matrix = np.array(
-        [[c for k in range(1, 2 * t, 2) for c in digits[j * k % (2 * n)]]
-         for j in range(n)], dtype=np.float64)
+    digits = np.array([ring.digits(b, b if e & 1 else 0) for e, b in enumerate(res + res)],
+                      dtype=np.float64)
+    exponents = np.outer(np.arange(n), np.arange(1, 2 * t, 2)) % (2 * n)
+    syndrome_matrix = digits[exponents].reshape(n, t * m)
     # alpha^-j = alpha^(2n-j), whose residue is that of beta^-j
-    residue_logs = np.array([log[res[-j % n]] for j in range(n)], dtype=np.int64)
+    residue_logs = -step * np.arange(n, dtype=np.int64) % ((1 << m) - 1)
     field_exp = np.array(exp, dtype=np.int64)
     for table in (syndrome_matrix, residue_logs, field_exp):
         table.setflags(write=False)

@@ -35,8 +35,8 @@ MUTANTS = (
      "for k in range(1, len(fa)):",
      "for k in range(1, len(fa) - 1):"),
     ("residue_logs at beta^j, not beta^-j", "negacyclic.py",
-     "log[res[-j % n]]",
-     "log[res[j]]"),
+     "residue_logs = -step * np.arange(n",
+     "residue_logs = step * np.arange(n"),
     ("x O with the parity of j flipped", "decoder.py",
      "exp[lx + log[ob]] ^ (pa if j & 1 else 0)",
      "exp[lx + log[ob]] ^ (pa if not j & 1 else 0)"),
@@ -58,9 +58,15 @@ MUTANTS = (
     ("make_ring accepts m = 11", "galois_ring.py",
      "if not 2 <= m <= 10:",
      "if not 2 <= m <= 11:"),
-    ("[x]^i without its d term", "galois_ring.py",
-     "xb = exp[i - 1 + ld] if i & 1 else 0",
-     "xb = 0"),
+    ("carry dropped from the digit corrections", "galois_ring.py",
+     "corr[c] = corr[rest] ^ exp[hlog[rest] + hlog[top]]",
+     "corr[c] = corr[rest]"),
+    ("ring accepts a modulus that is not a Graeffe lift", "galois_ring.py",
+     "if modulus != graeffe_lift(residue):",
+     "if False:"),
+    ("syndrome exponents reduced mod n, not 2n", "negacyclic.py",
+     "np.arange(1, 2 * t, 2)) % (2 * n)",
+     "np.arange(1, 2 * t, 2)) % n"),
     ("minimal_regular t off by one", "solver.py",
      "t = sum(basis.shape) // 2 - 1",
      "t = sum(basis.shape) // 2"),

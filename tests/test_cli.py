@@ -170,7 +170,8 @@ def test_reproduce_paper_quick(capsys):
     assert "FAIL" not in out
 
 
-# a valid m = 4 modulus other than the built-in x^4 + 2x^2 + 3x + 1
+# a valid m = 4 modulus other than the built-in x^4 + 2x^2 + 3x + 1: the
+# Graeffe lift of x^4 + x^3 + 1
 FAULT_M4 = [1, 0, 2, 3, 1]
 
 
@@ -217,7 +218,15 @@ def test_reproduce_paper_fault_injection_json(monkeypatch, capsys):
     (("decode", "-n", "15", "-t", "2", "--word", "0" * 14), "word length 14 != code length 15"),
     (("encode", "-n", "15", "-t", "2", "--msg", "103201x"),
      "invalid digit 'x' at position 6; expected 0-3"),
-], ids=["even-n", "short-n", "t-zero", "t-too-large", "word-length", "msg-digit"])
+    (("code-info", "-n", "23", "-t", "1"),
+     "order of 2 mod 23 exceeds 10; supported rings stop at m=10"),
+    (("min-distance", "-n", "63", "-t", "1"),
+     "rank 57 exceeds the enumeration bound 12 (4^57 codewords)"),
+    (("encode", "-n", "15", "-t", "2", "--msg", "12"), "message length 2 != rank k=7"),
+    (("decode", "-n", "15", "-t", "2", "--word", "31302322101003x"),
+     "invalid digit 'x' at position 14; expected 0-3"),
+], ids=["even-n", "short-n", "t-zero", "t-too-large", "word-length", "msg-digit",
+        "m-above-10", "scan-bound", "msg-length", "word-digit"])
 def test_error_paths_end_in_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -27,8 +27,7 @@ def test_make_ring_all_supported_degrees():
         ring = make_ring(m)
         assert ring.m == m
         assert ring.modulus[-1] == 1
-        order = multiplicative_order(gen(ring))
-        assert order in ((1 << m) - 1, 2 * ((1 << m) - 1))
+        assert multiplicative_order(gen(ring)) == (1 << m) - 1
 
 
 def test_make_ring_rejects_unsupported():
@@ -283,14 +282,14 @@ def test_field_tables_need_a_primitive_modulus():
         GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))
 
 
-# phi(2^m - 1)/m primitive residue moduli, each with 2^m lifts to Z4
-@pytest.mark.parametrize("m, accepted", [(2, 1 * 4), (3, 2 * 8), (4, 2 * 16)])
-def test_ring_accepts_exactly_the_moduli_whose_residue_x_is_primitive(m, accepted):
-    # a primitive residue modulus is irreducible, so the field tables'
-    # primitivity check is the ring's whole validity check: over every
-    # monic Z4 modulus of degree m (336 for m = 2..4), GaloisRing(h) raises
+# phi(2^m - 1)/m primitive residue moduli, each the residue of 2^m
+# monic Z4 moduli, one of them its Graeffe lift
+@pytest.mark.parametrize("m, accepted", [(2, 1), (3, 2), (4, 2)])
+def test_ring_accepts_exactly_the_lifts_of_primitive_residues(m, accepted):
+    # a primitive residue modulus is irreducible: over every monic Z4
+    # modulus of degree m (336 for m = 2..4), GaloisRing(h) raises
     # exactly when x has order below 2^m - 1 modulo h mod 2 (no order
-    # when h(0) is even)
+    # when h(0) is even) or h is not the Graeffe lift of h mod 2
     irreducibles = set(_gf2_irreducibles(m))
     count = 0
     for low in itertools.product(range(4), repeat=m):
@@ -304,7 +303,7 @@ def test_ring_accepts_exactly_the_moduli_whose_residue_x_is_primitive(m, accepte
             if a == 1:
                 order = k
                 break
-        if order == (1 << m) - 1:
+        if order == (1 << m) - 1 and h == graeffe_lift([c & 1 for c in h]):
             GaloisRing(h)
             assert h2 in irreducibles
             count += 1
@@ -318,20 +317,23 @@ def test_ring_accepts_exactly_the_moduli_whose_residue_x_is_primitive(m, accepte
     (lambda: GaloisField(0b1), ValueError, "^modulus 0b1 must have degree at least 1$"),
     (lambda: GaloisField(0), ValueError, "^modulus 0b0 must have degree at least 1$"),
     (lambda: GaloisRing([1, 1]), ValueError, "^modulus must have degree at least 2$"),
+    (lambda: GaloisRing([1, 0, 1, 1]), ValueError,
+     "^modulus must be the Graeffe lift of its residue, "
+     "so that \\[x\\] is the Teichmuller lift of x$"),
     (lambda: make_ring(4).pair([1, 2]), ValueError, "^expected 4 coefficients, got 2$"),
     (lambda: graeffe_lift([1, 1, 0]), ValueError,
      "^expected a monic GF\\(2\\) polynomial with nonzero constant term$"),
     (lambda: graeffe_lift([1, 2, 1]), ValueError, "^coefficients must be 0 or 1$"),
     (lambda: setattr(make_ring(4).one, "a", 3), AttributeError, "^RingElement is immutable$"),
-], ids=["field-degree-0", "field-zero", "ring-degree-1", "pair-length", "lift-not-monic",
-        "lift-not-binary", "immutable"])
+], ids=["field-degree-0", "field-zero", "ring-degree-1", "ring-not-a-lift", "pair-length",
+        "lift-not-monic", "lift-not-binary", "immutable"])
 def test_validation_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
 
 
-# [x] has order 2(2^3 - 1) in Z4[x]/<x^3 + x^2 + 1>: not the Teichmuller lift
-OVERRIDE_MODULUS = [1, 0, 1, 1]
+# the Graeffe lift of x^3 + x^2 + 1: a second presentation of GR(4,3)
+OVERRIDE_MODULUS = [3, 2, 3, 1]
 SMALL_RINGS = [make_ring(2), make_ring(3), make_ring(4), GaloisRing(OVERRIDE_MODULUS)]
 
 
@@ -351,14 +353,6 @@ def _check_unary_against_digits(ring, x):
     else:
         with pytest.raises(ZeroDivisionError):
             X.inverse()
-
-
-def test_override_modulus_is_not_teichmuller():
-    ring = GaloisRing(OVERRIDE_MODULUS)
-    x = gen(ring)
-    assert multiplicative_order(x) == 2 * 7
-    theta, _ = teichmuller_decompose(x)
-    assert theta != x and theta.a == x.a
 
 
 @pytest.mark.parametrize("ring", SMALL_RINGS, ids=lambda r: str(list(r.modulus)))
@@ -412,13 +406,13 @@ def test_digit_round_trip_all_elements(m):
     _check_digit_round_trip(make_ring(m))
 
 
-# OVERRIDE_MODULUS and the m = 4 override of the code tests, in both of
-# which [x] has order 2(2^m - 1)
-@pytest.mark.parametrize("modulus", [OVERRIDE_MODULUS, [1, 0, 0, 1, 1]], ids=str)
-def test_digit_round_trip_non_teichmuller_moduli(modulus):
+# OVERRIDE_MODULUS and the m = 4 override of the code tests: the lifts
+# of other primitive residues than make_ring's, where [x] is tau(x) too
+@pytest.mark.parametrize("modulus", [OVERRIDE_MODULUS, [1, 0, 2, 3, 1]], ids=str)
+def test_digit_round_trip_second_presentations(modulus):
     ring = GaloisRing(modulus)
     _check_digit_round_trip(ring)
-    assert multiplicative_order(gen(ring)) == 2 * ((1 << ring.m) - 1)
+    assert multiplicative_order(gen(ring)) == (1 << ring.m) - 1
 
 
 def test_hash_and_eq_agree_between_digits_and_arithmetic():

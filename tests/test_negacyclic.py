@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from objects import alpha_pow, gen, syndromes
@@ -16,10 +17,10 @@ from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_m
                                      word_from_str, word_to_str)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_strip
 
-# [x] has order 30 in Z4[x]/<x^4 + x^3 + 1>, so it is not the Teichmuller
-# lift of x; the (15, t) generators for t = 1, 2, 3 differ from the
-# built-in ring's
-OVERRIDE_M4 = [1, 0, 0, 1, 1]
+# the Graeffe lift of x^4 + x^3 + 1, a second presentation of GR(4,4):
+# its Teichmuller generator [x] differs from the built-in ring's, and so
+# do the (15, t) generators for t = 1, 2, 3
+OVERRIDE_M4 = [1, 0, 2, 3, 1]
 
 
 
@@ -105,13 +106,29 @@ def test_generators_are_pinned():
     assert digest == PINNED_GENERATORS_SHA256
 
 
+# sha256 of the bytes of their syndrome_matrix and residue_logs, in order
+PINNED_TABLES_SHA256 = "38f467873eeb3bf209c40d2510a1399b54b3d3635b7810e534955019680814c0"
+
+
+def test_code_tables_are_pinned():
+    digest = hashlib.sha256()
+    for n, t in PINNED_CODES:
+        code = build_code(n, t)
+        assert code.syndrome_matrix.dtype == np.float64 and code.residue_logs.dtype == np.int64
+        assert code.syndrome_matrix.shape == (n, t * code.ring.m)
+        assert code.residue_logs.shape == (n,)
+        digest.update(code.syndrome_matrix.tobytes())
+        digest.update(code.residue_logs.tobytes())
+    assert digest.hexdigest() == PINNED_TABLES_SHA256
+
+
 def test_override_changes_the_generators(monkeypatch):
     builtin = [build_code(15, t).generator for t in (1, 2, 3)]
     use_modulus(monkeypatch, OVERRIDE_M4)
     for t, g in zip((1, 2, 3), builtin):
         code = build_code(15, t)
         assert list(code.ring.modulus) == OVERRIDE_M4
-        assert multiplicative_order(gen(code.ring)) == 30
+        assert multiplicative_order(gen(code.ring)) == 15
         assert code.generator != g
 
 
