@@ -128,7 +128,7 @@ def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray, np.ndarray]:
     logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
     # log of c_i X^i at point j: log c_i + i log X_j, both below the order
     index = np.array(deg, dtype=np.int64)[:, None] * code.residue_logs % field.order
-    terms = code.field_exp[index + logc[:, None]]
+    terms = field.exp_array[index + logc[:, None]]
     return deg, terms, np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
 
 

@@ -1,7 +1,7 @@
 """Exact arithmetic in the Galois ring GR(4,m) = Z4[x]/<h(x)>.
 
 h is the Graeffe lift of a primitive polynomial of degree m over GF(2)
-(GaloisRing refuses any other h), so h is basic irreducible, its root
+(GaloisRing builds h as the lift), so h is basic irreducible, its root
 [x] is the Teichmuller lift of x, and the quotient R is a local ring
 with maximal ideal 2R and residue field K = GF(2^m).  Residue field
 elements are plain ints whose bits are the GF(2) coefficients (bit i =
@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .polynomial import poly_mul
 
 __all__ = [
@@ -80,10 +82,10 @@ def graeffe_lift(p: list[int]) -> list[int]:
     lifts of p's roots; for p irreducible of degree d, f divides
     x^(2^d - 1) - 1 over Z4.
     """
-    if not p or p[0] != 1 or p[-1] != 1:
-        raise ValueError("expected a monic GF(2) polynomial with nonzero constant term")
     if any(b not in (0, 1) for b in p):
         raise ValueError("coefficients must be 0 or 1")
+    if not p or p[0] != 1 or p[-1] != 1:
+        raise ValueError("expected a monic GF(2) polynomial with nonzero constant term")
     prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])
     assert not any(prod[1::2])
     f = prod[::2]
@@ -99,11 +101,13 @@ class GaloisField:
 
     Products go through tables built once from the powers of x, so the
     modulus, whose degree is m, must be primitive (x of order 2^m - 1);
-    every GaloisRing modulus is, by its order check.  The tables, which
-    GaloisRing shares for its element arithmetic:
+    the residue of every GaloisRing is.  The tables, which GaloisRing
+    shares for its element arithmetic:
     - `log`: discrete log, with the sentinel 2(2^m - 1) for 0;
     - `exp`: antilog over two periods, then zeros, so that a sum of
       two logs needs no reduction and any sum with the sentinel reads 0;
+    - `exp_array`: `exp` as a read-only int64 array, for the decoder's
+      root sweep over all n points at once;
     - `hlog`: the log of the square root (the sentinel for 0).
     """
 
@@ -130,6 +134,8 @@ class GaloisField:
                              "the log tables need a primitive modulus")
         self.order = order
         self.exp = exp + exp + [0] * (zero_log + 1)
+        self.exp_array = np.array(self.exp, dtype=np.int64)
+        self.exp_array.setflags(write=False)
         self.log = log
         half = (order + 1) // 2  # the inverse of 2 mod order
         self.hlog = [zero_log] + [lg * half % order for lg in log[1:]]
@@ -310,8 +316,10 @@ def _digit_corrections(field: GaloisField) -> list[int]:
 
 
 class GaloisRing:
-    """GR(4,m) descriptor: extension degree, modulus, residue field and
-    the GF(2^m) tables of the element arithmetic.
+    """GR(4,m) = Z4[x]/(h) from the primitive GF(2) polynomial `residue`
+    (a 0/1 list, constant term first): h is its Graeffe lift, so [x] is
+    tau(x), and the residue field is GF(2)[x]/(residue), whose table
+    build refuses a residue in which x is not primitive.
 
     `_log`, `_exp` and `_hlog` are the residue field's `log`, `exp` and
     `hlog` lists (see GaloisField); `_corr` is the digit correction that
@@ -326,29 +334,13 @@ class GaloisRing:
     elements through them, straight from the pairs.
     """
 
-    def __init__(self, modulus: list[int]):
-        modulus = [int(c) % 4 for c in modulus]
-        m = len(modulus) - 1
+    def __init__(self, residue: list[int]):
+        m = len(residue) - 1
         if m < 2:
             raise ValueError("modulus must have degree at least 2")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
         self.m = m
-        self.modulus = tuple(modulus)
-
-        # The field tables require x primitive modulo h mod 2, so h mod 2
-        # is irreducible: modulo a reducible one, fewer than 2^m - 1
-        # residues are units.  h must also be the Graeffe lift of h mod 2,
-        # so that [x] is tau(x), of order 2^m - 1.
-        residue = [c & 1 for c in modulus]
-        try:
-            field = GaloisField(sum(c << i for i, c in enumerate(residue)))
-        except ValueError:
-            raise ValueError("[x] must have order 2^m-1; its residue x is not primitive") from None
-        if modulus != graeffe_lift(residue):
-            raise ValueError("modulus must be the Graeffe lift of its residue, "
-                             "so that [x] is the Teichmuller lift of x")
-        self._field = field
+        self.modulus = tuple(graeffe_lift(residue))
+        self._field = field = GaloisField(sum(c << i for i, c in enumerate(residue)))
         self._log, self._exp, self._hlog = field.log, field.exp, field.hlog
         self._corr = _digit_corrections(field)
 
@@ -413,7 +405,7 @@ def make_ring(m: int) -> GaloisRing:
     Graeffe lift of the table's primitive binary polynomial."""
     if not 2 <= m <= 10:
         raise ValueError(f"unsupported extension degree m={m}; supported range is 2..10")
-    return GaloisRing(graeffe_lift(_PRIMITIVE_GF2[m]))
+    return GaloisRing(_PRIMITIVE_GF2[m])
 
 
 def negacyclic_root(ring: GaloisRing, n: int) -> tuple[int, int]:

@@ -45,11 +45,9 @@ class Code:
     # Read-only float64, so that the product runs on BLAS; it stays
     # exact, as each entry of w @ H is at most 9n <= 9207 < 2^53
     syndrome_matrix: np.ndarray = field(compare=False, repr=False)
-    # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1
+    # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1,
+    # whose antilogs the decoder's root sweep gathers from field().exp_array
     residue_logs: np.ndarray = field(compare=False, repr=False)
-    # read-only int64 copy of the residue field's antilog table `exp`, for
-    # the decoder's root sweep over all n points at once
-    field_exp: np.ndarray = field(compare=False, repr=False)
 
     def field(self):
         return self.ring.residue_field()
@@ -124,14 +122,12 @@ def build_code(n: int, t: int) -> Code:
     syndrome_matrix = digits[exponents].reshape(n, t * m)
     # alpha^-j = alpha^(2n-j), whose residue is that of beta^-j
     residue_logs = -step * np.arange(n, dtype=np.int64) % ((1 << m) - 1)
-    field_exp = np.array(exp, dtype=np.int64)
-    for table in (syndrome_matrix, residue_logs, field_exp):
+    for table in (syndrome_matrix, residue_logs):
         table.setflags(write=False)
 
     code = Code(n=n, t=t, ring=ring, alpha=alpha,
                 generator=tuple(g), k=n - (len(g) - 1),
-                syndrome_matrix=syndrome_matrix, residue_logs=residue_logs,
-                field_exp=field_exp)
+                syndrome_matrix=syndrome_matrix, residue_logs=residue_logs)
 
     # g vanishes at alpha, alpha^3, ..., alpha^(2t-1) exactly when its
     # syndromes do, which also checks the syndrome matrix

@@ -7,14 +7,17 @@ first in odd ones.  The subprocess imports the package from its tree,
 builds the workload's code, takes the first N words that
 `perfbench/harness.py`'s `make_inputs` draws for the seed, decodes them
 K times (untraced, as the benchmark times them) and prints its best
-pass in us per word.  The harness is only imported, from this
-checkout's `perfbench/`, so both trees are fed the same words.
+pass in us per word, and the ms of its one `build_code` call: a cold
+build, as the interpreter is fresh, so it includes `make_ring`.  The
+harness is only imported, from this checkout's `perfbench/`, so both
+trees are fed the same words.
 
 The JSON written to --out holds, per workload and tree, every round's
-figure with their median and quartiles, and the ratio of the medians,
-B over A (below 1 when B decodes faster); and both trees' commits, the
-Python and numpy versions, the seed, N, K and R.  Pytest does not
-collect this file: its name has no test_ prefix.
+figures with their medians and quartiles, and the ratios of the
+medians, B over A (below 1 when B is faster): `ratio_b_over_a` for
+decoding and `build_ratio_b_over_a` for the cold build; and both
+trees' commits, the Python and numpy versions, the seed, N, K and R.
+Pytest does not collect this file: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from z4negacyclic.negacyclic import build_code
 if not z4negacyclic.__file__.startswith(src):
     sys.exit(f"z4negacyclic imports from {z4negacyclic.__file__}, not from {src}")
 wl = harness.WORKLOADS[name]
+start = time.perf_counter_ns()
 code = build_code(wl.n, wl.t)
+build_ms = (time.perf_counter_ns() - start) / 1e6
 # make_inputs draws word after word: a pool of N is the full pool's first N
 samples, _ = harness.make_inputs(dataclasses.replace(wl, pool=int(words)), code, int(seed))
 received = [s.received for s in samples]
@@ -53,19 +58,21 @@ for _ in range(int(passes)):
     for w in received:
         decode(w, code)
     best = min(best, (time.perf_counter_ns() - start) / 1e3 / len(received))
-print(best)
+print(best, build_ms)
 """
 
 
-def _time(src: Path, workload: str, seed: int, words: int, passes: int) -> float:
-    """The best pass of one subprocess on src, in us per word."""
+def _time(src: Path, workload: str, seed: int, words: int, passes: int) -> tuple[float, float]:
+    """The best pass of one subprocess on src, in us per word, and its
+    cold build_code, in ms."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(src), str(PERFBENCH), workload,
          str(seed), str(words), str(passes)],
         capture_output=True, text=True)
     if done.returncode:
         sys.exit(f"{src} on {workload}: {done.stderr.strip()}")
-    return float(done.stdout)
+    us_per_word, build_ms = map(float, done.stdout.split())
+    return us_per_word, build_ms
 
 
 def _commit(src: Path) -> dict:
@@ -80,10 +87,19 @@ def _commit(src: Path) -> dict:
     return {"commit": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
 
 
-def _spread(values: list[float]) -> dict:
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
-    return {"median": median, "q1": q1, "q3": q3, "us_per_word": values}
+def _quartiles(values: list[float]) -> list[float]:
+    return (statistics.quantiles(values, n=4, method="inclusive")
+            if len(values) > 1 else values * 3)
+
+
+def _spread(runs: list[tuple[float, float]]) -> dict:
+    """The decode figures (us per word) and cold builds (ms) of one
+    tree's rounds, each with its median and quartiles."""
+    us, build = map(list, zip(*runs))
+    q1, median, q3 = _quartiles(us)
+    b1, build_median, b3 = _quartiles(build)
+    return {"median": median, "q1": q1, "q3": q3, "us_per_word": us,
+            "build_median": build_median, "build_q1": b1, "build_q3": b3, "build_ms": build}
 
 
 def main(argv=None) -> int:
@@ -112,11 +128,13 @@ def main(argv=None) -> int:
                 runs[side].append(_time(trees[side], workload, args.seed,
                                         args.words, args.passes))
         spread = {side: _spread(values) for side, values in runs.items()}
-        workloads[workload] = {**spread, "ratio_b_over_a":
-                               spread["b"]["median"] / spread["a"]["median"]}
-        print(f"{workload}: A {spread['a']['median']:.1f} us/word, "
-              f"B {spread['b']['median']:.1f} us/word, "
-              f"B/A {workloads[workload]['ratio_b_over_a']:.3f}", flush=True)
+        a, b = spread["a"], spread["b"]
+        workloads[workload] = {**spread, "ratio_b_over_a": b["median"] / a["median"],
+                               "build_ratio_b_over_a": b["build_median"] / a["build_median"]}
+        print(f"{workload}: A {a['median']:.1f} us/word, build {a['build_median']:.2f} ms; "
+              f"B {b['median']:.1f} us/word, build {b['build_median']:.2f} ms; "
+              f"B/A {workloads[workload]['ratio_b_over_a']:.3f}, "
+              f"build {workloads[workload]['build_ratio_b_over_a']:.3f}", flush=True)
 
     result = {
         "trees": {side: _commit(src) for side, src in trees.items()},

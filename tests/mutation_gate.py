@@ -61,8 +61,17 @@ MUTANTS = (
     ("carry dropped from the digit corrections", "galois_ring.py",
      "corr[c] = corr[rest] ^ exp[hlog[rest] + hlog[top]]",
      "corr[c] = corr[rest]"),
-    ("ring accepts a modulus that is not a Graeffe lift", "galois_ring.py",
-     "if modulus != graeffe_lift(residue):",
+    ("ring modulus is the residue, not its lift", "galois_ring.py",
+     "self.modulus = tuple(graeffe_lift(residue))",
+     "self.modulus = tuple(residue)"),
+    ("make_ring passes the reciprocal residue", "galois_ring.py",
+     "return GaloisRing(_PRIMITIVE_GF2[m])",
+     "return GaloisRing(_PRIMITIVE_GF2[m][::-1])"),
+    ("antilog array shifted by one", "galois_ring.py",
+     "self.exp_array = np.array(self.exp, dtype=np.int64)",
+     "self.exp_array = np.array(self.exp[1:] + [0], dtype=np.int64)"),
+    ("lift accepts a residue that is not 0/1", "galois_ring.py",
+     "if any(b not in (0, 1) for b in p):",
      "if False:"),
     ("syndrome exponents reduced mod n, not 2n", "negacyclic.py",
      "np.arange(1, 2 * t, 2)) % (2 * n)",

@@ -337,11 +337,12 @@ def construction_by_objects(n: int, t: int) -> dict:
             "syndrome_matrix": syndrome_matrix, "residue_logs": residue_logs}
 
 
-def use_modulus(monkeypatch, modulus: list[int]) -> None:
-    """Build every code of degree m = deg(modulus) over GaloisRing(modulus)
-    in place of make_ring(m), in build_code and construction_by_objects
-    alike, until the monkeypatch undoes it."""
-    ring = GaloisRing(modulus)
+def use_modulus(monkeypatch, residue: list[int]) -> None:
+    """Build every code of degree m = deg(residue) over GaloisRing(residue),
+    the ring modulo the Graeffe lift of the primitive GF(2) polynomial
+    residue, in place of make_ring(m), in build_code and
+    construction_by_objects alike, until the monkeypatch undoes it."""
+    ring = GaloisRing(residue)
 
     def swapped(m: int) -> GaloisRing:
         return ring if m == ring.m else galois_ring.make_ring(m)

@@ -23,6 +23,9 @@ def test_ab_decode_smoke(tmp_path):
     assert set(result["workloads"]) == {"decode-255-4", "channel-31-5"}
     for runs in result["workloads"].values():
         for side in "ab":
-            assert set(runs[side]) == {"median", "q1", "q3", "us_per_word"}
-            assert len(runs[side]["us_per_word"]) == 1
-        assert math.isfinite(runs["ratio_b_over_a"]) and runs["ratio_b_over_a"] > 0
+            assert set(runs[side]) == {"median", "q1", "q3", "us_per_word",
+                                       "build_median", "build_q1", "build_q3", "build_ms"}
+            assert len(runs[side]["us_per_word"]) == len(runs[side]["build_ms"]) == 1
+            assert runs[side]["build_q1"] <= runs[side]["build_median"] <= runs[side]["build_q3"]
+        for ratio in ("ratio_b_over_a", "build_ratio_b_over_a"):
+            assert math.isfinite(runs[ratio]) and runs[ratio] > 0

@@ -170,9 +170,9 @@ def test_reproduce_paper_quick(capsys):
     assert "FAIL" not in out
 
 
-# a valid m = 4 modulus other than the built-in x^4 + 2x^2 + 3x + 1: the
-# Graeffe lift of x^4 + x^3 + 1
-FAULT_M4 = [1, 0, 2, 3, 1]
+# x^4 + x^3 + 1, a primitive residue other than the built-in x^4 + x + 1:
+# its Graeffe lift is a valid m = 4 modulus other than x^4 + 2x^2 + 3x + 1
+FAULT_M4 = [1, 0, 0, 1, 1]
 
 
 def test_reproduce_paper_fault_injection(monkeypatch, capsys):

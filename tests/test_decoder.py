@@ -565,8 +565,8 @@ def test_decode_outcome_holds_python_ints(form):
             json.dumps([out.success, out.reason, out.codeword, out.error, out.trace])
             assert np.array_equal(np.asarray(given), before)
     assert not code.residue_logs.flags.writeable
-    assert not code.field_exp.flags.writeable
-    assert code.field_exp.tolist() == code.field().exp
+    assert not code.field().exp_array.flags.writeable
+    assert code.field().exp_array.tolist() == code.field().exp
 
 
 def test_decode_reads_numpy_bools_as_bits():

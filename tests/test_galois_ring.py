@@ -41,7 +41,7 @@ def test_ring_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         GaloisRing([1, 0, 1])  # x^2 + 1 = (x+1)^2 mod 2
     with pytest.raises(ValueError):
-        GaloisRing([1, 1, 2])  # not monic
+        GaloisRing([1, 1, 2])  # not a 0/1 residue, nor monic
 
 
 def test_graeffe_lift_quadratic_fixed_point():
@@ -277,39 +277,48 @@ def test_field_tables_need_a_primitive_modulus():
     # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 in GF(16)
     with pytest.raises(ValueError, match="primitive"):
         GaloisField(0b11111)
-    # the ring's own order check rejects its Graeffe lift first
-    with pytest.raises(ValueError, match="order"):
-        GaloisRing(graeffe_lift([1, 1, 1, 1, 1]))
+    # a ring over it fails at its residue field's table build
+    with pytest.raises(ValueError, match="primitive"):
+        GaloisRing([1, 1, 1, 1, 1])
 
 
-# phi(2^m - 1)/m primitive residue moduli, each the residue of 2^m
-# monic Z4 moduli, one of them its Graeffe lift
+def _is_primitive(p: list[int]) -> bool:
+    """Whether x has order 2^m - 1 modulo the degree-m GF(2) polynomial p
+    (no order when p(0) = 0), by stepping through the powers of x."""
+    m, bits = len(p) - 1, sum(c << i for i, c in enumerate(p))
+    a = 1
+    for k in range(1, 1 << m):
+        a <<= 1
+        if a >> m & 1:
+            a ^= bits
+        if a == 1:
+            return k == (1 << m) - 1
+    return False
+
+
+def _primitive_residues(m: int) -> list[list[int]]:
+    residues = (list(low) + [1] for low in itertools.product(range(2), repeat=m))
+    return [p for p in residues if _is_primitive(p)]
+
+
+# phi(2^m - 1)/m primitive residues of degree m
 @pytest.mark.parametrize("m, accepted", [(2, 1), (3, 2), (4, 2)])
 def test_ring_accepts_exactly_the_lifts_of_primitive_residues(m, accepted):
-    # a primitive residue modulus is irreducible: over every monic Z4
-    # modulus of degree m (336 for m = 2..4), GaloisRing(h) raises
-    # exactly when x has order below 2^m - 1 modulo h mod 2 (no order
-    # when h(0) is even) or h is not the Graeffe lift of h mod 2
+    # a primitive residue is irreducible: over every monic 0/1 residue p
+    # of degree m (28 for m = 2..4), GaloisRing(p) raises exactly when x
+    # has order below 2^m - 1 modulo p (no order when p(0) = 0), and
+    # otherwise its modulus is the Graeffe lift of p
     irreducibles = set(_gf2_irreducibles(m))
     count = 0
-    for low in itertools.product(range(4), repeat=m):
-        h = list(low) + [1]
-        h2 = sum((c & 1) << i for i, c in enumerate(h))
-        order, a = None, 1
-        for k in range(1, 1 << m):
-            a <<= 1
-            if a >> m & 1:
-                a ^= h2
-            if a == 1:
-                order = k
-                break
-        if order == (1 << m) - 1 and h == graeffe_lift([c & 1 for c in h]):
-            GaloisRing(h)
-            assert h2 in irreducibles
+    for low in itertools.product(range(2), repeat=m):
+        p = list(low) + [1]
+        if _is_primitive(p):
+            assert GaloisRing(p).modulus == tuple(graeffe_lift(p))
+            assert sum(c << i for i, c in enumerate(p)) in irreducibles
             count += 1
         else:
             with pytest.raises(ValueError):
-                GaloisRing(h)
+                GaloisRing(p)
     assert count == accepted
 
 
@@ -317,23 +326,23 @@ def test_ring_accepts_exactly_the_lifts_of_primitive_residues(m, accepted):
     (lambda: GaloisField(0b1), ValueError, "^modulus 0b1 must have degree at least 1$"),
     (lambda: GaloisField(0), ValueError, "^modulus 0b0 must have degree at least 1$"),
     (lambda: GaloisRing([1, 1]), ValueError, "^modulus must have degree at least 2$"),
-    (lambda: GaloisRing([1, 0, 1, 1]), ValueError,
-     "^modulus must be the Graeffe lift of its residue, "
-     "so that \\[x\\] is the Teichmuller lift of x$"),
+    # a Z4 lift where its residue belongs: x^3 + 3x^2 + 2x + 3
+    (lambda: GaloisRing([3, 2, 3, 1]), ValueError, "^coefficients must be 0 or 1$"),
     (lambda: make_ring(4).pair([1, 2]), ValueError, "^expected 4 coefficients, got 2$"),
     (lambda: graeffe_lift([1, 1, 0]), ValueError,
      "^expected a monic GF\\(2\\) polynomial with nonzero constant term$"),
     (lambda: graeffe_lift([1, 2, 1]), ValueError, "^coefficients must be 0 or 1$"),
     (lambda: setattr(make_ring(4).one, "a", 3), AttributeError, "^RingElement is immutable$"),
-], ids=["field-degree-0", "field-zero", "ring-degree-1", "ring-not-a-lift", "pair-length",
-        "lift-not-monic", "lift-not-binary", "immutable"])
+], ids=["field-degree-0", "field-zero", "ring-degree-1", "ring-lift-as-residue",
+        "pair-length", "lift-not-monic", "lift-not-binary", "immutable"])
 def test_validation_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
 
 
-# the Graeffe lift of x^3 + x^2 + 1: a second presentation of GR(4,3)
-OVERRIDE_MODULUS = [3, 2, 3, 1]
+# x^3 + x^2 + 1, whose Graeffe lift x^3 + 3x^2 + 2x + 3 is a second
+# presentation of GR(4,3)
+OVERRIDE_MODULUS = [1, 0, 1, 1]
 SMALL_RINGS = [make_ring(2), make_ring(3), make_ring(4), GaloisRing(OVERRIDE_MODULUS)]
 
 
@@ -406,18 +415,20 @@ def test_digit_round_trip_all_elements(m):
     _check_digit_round_trip(make_ring(m))
 
 
-# OVERRIDE_MODULUS and the m = 4 override of the code tests: the lifts
-# of other primitive residues than make_ring's, where [x] is tau(x) too
-@pytest.mark.parametrize("modulus", [OVERRIDE_MODULUS, [1, 0, 2, 3, 1]], ids=str)
-def test_digit_round_trip_second_presentations(modulus):
-    ring = GaloisRing(modulus)
+# every primitive residue of degree 2 to 5 (11 rings), make_ring's and
+# the others, among them OVERRIDE_MODULUS and the m = 4 override of the
+# code tests: in each ring, [x] is tau(x); ids are the lifts
+@pytest.mark.parametrize("residue", [p for m in range(2, 6) for p in _primitive_residues(m)],
+                         ids=lambda p: str(graeffe_lift(p)))
+def test_digit_round_trip_second_presentations(residue):
+    ring = GaloisRing(residue)
     _check_digit_round_trip(ring)
     assert multiplicative_order(gen(ring)) == (1 << ring.m) - 1
 
 
 def test_hash_and_eq_agree_between_digits_and_arithmetic():
     for ring in (make_ring(2), make_ring(3), GaloisRing(OVERRIDE_MODULUS)):
-        twin = GaloisRing(list(ring.modulus))  # equal ring, distinct object
+        twin = GaloisRing(_bits(ring.residue_field().modulus_bits))  # equal, distinct
         els = all_elements(ring)
         for x in els:
             for y in els:

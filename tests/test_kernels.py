@@ -277,7 +277,7 @@ def test_construction_and_output_build_no_ring_element(monkeypatch, capsys):
     def run():
         codes = [build_code(n, t) for n, t in params]
         tables = [(c.generator, c.k, c.alpha, c.syndrome_matrix.tolist(),
-                   c.residue_logs.tolist(), c.field_exp.tolist()) for c in codes]
+                   c.residue_logs.tolist(), c.field().exp_array.tolist()) for c in codes]
         for n, t in params:
             for flags in ([], ["--json"]):
                 assert cli.main(flags + ["code-info", "-n", str(n), "-t", str(t)]) == 0

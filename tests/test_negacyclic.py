@@ -10,17 +10,17 @@ from objects import alpha_pow, gen, syndromes
 from oracles import (RingDomain, construction_by_objects, multiplicative_order, poly_eval,
                      poly_mul, random_error, use_modulus)
 from z4negacyclic.decoder import decode
-from z4negacyclic.galois_ring import make_ring
+from z4negacyclic.galois_ring import graeffe_lift, make_ring
 from z4negacyclic.golden import PARAMETER_TABLE, _lee_distance_bound
 from z4negacyclic.negacyclic import (_order_of_two, build_code, encode, lambda_map,
                                      lee_distance, lee_weight, min_distance_exhaustive,
                                      word_from_str, word_to_str)
 from z4negacyclic.polynomial import Z4, poly_divmod, poly_strip
 
-# the Graeffe lift of x^4 + x^3 + 1, a second presentation of GR(4,4):
+# x^4 + x^3 + 1, whose Graeffe lift is a second presentation of GR(4,4):
 # its Teichmuller generator [x] differs from the built-in ring's, and so
 # do the (15, t) generators for t = 1, 2, 3
-OVERRIDE_M4 = [1, 0, 2, 3, 1]
+OVERRIDE_M4 = [1, 0, 0, 1, 1]
 
 
 
@@ -59,7 +59,7 @@ def test_generator_divides_xn_plus_1(moduli):
 def test_generator_vanishes_at_odd_root_powers(moduli):
     code = build_code(15, 3)
     ring = code.ring
-    assert list(ring.modulus) == (OVERRIDE_M4 if moduli == "override"
+    assert list(ring.modulus) == (graeffe_lift(OVERRIDE_M4) if moduli == "override"
                                   else list(make_ring(4).modulus))
     gen = [ring.from_int(c) for c in code.generator]
     for i in range(1, 2 * code.t, 2):
@@ -127,7 +127,7 @@ def test_override_changes_the_generators(monkeypatch):
     use_modulus(monkeypatch, OVERRIDE_M4)
     for t, g in zip((1, 2, 3), builtin):
         code = build_code(15, t)
-        assert list(code.ring.modulus) == OVERRIDE_M4
+        assert list(code.ring.modulus) == graeffe_lift(OVERRIDE_M4)
         assert multiplicative_order(gen(code.ring)) == 15
         assert code.generator != g
 
