@@ -35,6 +35,46 @@ A decode never raises for bad input words; every failure mode is
 reported through DecodeOutcome, and a final check that the candidate
 codeword has zero syndromes and lies within Lee distance t of the
 input guards against garbage output on uncorrectable words.
+
+Failure sites.  A decode that fails stops at one of twelve sites.
+Nine can fire, and tests/test_failure_sites.py reaches each through
+decode with a pinned word:
+  input:  the word is not a sequence; a symbol is not an integer in
+          0..3; the length is not n.
+  pass 1: the solution degrees exceed the bounds, or its constant term
+          is not a unit (minimal_regular); a residue root has
+          multiplicity above 2; the residue locator does not split.
+  pass 2: the locator vanishes at both units; its degree does not
+          match the resolved error count.
+Pass two also runs the solver, but no solver failure in pass two has
+been seen.  The other three sites cannot fire from decode:
+  - minimal_regular's "pair cannot be normalized": a pair in the
+    solution module has b(0) = a(0) U_0, and key_series gives U_0 = 1.
+    So both passes' pairs have g(0) = h(0) = 1, the division by z in
+    either locator is exact, and each residue locator has constant
+    term 1; no stage checks that again.
+  - "residual syndromes": the degree bounds keep every locator's
+    degree <= t.  On a resolution, pass two's locator sigma, with
+    constant term 1, has as many roots +-alpha^-j at distinct
+    positions as its degree, so it is prod (1 - X_j z), the locator
+    of the +-1 pattern e it resolves.  Then pass two's pair is
+    e's own, which solves the key equation with e's series (the
+    paper's key equation for weight <= t); as g(0) = 1, e and the
+    corrected word have the same series mod z^(t+1), hence the same
+    syndromes, which the series determines term by term (unit
+    diagonal).  So the candidate has zero syndromes.
+  - "Lee distance > t": mod 2 both passes solve one key equation over
+    K, as subtracting 2s leaves the residues of the syndromes alone.
+    Two solutions within the degree bounds have g1 h2 = g2 h1 exactly
+    (both sides have degree <= t), so the two residue locators are
+    c1(z^2) and c2(z^2) times one polynomial, and c(z^2) is a square
+    in characteristic 2.  On a resolution pass two's residue locator
+    has d simple roots and degree d, so it is square-free, and pass
+    one's is a square times it: multiplicities 1 and 2 make pass two's
+    roots exactly pass one's singles.  The error is then 2 on the
+    doubles and +-1 on the singles, of Lee weight deg mu_sigma <= t.
+The final checks stay all the same: they are what keeps a success
+honest.
 """
 
 from __future__ import annotations
@@ -49,10 +89,7 @@ from .negacyclic import LEE, Code, word_to_str
 from .polynomial import poly_strip
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
-__all__ = [
-    "DecodeOutcome", "decode",
-    "residue_locator", "locate_error_positions", "resolve_unit_errors",
-]
+__all__ = ["DecodeOutcome", "decode"]
 
 _LEE = np.array(LEE, dtype=np.int64)
 
@@ -89,14 +126,9 @@ def _interleave(h: list, d: list) -> list:
 
 def residue_locator(pair: PairVector) -> list:
     """The mod-2 error locator of a solution pair [g, h], over K = GF(2^m):
-    h(z^2) + z^-1 (g(z^2) - h(z^2)) on the residue lists of g and h.
-
-    The division by z is exact exactly when g and h share their constant
-    term; anything else signals an inadmissible pair.
-    """
+    h(z^2) + z^-1 (g(z^2) - h(z^2)) on the residue lists of g and h,
+    for a pair with g(0) = h(0) = 1 (see Failure sites above)."""
     g, h = _padded(pair.a[0], pair.b[0])
-    if g and g[0] != h[0]:
-        raise _StageFailure("locator pair has mismatched constant terms")
     return poly_strip(_interleave(h, [x ^ y for x, y in zip(g, h)]))
 
 
@@ -108,8 +140,6 @@ def _ring_locator(ring, pair: PairVector) -> tuple[list, list]:
     # g - h = g + (ha, ha + hb), coefficient by coefficient
     da = [a ^ c for a, c in zip(ga, ha)]
     db = [b ^ c ^ d ^ exp[hlog[a] + hlog[c]] for a, b, c, d in zip(ga, gb, ha, hb)]
-    if da and (da[0] or db[0]):
-        raise _StageFailure("locator pair has mismatched constant terms")
     sa, sb = _interleave(ha, da), _interleave(hb, db)
     while sa and not (sa[-1] or sb[-1]):
         sa.pop()
@@ -170,8 +200,6 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     The multiplicity of each root comes from the terms the root sweep
     gathers at its point, by root_multiplicity.
     """
-    if not mu_sigma or not mu_sigma[0]:
-        raise _StageFailure("residue locator has zero constant term")
     deg, terms, roots = _sweep(mu_sigma, code)
     doubles, singles = set(), set()
     # per root j, ascending, the terms c_i X^i at its point
@@ -242,7 +270,7 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
     values = _unit_values(even, odd, code, sorted(candidates))
     # the residue of E + x O is ea + pa
     roots = [j for j, (ea, _, pa, _) in values.items() if ea == pa]
-    if not (len(roots) == len(sa) - 1 and sa[0]):
+    if len(roots) != len(sa) - 1:
         roots = _root_positions(sa, code)
         values.update(_unit_values(even, odd, code, [j for j in roots if j not in values]))
     positions, errors = [], []

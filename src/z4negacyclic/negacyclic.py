@@ -12,6 +12,8 @@ codeword m(x) g(x) has degree at most (k-1) + (n-k) = n-1: it never wraps.
 
 from __future__ import annotations
 
+import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,11 +142,22 @@ def build_code(n: int, t: int) -> Code:
 
 
 def encode(msg, code: Code) -> list[int]:
-    """The message polynomial times the generator, padded to length n."""
-    msg = [int(c) % 4 for c in msg]
-    if len(msg) != code.k:
-        raise ValueError(f"message length {len(msg)} != rank k={code.k}")
-    prod = poly_mul(msg, code.generator)
+    """The message polynomial times the generator, padded to length n.
+
+    Each symbol is a Python or numpy integer, reduced mod 4, as decode
+    reads one; anything else, such as a float, a string or a numpy
+    timedelta64, raises ValueError naming it and its position.
+    """
+    digits = []
+    for j, c in enumerate(msg):
+        try:
+            digits.append(operator.index(c) % 4)
+        except TypeError:
+            raise ValueError(
+                f"message symbol {reprlib.repr(c)} at position {j} is not an integer") from None
+    if len(digits) != code.k:
+        raise ValueError(f"message length {len(digits)} != rank k={code.k}")
+    prod = poly_mul(digits, code.generator)
     return prod + [0] * (code.n - len(prod))
 
 

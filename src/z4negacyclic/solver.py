@@ -226,6 +226,11 @@ def minimal_regular(ring, basis: GroebnerBasis) -> PairVector:
     constraints 2 deg a <= t+1, 2 deg b <= t, and scales by a(0)^-1 so
     that a(0) = b(0) = 1.  The pair's components are (a, b) lists.
 
+    The pair solves a U = b mod z^p, so b(0) = a(0) U_0, and the
+    scaled b(0) is U_0.  key_series always gives U_0 = 1, so decode
+    never sees "pair cannot be normalized"; the check is for a direct
+    caller's series.
+
     t + 1 is the precision p the basis was solved to, and i + j + r + s
     = 2p for its shape: (a, b) -> a U - b mod z^p maps R[z]^2 onto
     R[z]/z^p with kernel M, so R[z]^2/M has |R|^p = 2^(2mp) elements,

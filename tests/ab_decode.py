@@ -9,8 +9,10 @@ builds the workload's code, takes the first N words that
 K times (untraced, as the benchmark times them) and prints its best
 pass in us per word, and the ms of its one `build_code` call: a cold
 build, as the interpreter is fresh, so it includes `make_ring`.  The
-harness is only imported, from this checkout's `perfbench/`, so both
-trees are fed the same words.
+build is timed before the harness is imported, with only the package
+loaded, as perfbench's cold starts time it.  The harness is only
+imported, from this checkout's `perfbench/`, so both trees are fed the
+same words.
 
 The JSON written to --out holds, per workload and tree, every round's
 figures with their medians and quartiles, and the ratios of the
@@ -38,17 +40,25 @@ PACKAGE = "z4negacyclic"
 CHILD = """\
 import dataclasses, sys, time
 src, perfbench, name, seed, words, passes = sys.argv[1:]
-sys.path[:0] = [src, perfbench]
-import harness
+# the build is timed with only the package imported, as perfbench's
+# cold starts time it: after the harness's import, a garbage collection
+# of the young objects that import left falls into the build (3 ms at
+# (255,4), as long as the build itself); a workload is named kind-n-t
+n, t = map(int, name.rsplit("-", 2)[1:])
+sys.path.insert(0, src)
 import z4negacyclic
-from z4negacyclic.decoder import decode
 from z4negacyclic.negacyclic import build_code
 if not z4negacyclic.__file__.startswith(src):
     sys.exit(f"z4negacyclic imports from {z4negacyclic.__file__}, not from {src}")
-wl = harness.WORKLOADS[name]
 start = time.perf_counter_ns()
-code = build_code(wl.n, wl.t)
+code = build_code(n, t)
 build_ms = (time.perf_counter_ns() - start) / 1e6
+sys.path.insert(1, perfbench)
+import harness
+from z4negacyclic.decoder import decode
+wl = harness.WORKLOADS[name]
+if (wl.n, wl.t) != (n, t):
+    sys.exit(f"workload {name} is ({wl.n},{wl.t}), not ({n},{t})")
 # make_inputs draws word after word: a pool of N is the full pool's first N
 samples, _ = harness.make_inputs(dataclasses.replace(wl, pool=int(words)), code, int(seed))
 received = [s.received for s in samples]

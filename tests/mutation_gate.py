@@ -1,16 +1,20 @@
 """Mutation gate: every seeded mutant of src/ must fail the tier-1 tests.
 
 Run from anywhere with `python tests/mutation_gate.py`.  Each mutant is
-(file under src/z4negacyclic, old text, new text); the old text must
-occur exactly once in the file, or the gate stops before running
+(file under src/z4negacyclic, old text, new text, killer); the old text
+must occur exactly once in the file, or the gate stops before running
 anything, so a mutant that no longer applies is noticed rather than
 silently skipped.  The unmutated tree runs first and must pass.  Then,
 for each mutant, src/ is copied to a temporary directory, the mutant is
-applied there, and the tier-1 suite runs against the copy (PYTHONPATH
-set to it) with -x; a nonzero exit kills the mutant.  The gate prints
-killed/survived with the time of each run and exits 1 when a mutant
-survives.  Pytest does not collect this file: its name has no test_
-prefix.
+applied there, and its killer, a tier-1 node id, runs against the copy
+(PYTHONPATH set to it); a failed test kills the mutant.  If the killer
+passes, the full tier-1 suite runs with -x, a nonzero exit kills the
+mutant, and the gate prints that the named killer is stale.  So a
+mutant survives exactly when the full suite passes.  The gate prints
+killed/survived with the time of each mutant and exits 1 when a mutant
+survives.  tests/test_mutation_gate.py checks that tier-1 collects
+every killer.  Pytest does not collect this file: its name has no
+test_ prefix.
 """
 
 from __future__ import annotations
@@ -26,93 +30,148 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = "z4negacyclic"
 
-# (name, file, old text, new text)
+# (name, file, old text, new text, the tier-1 node id that kills it)
 MUTANTS = (
     ("key_series without its constant term", "keyeq.py",
      "return series_inverse(ring, ([1] + ua, [0] + ub))",
-     "return tuple(x[1:] for x in series_inverse(ring, ([1] + ua, [0] + ub)))"),
+     "return tuple(x[1:] for x in series_inverse(ring, ([1] + ua, [0] + ub)))",
+     "tests/test_keyeq.py::test_single_error_key_series_and_pair"),
     ("series_inverse one term short", "keyeq.py",
      "for k in range(1, len(fa)):",
-     "for k in range(1, len(fa) - 1):"),
+     "for k in range(1, len(fa) - 1):",
+     "tests/test_keyeq.py::test_key_series_reference_word"),
     ("residue_logs at beta^j, not beta^-j", "negacyclic.py",
      "residue_logs = -step * np.arange(n",
-     "residue_logs = step * np.arange(n"),
+     "residue_logs = step * np.arange(n",
+     "tests/test_negacyclic.py::test_code_tables_are_pinned"),
     ("x O with the parity of j flipped", "decoder.py",
      "exp[lx + log[ob]] ^ (pa if j & 1 else 0)",
-     "exp[lx + log[ob]] ^ (pa if not j & 1 else 0)"),
+     "exp[lx + log[ob]] ^ (pa if not j & 1 else 0)",
+     "tests/test_decoder.py::test_resolve_unit_errors_examples"),
     ("seeded round-0 discrepancy -1 as +1", "solver.py",
      "za, zb = [u, 0, 1, 0], [v, u, 1, 1]",
-     "za, zb = [u, 0, 1, 0], [v, u, 0, 1]"),
+     "za, zb = [u, 0, 1, 0], [v, u, 0, 1]",
+     "tests/test_acceptance.py::test_criterion_3_solver_reference_run"),
     ("2U_0 seeded as 0", "solver.py",
      "za, zb = [u, 0, 1, 0], [v, u, 1, 1]",
-     "za, zb = [u, 0, 1, 0], [v, 0, 1, 1]"),
+     "za, zb = [u, 0, 1, 0], [v, 0, 1, 1]",
+     "tests/test_acceptance.py::test_criterion_3_solver_reference_run"),
     ("rounds updated in ascending order", "solver.py",
      "for s in order[::-1]:",
-     "for s in order:"),
+     "for s in order:",
+     "tests/test_acceptance.py::test_criterion_3_solver_reference_run"),
     ("pair_strs reversed", "galois_ring.py",
      "return [self.pair_str(a, b) for a, b in zip(*poly)]",
-     "return [self.pair_str(a, b) for a, b in zip(*poly)][::-1]"),
+     "return [self.pair_str(a, b) for a, b in zip(*poly)][::-1]",
+     "tests/test_decoder.py::test_trace_fields_stable"),
     ("_sweep roots shifted by one", "decoder.py",
      "np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)",
-     "(np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0) + 1) % code.n"),
+     "(np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0) + 1) % code.n",
+     "tests/test_decoder.py::test_locate_error_positions_examples"),
     ("make_ring accepts m = 11", "galois_ring.py",
      "if not 2 <= m <= 10:",
-     "if not 2 <= m <= 11:"),
+     "if not 2 <= m <= 11:",
+     "tests/test_galois_ring.py::test_make_ring_rejects_unsupported"),
     ("carry dropped from the digit corrections", "galois_ring.py",
      "corr[c] = corr[rest] ^ exp[hlog[rest] + hlog[top]]",
-     "corr[c] = corr[rest]"),
+     "corr[c] = corr[rest]",
+     "tests/test_galois_ring.py::test_digit_round_trip_all_elements"),
     ("ring modulus is the residue, not its lift", "galois_ring.py",
      "self.modulus = tuple(graeffe_lift(residue))",
-     "self.modulus = tuple(residue)"),
+     "self.modulus = tuple(residue)",
+     "tests/test_galois_ring.py::test_make_ring_pinned_moduli"),
     ("make_ring passes the reciprocal residue", "galois_ring.py",
      "return GaloisRing(_PRIMITIVE_GF2[m])",
-     "return GaloisRing(_PRIMITIVE_GF2[m][::-1])"),
+     "return GaloisRing(_PRIMITIVE_GF2[m][::-1])",
+     "tests/test_galois_ring.py::test_make_ring_pinned_moduli"),
     ("antilog array shifted by one", "galois_ring.py",
      "self.exp_array = np.array(self.exp, dtype=np.int64)",
-     "self.exp_array = np.array(self.exp[1:] + [0], dtype=np.int64)"),
+     "self.exp_array = np.array(self.exp[1:] + [0], dtype=np.int64)",
+     "tests/test_decoder.py::test_decode_outcome_holds_python_ints"),
     ("lift accepts a residue that is not 0/1", "galois_ring.py",
      "if any(b not in (0, 1) for b in p):",
-     "if False:"),
+     "if False:",
+     "tests/test_galois_ring.py::test_validation_errors"),
     ("syndrome exponents reduced mod n, not 2n", "negacyclic.py",
      "np.arange(1, 2 * t, 2)) % (2 * n)",
-     "np.arange(1, 2 * t, 2)) % n"),
+     "np.arange(1, 2 * t, 2)) % n",
+     "tests/test_negacyclic.py::test_code_tables_are_pinned"),
     ("minimal_regular t off by one", "solver.py",
      "t = sum(basis.shape) // 2 - 1",
-     "t = sum(basis.shape) // 2"),
+     "t = sum(basis.shape) // 2",
+     "tests/test_failure_sites.py::test_failure_site_witness[degrees-exceed]"),
     ("no residual-syndrome guard", "decoder.py",
      "    if _nonzero(syndromes(codeword, code)):",
-     "    if False and _nonzero(syndromes(codeword, code)):"),
+     "    if False and _nonzero(syndromes(codeword, code)):",
+     "tests/test_decoder.py::test_decode_final_guards_refuse_a_wrong_resolution"),
     ("no Lee-distance guard", "decoder.py",
      "    if _LEE[error].sum() > t:",
-     "    if False and _LEE[error].sum() > t:"),
+     "    if False and _LEE[error].sum() > t:",
+     "tests/test_decoder.py::test_decode_final_guards_refuse_a_wrong_resolution"),
     ("Z4 product not reduced", "polynomial.py",
      "return poly_strip((np.convolve(f, g) & 3).tolist())",
-     "return poly_strip(np.convolve(f, g).tolist())"),
+     "return poly_strip(np.convolve(f, g).tolist())",
+     "tests/test_negacyclic.py::test_generators_are_pinned"),
     ("Graeffe from p(x)^2", "galois_ring.py",
      "prod = poly_mul(p, [-c % 4 if i & 1 else c for i, c in enumerate(p)])",
-     "prod = poly_mul(p, p)"),
+     "prod = poly_mul(p, p)",
+     "tests/test_negacyclic.py::test_generators_are_pinned"),
     ("binary product not reduced mod 2", "negacyclic.py",
      "f = [c & 1 for c in poly_mul(f, factor)]",
-     "f = poly_mul(f, factor)"),
+     "f = poly_mul(f, factor)",
+     "tests/test_negacyclic.py::test_generators_are_pinned"),
     ("field accepts a non-primitive modulus", "galois_ring.py",
      "if a != 1 or len(set(exp)) != order:",
-     "if False:"),
+     "if False:",
+     "tests/test_galois_ring.py::test_field_tables_need_a_primitive_modulus"),
+    ("a root of multiplicity 3 or more taken as double", "decoder.py",
+     "elif mult == 2:",
+     "elif mult >= 2:",
+     "tests/test_failure_sites.py::test_failure_site_witness[root-multiplicity]"),
+    ("residue locator split check dropped", "decoder.py",
+     "if 2 * len(doubles) + len(singles) != len(mu_sigma) - 1:",
+     "if False:",
+     "tests/test_failure_sites.py::test_failure_site_witness[no-split]"),
+    ("both-units check dropped", "decoder.py",
+     "if plus and minus:",
+     "if False:",
+     "tests/test_failure_sites.py::test_failure_site_witness[both-units]"),
+    ("resolved error count check dropped", "decoder.py",
+     "if len(positions) != len(sa) - 1:",
+     "if False:",
+     "tests/test_failure_sites.py::test_failure_site_witness[degree-mismatch]"),
+    ("pass-two candidates trusted without counting their roots", "decoder.py",
+     "if len(roots) != len(sa) - 1:",
+     "if False:",
+     "tests/test_decoder.py::test_pass2_root_outside_the_candidates"),
+    ("solution constant term not checked for a unit", "solver.py",
+     "if not aa or not aa[0]:",
+     "if not aa:",
+     "tests/test_failure_sites.py::test_failure_site_witness[not-a-unit]"),
+    ("degree bound on a loosened by one", "solver.py",
+     "if 2 * (len(aa) - 1) > t + 1 or",
+     "if 2 * (len(aa) - 1) > t + 2 or",
+     "tests/test_failure_sites.py::test_failure_site_witness[degrees-exceed]"),
+    ("encode takes any number", "negacyclic.py",
+     "digits.append(operator.index(c) % 4)",
+     "digits.append(int(c) % 4)",
+     "tests/test_decoder.py::test_encode_rejects_bad_symbols"),
 )
 
-TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+TIER1 = PYTEST + ["--continue-on-collection-errors"]
 
 
 def _check_mutants() -> None:
-    for name, file, old, _ in MUTANTS:
+    for name, file, old, _, _ in MUTANTS:
         count = (REPO / "src" / PACKAGE / file).read_text().count(old)
         if count != 1:
             sys.exit(f"mutant {name!r}: its old text occurs {count} times in {file}, not once")
 
 
-def _run_tier1(src: Path) -> tuple[int, float]:
-    """The tier-1 exit code with the package imported from src, and the
-    seconds it took."""
+def _run(src: Path, command: list[str]) -> tuple[int, float]:
+    """The exit code of a pytest command with the package imported from
+    src, and the seconds it took."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     where = subprocess.run([sys.executable, "-c", f"import {PACKAGE}; print({PACKAGE}.__file__)"],
@@ -120,7 +179,7 @@ def _run_tier1(src: Path) -> tuple[int, float]:
     if not Path(where.strip()).is_relative_to(src):
         sys.exit(f"{PACKAGE} imports from {where.strip()}, not from {src}")
     start = time.monotonic()
-    done = subprocess.run(TIER1, cwd=REPO, env=env,
+    done = subprocess.run(command, cwd=REPO, env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode, time.monotonic() - start
 
@@ -135,18 +194,25 @@ def main() -> int:
             shutil.copytree(REPO / "src", src,
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             if mutant is None:
-                code, seconds = _run_tier1(src)
+                code, seconds = _run(src, TIER1)
                 print(f"unmutated: exit {code} in {seconds:.1f} s", flush=True)
                 if code:
                     print("the unmutated tree fails tier-1; no mutant can be judged")
                     return 1
                 continue
-            name, file, old, new = mutant
+            name, file, old, new, killer = mutant
             path = src / PACKAGE / file
             path.write_text(path.read_text().replace(old, new))
-            code, seconds = _run_tier1(src)
+            # exit 1 is a failed test; 0, or 5 for a node id that
+            # collects nothing, leaves the mutant to the full suite
+            code, seconds = _run(src, PYTEST + [killer])
+            if code == 1:
+                print(f"killed: {name} ({file}) by {killer} in {seconds:.1f} s", flush=True)
+                continue
+            code, full = _run(src, TIER1)
             verdict = "killed" if code else "SURVIVED"
-            print(f"{verdict}: {name} ({file}), exit {code} in {seconds:.1f} s", flush=True)
+            print(f"{verdict}: {name} ({file}) by the full suite, exit {code}, in "
+                  f"{seconds + full:.1f} s; the named killer {killer} is stale", flush=True)
             if not code:
                 survivors.append(name)
     killed = len(MUTANTS) - len(survivors)

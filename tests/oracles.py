@@ -132,8 +132,6 @@ def root_positions_by_loop(mu_sigma: list, code: Code) -> list[int]:
 def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
     """locate_error_positions by a root_multiplicity call at every position."""
     field = FieldDomain(code.field())
-    if not mu_sigma or not mu_sigma[0]:
-        raise _StageFailure("residue locator has zero constant term")
     doubles, singles = set(), set()
     covered = 0
     for j in range(code.n):
