@@ -31,10 +31,11 @@ evaluated there first, once per point, and its residue roots read off
 those values; only when they do not account for its degree is the
 residue locator swept over all n points (see resolve_unit_errors).
 
-A decode never raises for bad input words; every failure mode is
-reported through DecodeOutcome, and a final check that the candidate
-codeword has zero syndromes and lies within Lee distance t of the
-input guards against garbage output on uncorrectable words.
+A decode never raises for bad input words.  Every failure site, from
+the input checks to the final check that the candidate codeword has
+zero syndromes and lies within Lee distance t of the input, raises
+_StageFailure, or SolutionNotFound in the solver, and one exit in
+decode turns each into the failing DecodeOutcome.
 
 Failure sites.  A decode that fails stops at one of twelve sites.
 Nine can fire, and tests/test_failure_sites.py reaches each through
@@ -85,7 +86,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .keyeq import key_series, odd_ratio_coefficients, syndromes
-from .negacyclic import LEE, Code, word_to_str
+from .negacyclic import LEE, Code, _is_symbol, word_to_str
 from .polynomial import poly_strip
 from .solver import PairVector, SolutionNotFound, minimal_regular, solve_by_approximations
 
@@ -162,12 +163,6 @@ def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray, np.ndarray]:
     return deg, terms, np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
 
 
-def _root_positions(mu_sigma: list, code: Code) -> list[int]:
-    """Positions j, ascending, where mu_sigma vanishes at the residue of
-    alpha^-j, by _sweep."""
-    return _sweep(mu_sigma, code)[2].tolist()
-
-
 def root_multiplicity(deg: list, at_root: list) -> int:
     """The multiplicity of a root X of a residue locator sigma, given
     the degrees i of its nonzero terms and the terms c_i X^i at X.
@@ -189,8 +184,9 @@ def root_multiplicity(deg: list, at_root: list) -> int:
         k += 1
 
 
-def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
-    """Split positions by root multiplicity of the residue locator.
+def locate_error_positions(mu_sigma: list, code: Code) -> tuple[list, list]:
+    """Split positions by root multiplicity of the residue locator, into
+    the doubles and the singles, each ascending.
 
     Position j is a double error when the residue of alpha^-j is a
     double root, a +-1 error when it is simple.  The multiplicities
@@ -201,14 +197,14 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[set, set]:
     gathers at its point, by root_multiplicity.
     """
     deg, terms, roots = _sweep(mu_sigma, code)
-    doubles, singles = set(), set()
+    doubles, singles = [], []
     # per root j, ascending, the terms c_i X^i at its point
     for j, at_root in zip(roots.tolist(), terms[:, roots].T.tolist()):
         mult = root_multiplicity(deg, at_root)
         if mult == 1:
-            singles.add(j)
+            singles.append(j)
         elif mult == 2:
-            doubles.add(j)
+            doubles.append(j)
         else:
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
     if 2 * len(doubles) + len(singles) != len(mu_sigma) - 1:
@@ -242,7 +238,7 @@ def _unit_values(even: list, odd: list, code: Code, points) -> dict:
 
 
 def resolve_unit_errors(sigma: tuple[list, list], code: Code,
-                        candidates=()) -> tuple[list, list]:
+                        candidates: list) -> tuple[list, list]:
     """The +-1 errors read off a locator over R with no double roots,
     given as its (a, b) lists: their positions, ascending, and their Z4
     values, 1 for +1 and 3 for -1.
@@ -256,7 +252,7 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
     values, E + x O and E - x O, and the residue of the first.
 
     The residue roots are looked for first at the candidates (pass
-    one's simple roots), evaluated once each.  Pass two's residue
+    one's simple roots, ascending), evaluated once each.  Pass two's residue
     locator has constant term 1, so it is nonzero of degree at most
     d = len(sigma[0]) - 1 and has at most d roots: when it vanishes at
     d candidates, those are all its roots.  Only otherwise is it swept
@@ -267,11 +263,11 @@ def resolve_unit_errors(sigma: tuple[list, list], code: Code,
     # E and O as (a, b) pairs, highest degree first for Horner's rule
     even = list(zip(sa[0::2], sb[0::2]))[::-1]
     odd = list(zip(sa[1::2], sb[1::2]))[::-1]
-    values = _unit_values(even, odd, code, sorted(candidates))
+    values = _unit_values(even, odd, code, candidates)
     # the residue of E + x O is ea + pa
     roots = [j for j, (ea, _, pa, _) in values.items() if ea == pa]
     if len(roots) != len(sa) - 1:
-        roots = _root_positions(sa, code)
+        roots = _sweep(sa, code)[2].tolist()
         values.update(_unit_values(even, odd, code, [j for j in roots if j not in values]))
     positions, errors = [], []
     for j in roots:
@@ -307,8 +303,7 @@ def _read_word(word) -> np.ndarray:
     A 1-D integer or bool array in 0..3, or anything np.asarray turns
     into one, is taken as a whole.  Anything else goes through a loop
     whose only job is to find the symbol to blame: _StageFailure names
-    the first one that is not a Python or numpy integer in 0..3.  A
-    numpy timedelta64 subclasses np.signedinteger but is not a symbol.
+    the first one that is not a symbol (negacyclic's _is_symbol) in 0..3.
     """
     try:
         arr = np.asarray(word)
@@ -326,8 +321,7 @@ def _read_word(word) -> np.ndarray:
         raise _StageFailure(f"word of type {type(word).__name__} is not a sequence") from None
     out = []
     for j, c in enumerate(symbols):
-        if not (isinstance(c, (int, np.integer)) and not isinstance(c, np.timedelta64)
-                and 0 <= c <= 3):
+        if not (_is_symbol(c) and 0 <= c <= 3):
             raise _StageFailure(
                 f"symbol {reprlib.repr(c)} at position {j} is not an integer in 0..3")
         out.append(int(c))
@@ -341,25 +335,24 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
     in 0..3; anything else is reported as a failure.  The outcome holds
     lists of Python ints.
     """
+    trace: dict | None = None
     try:
         word = _read_word(word)
-    except _StageFailure as exc:
-        return DecodeOutcome(False, reason=str(exc))
-    if len(word) != code.n:
-        return DecodeOutcome(False, reason=f"word length {len(word)} != n={code.n}")
-    ring, t, n = code.ring, code.t, code.n
-    trace: dict | None = {} if with_trace else None
+        if len(word) != code.n:
+            raise _StageFailure(f"word length {len(word)} != n={code.n}")
+        ring, t, n = code.ring, code.t, code.n
+        if with_trace:
+            trace = {}
 
-    synd = syndromes(word, code)
-    if trace is not None:
-        trace["syndromes"] = ring.pair_strs(synd)
-    if not _nonzero(synd):
-        codeword, zero_err = word.tolist(), [0] * n
+        synd = syndromes(word, code)
         if trace is not None:
-            trace.update(error=word_to_str(zero_err), codeword=word_to_str(codeword))
-        return DecodeOutcome(True, codeword=codeword, error=zero_err, trace=trace)
+            trace["syndromes"] = ring.pair_strs(synd)
+        if not _nonzero(synd):
+            codeword, zero_err = word.tolist(), [0] * n
+            if trace is not None:
+                trace.update(error=word_to_str(zero_err), codeword=word_to_str(codeword))
+            return DecodeOutcome(True, codeword=codeword, error=zero_err, trace=trace)
 
-    try:
         rounds: list | None = [] if with_trace else None
         pair, u, series = _solve_pass(ring, synd, trace_log=rounds)
         if trace is not None:
@@ -373,11 +366,10 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
             trace["sigma_mod2"] = [str(c) for c in mu_sigma]
         doubles, singles = locate_error_positions(mu_sigma, code)
         if trace is not None:
-            trace["doubles"] = sorted(doubles)
-            trace["singles"] = sorted(singles)
+            trace.update(doubles=doubles, singles=singles)
 
         prime = word.copy()
-        prime[list(doubles)] ^= 2  # p - 2 mod 4 on 0..3
+        prime[doubles] ^= 2  # p - 2 mod 4 on 0..3
 
         # the second pass always reruns the pipeline on the corrected word,
         # even when no double errors were found
@@ -386,21 +378,18 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         positions, values = resolve_unit_errors(sigma2, code, singles)
         if trace is not None:
             trace["sigma_pass2"] = ring.pair_strs(sigma2)
+
+        codeword = prime  # prime is not read again
+        if positions:
+            codeword[positions] = (codeword[positions] - values) & 3
+        error = (word - codeword) & 3
+        if _nonzero(syndromes(codeword, code)):
+            raise _StageFailure("candidate codeword has residual syndromes")
+        if _LEE[error].sum() > t:
+            raise _StageFailure(f"nearest candidate lies at Lee distance > {t}")
     except (SolutionNotFound, _StageFailure) as exc:
         return DecodeOutcome(False, reason=str(exc), trace=trace)
 
-    codeword = prime  # prime is not read again
-    if positions:
-        codeword[positions] = (codeword[positions] - values) & 3
-    error = (word - codeword) & 3
-
-    if _nonzero(syndromes(codeword, code)):
-        return DecodeOutcome(False, reason="candidate codeword has residual syndromes",
-                             trace=trace)
-    if _LEE[error].sum() > t:
-        return DecodeOutcome(False,
-                             reason=f"nearest candidate lies at Lee distance > {t}",
-                             trace=trace)
     codeword, error = codeword.tolist(), error.tolist()
     if trace is not None:
         trace.update(error=word_to_str(error), codeword=word_to_str(codeword))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .negacyclic import Code
+from .negacyclic import Code, _digits
 
 __all__ = [
     "syndromes",
@@ -43,19 +43,19 @@ def syndromes(word, code: Code) -> tuple[list, list]:
     """The t odd syndromes v(alpha), v(alpha^3), ..., v(alpha^(2t-1)),
     as their (a, b) int lists.
 
-    An integer ndarray word is reduced mod 4 as one array; any other
-    sequence symbol by symbol, with int(c) % 4.  The Z4 digits of each
-    syndrome come out of one float64 product with the code's syndrome
-    matrix, reduced mod 4 as integers, and are bit-packed into the
-    (a, b) pair of the element directly.
+    An integer or bool ndarray word is reduced mod 4 as one array; any
+    other sequence symbol by symbol, by negacyclic's _digits.  The Z4
+    digits of each syndrome come out of one float64 product with the
+    code's syndrome matrix, reduced mod 4 as integers, and are
+    bit-packed into the (a, b) pair of the element directly.
     """
     if len(word) != code.n:
         raise ValueError(f"word length {len(word)} != code length {code.n}")
-    if isinstance(word, np.ndarray) and word.ndim == 1 and word.dtype.kind in "iu":
+    if isinstance(word, np.ndarray) and word.ndim == 1 and word.dtype.kind in "iub":
         # & 3 is mod 4 in two's complement, also after a uint64 -> int64 wrap
         w = (word.astype(np.int64, copy=False) & 3).astype(np.float64)
     else:
-        w = np.array([int(c) % 4 for c in word], dtype=np.float64)
+        w = np.array(_digits(word), dtype=np.float64)
     m = code.ring.m
     # a float64 product runs on BLAS, and is exact: each entry sums n
     # digit products, at most 9n <= 9207 < 2^53

@@ -12,7 +12,6 @@ codeword m(x) g(x) has degree at most (k-1) + (n-k) = n-1: it never wraps.
 
 from __future__ import annotations
 
-import operator
 import reprlib
 from dataclasses import dataclass, field
 
@@ -141,20 +140,29 @@ def build_code(n: int, t: int) -> Code:
     return code
 
 
-def encode(msg, code: Code) -> list[int]:
-    """The message polynomial times the generator, padded to length n.
+def _is_symbol(c) -> bool:
+    """A symbol is a Python or numpy integer; a numpy timedelta64
+    subclasses np.signedinteger but is not one."""
+    return isinstance(c, (int, np.integer)) and not isinstance(c, np.timedelta64)
 
-    Each symbol is a Python or numpy integer, reduced mod 4, as decode
-    reads one; anything else, such as a float, a string or a numpy
-    timedelta64, raises ValueError naming it and its position.
-    """
-    digits = []
-    for j, c in enumerate(msg):
-        try:
-            digits.append(operator.index(c) % 4)
-        except TypeError:
-            raise ValueError(
-                f"message symbol {reprlib.repr(c)} at position {j} is not an integer") from None
+
+def _digits(word, noun: str = "symbol") -> list[int]:
+    """The symbols of word reduced mod 4, by the one rule every public
+    word input follows: anything that is not _is_symbol, such as a
+    float, a string or a numpy timedelta64, raises ValueError naming it
+    and its position."""
+    out = []
+    for j, c in enumerate(word):
+        if not _is_symbol(c):
+            raise ValueError(f"{noun} {reprlib.repr(c)} at position {j} is not an integer")
+        out.append(int(c) % 4)
+    return out
+
+
+def encode(msg, code: Code) -> list[int]:
+    """The message polynomial times the generator, padded to length n;
+    its symbols are read by _digits."""
+    digits = _digits(msg, "message symbol")
     if len(digits) != code.k:
         raise ValueError(f"message length {len(digits)} != rank k={code.k}")
     prod = poly_mul(digits, code.generator)
@@ -162,13 +170,13 @@ def encode(msg, code: Code) -> list[int]:
 
 
 def lee_weight(word) -> int:
-    return sum(LEE[int(c) % 4] for c in word)
+    return sum(LEE[c] for c in _digits(word))
 
 
 def lee_distance(u, v) -> int:
     if len(u) != len(v):
         raise ValueError("words have different lengths")
-    return sum(LEE[(int(a) - int(b)) % 4] for a, b in zip(u, v))
+    return sum(LEE[(a - b) % 4] for a, b in zip(_digits(u), _digits(v)))
 
 
 def lambda_map(f: list[int], n: int) -> list[int]:
@@ -211,7 +219,7 @@ def min_distance_exhaustive(code: Code) -> int:
 
 
 def word_to_str(word) -> str:
-    return "".join(str(int(c) % 4) for c in word)
+    return "".join(map(str, _digits(word)))
 
 
 def word_from_str(text: str, n: int | None = None) -> list[int]:

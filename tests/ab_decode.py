@@ -17,8 +17,12 @@ same words.
 The JSON written to --out holds, per workload and tree, every round's
 figures with their medians and quartiles, and the ratios of the
 medians, B over A (below 1 when B is faster): `ratio_b_over_a` for
-decoding and `build_ratio_b_over_a` for the cold build; and both
-trees' commits, the Python and numpy versions, the seed, N, K and R.
+decoding and `build_ratio_b_over_a` for the cold build.  It also holds
+the decode B/A of each round, whose two subprocesses run back to back
+(`round_ratios`), their quartiles (`round_ratio_q1`, `round_ratio_q3`),
+and `resolved`, false when those quartiles straddle 1: the rounds then
+do not tell which tree is faster.  Last come both trees' commits, the
+Python and numpy versions, the seed, N, K and R.
 Pytest does not collect this file: its name has no test_ prefix.
 """
 
@@ -139,12 +143,18 @@ def main(argv=None) -> int:
                                         args.words, args.passes))
         spread = {side: _spread(values) for side, values in runs.items()}
         a, b = spread["a"], spread["b"]
-        workloads[workload] = {**spread, "ratio_b_over_a": b["median"] / a["median"],
-                               "build_ratio_b_over_a": b["build_median"] / a["build_median"]}
+        rounds = [rb[0] / ra[0] for ra, rb in zip(runs["a"], runs["b"])]
+        q1, _, q3 = _quartiles(rounds)
+        w = workloads[workload] = {
+            **spread, "ratio_b_over_a": b["median"] / a["median"],
+            "build_ratio_b_over_a": b["build_median"] / a["build_median"],
+            "round_ratios": rounds, "round_ratio_q1": q1, "round_ratio_q3": q3,
+            "resolved": not q1 <= 1 <= q3}
         print(f"{workload}: A {a['median']:.1f} us/word, build {a['build_median']:.2f} ms; "
               f"B {b['median']:.1f} us/word, build {b['build_median']:.2f} ms; "
-              f"B/A {workloads[workload]['ratio_b_over_a']:.3f}, "
-              f"build {workloads[workload]['build_ratio_b_over_a']:.3f}", flush=True)
+              f"B/A {w['ratio_b_over_a']:.3f}, build {w['build_ratio_b_over_a']:.3f}; "
+              f"rounds B/A {q1:.3f}-{q3:.3f}{'' if w['resolved'] else ', unresolved'}",
+              flush=True)
 
     result = {
         "trees": {side: _commit(src) for side, src in trees.items()},

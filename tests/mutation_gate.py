@@ -152,10 +152,10 @@ MUTANTS = (
      "if 2 * (len(aa) - 1) > t + 1 or",
      "if 2 * (len(aa) - 1) > t + 2 or",
      "tests/test_failure_sites.py::test_failure_site_witness[degrees-exceed]"),
-    ("encode takes any number", "negacyclic.py",
-     "digits.append(operator.index(c) % 4)",
-     "digits.append(int(c) % 4)",
-     "tests/test_decoder.py::test_encode_rejects_bad_symbols"),
+    ("the symbol rule takes any number", "negacyclic.py",
+     "return isinstance(c, (int, np.integer)) and not",
+     "return isinstance(c, (int, float, np.number)) and not",
+     "tests/test_negacyclic.py::test_word_inputs_refuse_non_integer_symbols"),
 )
 
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]

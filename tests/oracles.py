@@ -113,7 +113,7 @@ def syndromes_by_loop(word, code: Code) -> list:
 
 
 def root_positions_by_loop(mu_sigma: list, code: Code) -> list[int]:
-    """decoder._root_positions as a Python loop over the n points and,
+    """The roots of decoder._sweep as a Python loop over the n points and,
     at each, over the nonzero terms, summing log-table products."""
     field = code.field()
     exp, log, order = field.exp, field.log, field.order
@@ -129,10 +129,10 @@ def root_positions_by_loop(mu_sigma: list, code: Code) -> list[int]:
     return roots
 
 
-def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
+def locate_by_scan(mu_sigma: list, code: Code) -> tuple[list, list]:
     """locate_error_positions by a root_multiplicity call at every position."""
     field = FieldDomain(code.field())
-    doubles, singles = set(), set()
+    doubles, singles = [], []
     covered = 0
     for j in range(code.n):
         point = alpha_pow(code, -j).a
@@ -140,9 +140,9 @@ def locate_by_scan(mu_sigma: list, code: Code) -> tuple[set, set]:
         if mult > 2:
             raise _StageFailure(f"residue locator root multiplicity {mult} at position {j}")
         if mult == 2:
-            doubles.add(j)
+            doubles.append(j)
         elif mult == 1:
-            singles.add(j)
+            singles.append(j)
         covered += mult
     if covered != len(mu_sigma) - 1:
         raise _StageFailure("residue locator does not split over the error positions")

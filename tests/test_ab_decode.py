@@ -29,3 +29,8 @@ def test_ab_decode_smoke(tmp_path):
             assert runs[side]["build_q1"] <= runs[side]["build_median"] <= runs[side]["build_q3"]
         for ratio in ("ratio_b_over_a", "build_ratio_b_over_a"):
             assert math.isfinite(runs[ratio]) and runs[ratio] > 0
+        assert set(runs) == {"a", "b", "ratio_b_over_a", "build_ratio_b_over_a",
+                             "round_ratios", "round_ratio_q1", "round_ratio_q3", "resolved"}
+        # one round: both quartiles are its ratio
+        assert runs["round_ratios"] == [runs["round_ratio_q1"]] == [runs["round_ratio_q3"]]
+        assert runs["resolved"] == (runs["round_ratios"] != [1.0])

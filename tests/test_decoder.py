@@ -14,7 +14,7 @@ from oracles import (FieldDomain, RingDomain, all_error_patterns, decode_two_bch
                      key_pair_from_locator, locate_by_scan, locator_from_error, poly_mul,
                      random_error, resolve_by_scan, root_positions_by_loop, syndromes_by_loop)
 from z4negacyclic import decoder
-from z4negacyclic.decoder import _root_positions, _StageFailure, decode, locate_error_positions
+from z4negacyclic.decoder import _StageFailure, decode, locate_error_positions
 from z4negacyclic.negacyclic import _order_of_two, build_code, encode, lee_distance, lee_weight
 from z4negacyclic.solver import PairVector
 
@@ -49,19 +49,19 @@ def test_residue_locator_single_and_double():
 def test_locate_error_positions_examples():
     code = build_code(15, 2)
     field = FieldDomain(code.field())
-    assert locate_error_positions([1], code) == (set(), set())
+    assert locate_error_positions([1], code) == ([], [])
 
     # singles at 4 and 13
     mu = poly_mul(field, [1, alpha_pow(code, 4).a],
                   [1, alpha_pow(code, 13).a])
-    assert locate_error_positions(mu, code) == (set(), {4, 13})
+    assert locate_error_positions(mu, code) == ([], [4, 13])
 
     # constructed double at position 5
     err = [0] * 15
     err[5] = 2
     sigma = locator_from_error(code, err)
     mu = [c.a for c in sigma]
-    assert locate_error_positions(mu, code) == ({5}, set())
+    assert locate_error_positions(mu, code) == ([5], [])
 
 
 def test_resolve_unit_errors_examples():
@@ -459,12 +459,13 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
         decode(word, code)
     monkeypatch.undo()
     sweeps = []
+    sweep = decoder._sweep
 
     def counted_sweep(mu_sigma, code):
         sweeps.append(1)
-        return _root_positions(mu_sigma, code)
+        return sweep(mu_sigma, code)
 
-    monkeypatch.setattr(decoder, "_root_positions", counted_sweep)
+    monkeypatch.setattr(decoder, "_sweep", counted_sweep)
     branches = set()
     for sigma, candidates in calls:
         del sweeps[:]
@@ -478,20 +479,21 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
 def test_pass2_root_outside_the_candidates(monkeypatch):
     """A residue root of the pass-two locator that is not a candidate
     sends the check to the full sweep, which still finds it; candidates
-    that are not roots do no harm.  Each point is evaluated once: the
-    sweep's roots reuse the values of the candidates."""
+    (ascending, as pass one's singles) that are not roots do no harm.
+    Each point is evaluated once: the sweep's roots reuse the values of
+    the candidates."""
     code = CODE_15_2
     err = [0] * 15
     err[4], err[13] = 1, 3
     sigma = int_lists(locator_from_error(code, err))
     sweeps, evaluated = [], []
-    monkeypatch.setattr(decoder, "_root_positions",
-                        lambda mu, code: sweeps.append(1) or _root_positions(mu, code))
+    sweep = decoder._sweep
+    monkeypatch.setattr(decoder, "_sweep", lambda mu, code: sweeps.append(1) or sweep(mu, code))
     unit_values = decoder._unit_values
     monkeypatch.setattr(decoder, "_unit_values",
                         lambda *args: evaluated.extend(args[-1]) or unit_values(*args))
     for candidates, swept in (([], True), ([7], True), ([4], True), ([4, 9], True),
-                              ([0, 4, 12], True), ([13, 4], False), ([4, 9, 13], False)):
+                              ([0, 4, 12], True), ([4, 13], False), ([4, 9, 13], False)):
         del sweeps[:], evaluated[:]
         assert decoder.resolve_unit_errors(sigma, code, candidates) == ([4, 13], [1, 3])
         assert bool(sweeps) == swept
@@ -513,7 +515,7 @@ def test_root_sweep_matches_per_point_loop(n, t):
                  for _ in range(20)]
     found = 0
     for mu in locators:
-        got = _root_positions(mu, code)
+        got = decoder._sweep(mu, code)[2].tolist()
         assert got == root_positions_by_loop(mu, code)
         assert all(type(j) is int for j in got)
         found += bool(got) and len(got) < n

@@ -78,6 +78,12 @@ def test_syndromes_reduce_symbols_mod_4():
         syndromes(word[:-1], code)
 
 
+def test_syndromes_read_bool_arrays():
+    code = build_code(15, 2)
+    word = [1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0]
+    assert syndromes(np.array(word, dtype=bool), code) == syndromes(word, code)
+
+
 def test_recursion_first_coefficients():
     code = build_code(15, 3)
     ring = code.ring

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from objects import alpha_pow, gen, syndromes
 from oracles import (RingDomain, construction_by_objects, multiplicative_order, poly_eval,
                      poly_mul, random_error, use_modulus)
+from z4negacyclic import keyeq
 from z4negacyclic.decoder import decode
 from z4negacyclic.galois_ring import graeffe_lift, make_ring
 from z4negacyclic.golden import PARAMETER_TABLE, _lee_distance_bound
@@ -187,6 +189,29 @@ def test_lee_weight_examples():
     assert lee_distance([0, 0], [3, 2]) == 3
     with pytest.raises(ValueError):
         lee_distance([0], [0, 0])
+
+
+_SYMBOL_READERS = {
+    "encode": lambda w, code: encode(w[:code.k], code),
+    "syndromes": keyeq.syndromes,
+    "lee_weight": lambda w, code: lee_weight(w),
+    "lee_distance": lambda w, code: lee_distance(w, [0] * len(w)),
+    "lee_distance_second": lambda w, code: lee_distance([0] * len(w), w),
+    "word_to_str": lambda w, code: word_to_str(w),
+}
+
+
+@pytest.mark.parametrize("reader", _SYMBOL_READERS)
+@pytest.mark.parametrize("symbol", [2.7, "3", np.timedelta64(1)], ids=repr)
+def test_word_inputs_refuse_non_integer_symbols(reader, symbol):
+    """Every public word input reads a symbol by one rule: a Python or
+    numpy integer, not a numpy timedelta64; anything else raises
+    ValueError naming the symbol and its position."""
+    word = [1] * 15
+    word[4] = symbol
+    with pytest.raises(ValueError, match=f"^(message )?symbol {re.escape(repr(symbol))} at "
+                                         "position 4 is not an integer$"):
+        _SYMBOL_READERS[reader](word, build_code(15, 2))
 
 
 def test_min_distance_small_codes():
