@@ -20,16 +20,14 @@ The word is held as one int64 NumPy array from intake to outcome:
 reading it, doubling off the 2s, applying the +-1 errors (returned as
 positions and values, one fancy-index update), forming the error and
 its Lee weight are whole-array operations, and the outcome converts to
-lists of Python ints only when it is built.  Pass one finds the roots
-of its residue locator by one gather from the antilog table, which
-gives every term c_i X^i at the residues X of all n points alpha^-j,
-and an XOR-reduce over the terms, and reads each root's multiplicity
-off the same terms (Hasse derivatives, see root_multiplicity).  Pass
-two's residue locator has its roots at pass one's simple roots when
-the word is correctable, so the locator over the full ring is
-evaluated there first, once per point, and its residue roots read off
-those values; only when they do not account for its degree is the
-residue locator swept over all n points (see resolve_unit_errors).
+lists of Python ints only when it is built.  Each pass finds the
+roots of its own residue locator by one sweep (_sweep): a gather from
+the residue field's antilog array, which gives every term c_i X^i at
+the residues X of all n points alpha^-j, and an XOR-reduce over the
+terms.  Pass one reads each root's multiplicity off the same terms
+(Hasse derivatives, see root_multiplicity); pass two evaluates its
+locator over the full ring at those roots only (resolve_unit_errors)
+and takes nothing from pass one but the corrected word.
 
 A decode never raises for bad input words.  Every failure site, from
 the input checks to the final check that the candidate codeword has
@@ -151,14 +149,15 @@ def _ring_locator(ring, pair: PairVector) -> tuple[list, list]:
 def _sweep(mu_sigma: list, code: Code) -> tuple[list, np.ndarray, np.ndarray]:
     """The degrees i of the nonzero terms c_i X^i of mu_sigma, the
     terms x n gather of those terms at the residues X of all n points
-    alpha^-j from the antilog table, and the positions j, ascending,
+    alpha^-j from the antilog array, and the positions j, ascending,
     where their XOR, mu_sigma at the residue of alpha^-j, is zero."""
     field = code.field()
-    log = field.log
+    log, order = field.log, field.order
     deg = [i for i, c in enumerate(mu_sigma) if c]
     logc = np.array([log[c] for c in mu_sigma if c], dtype=np.int64)
-    # log of c_i X^i at point j: log c_i + i log X_j, both below the order
-    index = np.array(deg, dtype=np.int64)[:, None] * code.residue_logs % field.order
+    # log of c_i X^i at point j: (i mod order) log X_j + log c_i, below
+    # order^2, the length of exp_array, as X_j^order = 1
+    index = np.array([i % order for i in deg], dtype=np.int64)[:, None] * code.residue_logs
     terms = field.exp_array[index + logc[:, None]]
     return deg, terms, np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
 
@@ -212,16 +211,30 @@ def locate_error_positions(mu_sigma: list, code: Code) -> tuple[list, list]:
     return doubles, singles
 
 
-def _unit_values(even: list, odd: list, code: Code, points) -> dict:
-    """Position j -> (ea, eb, pa, pb), for each j in points: E at
-    y = alpha^-2j and x O at x = alpha^-j, for sigma(x) = E(x^2) + x O(x^2)
-    with E and O as (a, b) pairs, highest degree first.  As
+def resolve_unit_errors(sigma: tuple[list, list], code: Code) -> tuple[list, list]:
+    """The +-1 errors read off a locator over R with no double roots,
+    given as its (a, b) lists: their positions, ascending, and their Z4
+    values, 1 for +1 and 3 for -1.
+
+    sigma(alpha^-j) = 0 marks the error +1 at position j and
+    sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
+    error, which pass two has already removed.  Both points share the
+    residue of alpha^-j, so only the roots of the residue locator, which
+    _sweep finds, need deciding.  With sigma(x) = E(x^2) + x O(x^2) and
+    alpha^(n-j) = -alpha^-j, one evaluation of E at y = alpha^-2j and of
+    x O at x = alpha^-j gives both values, E + x O and E - x O.  As
     (a, b)^2 = (a^2, 0), y is a Teichmuller element, so each Horner step
-    multiplies by one GF(2^m) element.  x = (r, r if j is odd else 0) with
-    log r = residue_logs[j], so x O = (r oa, r ob + (r oa if j is odd))."""
+    multiplies by one GF(2^m) element; x = (r, r if j is odd else 0)
+    with log r = residue_logs[j], so x O = (r oa, r ob + (r oa if j is
+    odd)).
+    """
+    sa, sb = sigma
     log, exp, hlog, q = code.ring._log, code.ring._exp, code.ring._hlog, code.field().order
-    out = {}
-    for j in points:
+    # E and O as (a, b) pairs, highest degree first for Horner's rule
+    even = list(zip(sa[0::2], sb[0::2]))[::-1]
+    odd = list(zip(sa[1::2], sb[1::2]))[::-1]
+    positions, errors = [], []
+    for j in _sweep(sa, code)[2].tolist():
         lx = int(code.residue_logs[j])
         ly = 2 * lx % q  # the log of y = (r^2, 0)
         evaluated = []
@@ -231,47 +244,9 @@ def _unit_values(even: list, odd: list, code: Code, points) -> dict:
                 pa = exp[log[va] + ly]
                 va, vb = pa ^ a, exp[log[vb] + ly] ^ b ^ exp[hlog[pa] + hlog[a]]
             evaluated.append((va, vb))
-        (ea, eb), (oa, ob) = evaluated
+        (_, eb), (oa, ob) = evaluated
         pa = exp[lx + log[oa]]
-        out[j] = ea, eb, pa, exp[lx + log[ob]] ^ (pa if j & 1 else 0)
-    return out
-
-
-def resolve_unit_errors(sigma: tuple[list, list], code: Code,
-                        candidates: list) -> tuple[list, list]:
-    """The +-1 errors read off a locator over R with no double roots,
-    given as its (a, b) lists: their positions, ascending, and their Z4
-    values, 1 for +1 and 3 for -1.
-
-    sigma(alpha^-j) = 0 marks the error +1 at position j and
-    sigma(alpha^(n-j)) = 0 marks -1; both vanishing would mean a double
-    error, which pass two has already removed.  Both points share the
-    residue of alpha^-j, so only the roots of the residue locator need
-    deciding.  With sigma(x) = E(x^2) + x O(x^2) and alpha^(n-j) =
-    -alpha^-j, one evaluation of E and x O at each point gives both
-    values, E + x O and E - x O, and the residue of the first.
-
-    The residue roots are looked for first at the candidates (pass
-    one's simple roots, ascending), evaluated once each.  Pass two's residue
-    locator has constant term 1, so it is nonzero of degree at most
-    d = len(sigma[0]) - 1 and has at most d roots: when it vanishes at
-    d candidates, those are all its roots.  Only otherwise is it swept
-    over all n points, and the sweep's roots reuse the candidates'
-    values.
-    """
-    sa, sb = sigma
-    # E and O as (a, b) pairs, highest degree first for Horner's rule
-    even = list(zip(sa[0::2], sb[0::2]))[::-1]
-    odd = list(zip(sa[1::2], sb[1::2]))[::-1]
-    values = _unit_values(even, odd, code, candidates)
-    # the residue of E + x O is ea + pa
-    roots = [j for j, (ea, _, pa, _) in values.items() if ea == pa]
-    if len(roots) != len(sa) - 1:
-        roots = _sweep(sa, code)[2].tolist()
-        values.update(_unit_values(even, odd, code, [j for j in roots if j not in values]))
-    positions, errors = [], []
-    for j in roots:
-        _, eb, pa, pb = values[j]
+        pb = exp[lx + log[ob]] ^ (pa if j & 1 else 0)
         # at a residue root ea = pa, so E + x O and E - x O = E + (pa, pa + pb)
         # vanish by their high parts alone
         plus, minus = eb == pa ^ pb, eb == pb
@@ -375,7 +350,7 @@ def decode(word, code: Code, with_trace: bool = False) -> DecodeOutcome:
         # even when no double errors were found
         pair2, _, _ = _solve_pass(ring, syndromes(prime, code))
         sigma2 = _ring_locator(ring, pair2)
-        positions, values = resolve_unit_errors(sigma2, code, singles)
+        positions, values = resolve_unit_errors(sigma2, code)
         if trace is not None:
             trace["sigma_pass2"] = ring.pair_strs(sigma2)
 

@@ -106,8 +106,10 @@ class GaloisField:
     - `log`: discrete log, with the sentinel 2(2^m - 1) for 0;
     - `exp`: antilog over two periods, then zeros, so that a sum of
       two logs needs no reduction and any sum with the sentinel reads 0;
-    - `exp_array`: `exp` as a read-only int64 array, for the decoder's
-      root sweep over all n points at once;
+    - `exp_array`: the antilog over 2^m - 1 periods, a read-only uint16
+      array of (2^m - 1)^2 entries, for the decoder's root sweep over all
+      n points at once: its index (i mod order) log X + log c needs no
+      reduction (130 KB at m = 8, 2.1 MB at m = 10);
     - `hlog`: the log of the square root (the sentinel for 0).
     """
 
@@ -134,7 +136,7 @@ class GaloisField:
                              "the log tables need a primitive modulus")
         self.order = order
         self.exp = exp + exp + [0] * (zero_log + 1)
-        self.exp_array = np.array(self.exp, dtype=np.int64)
+        self.exp_array = np.tile(np.array(exp, dtype=np.uint16), order)
         self.exp_array.setflags(write=False)
         self.log = log
         half = (order + 1) // 2  # the inverse of 2 mod order

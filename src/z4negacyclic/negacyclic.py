@@ -47,7 +47,8 @@ class Code:
     # exact, as each entry of w @ H is at most 9n <= 9207 < 2^53
     syndrome_matrix: np.ndarray = field(compare=False, repr=False)
     # read-only int64 GF(2^m) logs of the residues of alpha^-j, j = 0..n-1,
-    # whose antilogs the decoder's root sweep gathers from field().exp_array
+    # each below 2^m - 1: the root sweep of both decoder passes gathers at
+    # (i mod (2^m - 1)) residue_logs[j] + log c from field().exp_array
     residue_logs: np.ndarray = field(compare=False, repr=False)
 
     def field(self):

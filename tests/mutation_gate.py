@@ -7,14 +7,17 @@ anything, so a mutant that no longer applies is noticed rather than
 silently skipped.  The unmutated tree runs first and must pass.  Then,
 for each mutant, src/ is copied to a temporary directory, the mutant is
 applied there, and its killer, a tier-1 node id, runs against the copy
-(PYTHONPATH set to it); a failed test kills the mutant.  If the killer
-passes, the full tier-1 suite runs with -x, a nonzero exit kills the
-mutant, and the gate prints that the named killer is stale.  So a
-mutant survives exactly when the full suite passes.  The gate prints
-killed/survived with the time of each mutant and exits 1 when a mutant
-survives.  tests/test_mutation_gate.py checks that tier-1 collects
-every killer.  Pytest does not collect this file: its name has no
-test_ prefix.
+(PYTHONPATH set to it).  Its pytest run is the verdict (killed_by):
+a failed test (exit 1) kills the mutant, and so does an error while
+collecting the killer's module, say when the mutant breaks build_code
+and the module builds a code at import.  Otherwise (the killer passes,
+exit 0, collects nothing, exit 5, or names no test, exit 4) the full
+tier-1 suite runs with -x, a nonzero exit kills the mutant, and the
+gate prints that the named killer is stale.  So a mutant survives
+exactly when the full suite passes.  The gate prints killed/survived
+with the time of each mutant and exits 1 when a mutant survives.
+tests/test_mutation_gate.py checks that tier-1 collects every killer.
+Pytest does not collect this file: its name has no test_ prefix.
 """
 
 from __future__ import annotations
@@ -85,8 +88,8 @@ MUTANTS = (
      "return GaloisRing(_PRIMITIVE_GF2[m][::-1])",
      "tests/test_galois_ring.py::test_make_ring_pinned_moduli"),
     ("antilog array shifted by one", "galois_ring.py",
-     "self.exp_array = np.array(self.exp, dtype=np.int64)",
-     "self.exp_array = np.array(self.exp[1:] + [0], dtype=np.int64)",
+     "self.exp_array = np.tile(np.array(exp, dtype=np.uint16), order)",
+     "self.exp_array = np.tile(np.array(exp[1:] + exp[:1], dtype=np.uint16), order)",
      "tests/test_decoder.py::test_decode_outcome_holds_python_ints"),
     ("lift accepts a residue that is not 0/1", "galois_ring.py",
      "if any(b not in (0, 1) for b in p):",
@@ -140,10 +143,10 @@ MUTANTS = (
      "if len(positions) != len(sa) - 1:",
      "if False:",
      "tests/test_failure_sites.py::test_failure_site_witness[degree-mismatch]"),
-    ("pass-two candidates trusted without counting their roots", "decoder.py",
-     "if len(roots) != len(sa) - 1:",
-     "if False:",
-     "tests/test_decoder.py::test_pass2_root_outside_the_candidates"),
+    ("sweep degree not reduced mod the order", "decoder.py",
+     "np.array([i % order for i in deg], dtype=np.int64)",
+     "np.array(deg, dtype=np.int64)",
+     "tests/test_decoder.py::test_root_sweep_matches_per_point_loop"),
     ("solution constant term not checked for a unit", "solver.py",
      "if not aa or not aa[0]:",
      "if not aa:",
@@ -169,9 +172,9 @@ def _check_mutants() -> None:
             sys.exit(f"mutant {name!r}: its old text occurs {count} times in {file}, not once")
 
 
-def _run(src: Path, command: list[str]) -> tuple[int, float]:
-    """The exit code of a pytest command with the package imported from
-    src, and the seconds it took."""
+def _run(src: Path, command: list[str]) -> tuple[int, str, float]:
+    """The exit code and stdout of a pytest command with the package
+    imported from src, and the seconds it took."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     where = subprocess.run([sys.executable, "-c", f"import {PACKAGE}; print({PACKAGE}.__file__)"],
@@ -179,9 +182,24 @@ def _run(src: Path, command: list[str]) -> tuple[int, float]:
     if not Path(where.strip()).is_relative_to(src):
         sys.exit(f"{PACKAGE} imports from {where.strip()}, not from {src}")
     start = time.monotonic()
-    done = subprocess.run(command, cwd=REPO, env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return done.returncode, time.monotonic() - start
+    done = subprocess.run(command, cwd=REPO, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    return done.returncode, done.stdout, time.monotonic() - start
+
+
+def killed_by(code: int, output: str) -> str | None:
+    """What a killer's pytest run, its exit code and stdout, says killed
+    the mutant: exit 1 is a failed test.  An error collecting the
+    killer's module prints "ERROR collecting" and exits 2, or 4 when
+    the node id names a test in that module ("found no collectors").
+    None, for a pass (0), a node id that collects nothing (5) or names
+    no test (4 with no collection error), or any other code, leaves the
+    mutant to the full suite."""
+    if code == 1:
+        return "a failed test"
+    if code in (2, 4) and "ERROR collecting" in output:
+        return "an error collecting its module"
+    return None
 
 
 def main() -> int:
@@ -194,7 +212,7 @@ def main() -> int:
             shutil.copytree(REPO / "src", src,
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
             if mutant is None:
-                code, seconds = _run(src, TIER1)
+                code, _, seconds = _run(src, TIER1)
                 print(f"unmutated: exit {code} in {seconds:.1f} s", flush=True)
                 if code:
                     print("the unmutated tree fails tier-1; no mutant can be judged")
@@ -203,13 +221,13 @@ def main() -> int:
             name, file, old, new, killer = mutant
             path = src / PACKAGE / file
             path.write_text(path.read_text().replace(old, new))
-            # exit 1 is a failed test; 0, or 5 for a node id that
-            # collects nothing, leaves the mutant to the full suite
-            code, seconds = _run(src, PYTEST + [killer])
-            if code == 1:
-                print(f"killed: {name} ({file}) by {killer} in {seconds:.1f} s", flush=True)
+            code, output, seconds = _run(src, PYTEST + [killer])
+            cause = killed_by(code, output)
+            if cause:
+                print(f"killed: {name} ({file}) by {killer}, {cause}, in {seconds:.1f} s",
+                      flush=True)
                 continue
-            code, full = _run(src, TIER1)
+            code, _, full = _run(src, TIER1)
             verdict = "killed" if code else "SURVIVED"
             print(f"{verdict}: {name} ({file}) by the full suite, exit {code}, in "
                   f"{seconds + full:.1f} s; the named killer {killer} is stale", flush=True)

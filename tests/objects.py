@@ -111,14 +111,14 @@ def residue_locator(ring, pair: PairVector) -> list:
     return decoder.residue_locator(pair_ints(pair))
 
 
-def dense_unit_errors(sigma: tuple[list, list], code, candidates=()) -> list:
+def dense_unit_errors(sigma: tuple[list, list], code) -> list:
     """decoder.resolve_unit_errors on (a, b) lists, its positions and
     values spread into the n-symbol error word."""
     error = [0] * code.n
-    for j, value in zip(*decoder.resolve_unit_errors(sigma, code, candidates)):
+    for j, value in zip(*decoder.resolve_unit_errors(sigma, code)):
         error[j] = value
     return error
 
 
-def resolve_unit_errors(sigma: list, code, candidates=()) -> list:
-    return dense_unit_errors(int_lists(sigma), code, candidates)
+def resolve_unit_errors(sigma: list, code) -> list:
+    return dense_unit_errors(int_lists(sigma), code)

@@ -431,21 +431,20 @@ def test_resolve_sweep_matches_per_position_scan(n, t):
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
 def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
-    """Pass two looks for its residue roots at pass one's singles first.
-    On every pass-two locator that decode builds, from seeded words
-    within and beyond the radius and from a p = 0.12 Lee channel,
-    resolve_unit_errors must give the same errors or failure reason as
-    without candidates and as the per-position scan.  Both branches
-    must come up: the singles holding every root, and the fallback to
-    the sweep."""
+    """Pass two's root check, its own sweep and the evaluation over R at
+    the roots it finds, against a full per-position scan: on every
+    pass-two locator that decode builds, from seeded words within and
+    beyond the radius and from a p = 0.12 Lee channel,
+    resolve_unit_errors gives the same errors, or the same failure
+    reason byte for byte, as resolve_by_scan.  Both must come up."""
     code = build_code(n, t)
     rng = random.Random(7 * n + t)
-    calls = []
+    sigmas = []
     resolve = decoder.resolve_unit_errors
 
-    def spy(sigma, code, candidates=()):
-        calls.append((sigma, sorted(candidates)))
-        return resolve(sigma, code, candidates)
+    def spy(sigma, code):
+        sigmas.append(sigma)
+        return resolve(sigma, code)
 
     monkeypatch.setattr(decoder, "resolve_unit_errors", spy)
     for k in range(200):
@@ -458,47 +457,22 @@ def test_pass2_root_check_matches_full_sweep(n, t, monkeypatch):
                     for c in word]
         decode(word, code)
     monkeypatch.undo()
-    sweeps = []
-    sweep = decoder._sweep
-
-    def counted_sweep(mu_sigma, code):
-        sweeps.append(1)
-        return sweep(mu_sigma, code)
-
-    monkeypatch.setattr(decoder, "_sweep", counted_sweep)
-    branches = set()
-    for sigma, candidates in calls:
-        del sweeps[:]
-        checked = _outcome(dense_unit_errors, sigma, code, candidates)
-        branches.add("sweep" if sweeps else "singles hold the roots")
-        assert checked == _outcome(dense_unit_errors, sigma, code)
-        assert checked == _outcome(resolve_by_scan, elements(code.ring, sigma), code)
-    assert branches == {"singles hold the roots", "sweep"}
+    outcomes = set()
+    for sigma in sigmas:
+        got = _outcome(dense_unit_errors, sigma, code)
+        assert got == _outcome(resolve_by_scan, elements(code.ring, sigma), code)
+        outcomes.add(got[0] if isinstance(got[0], str) else "resolved")
+    assert outcomes == {"failure", "resolved"}
 
 
-def test_pass2_root_outside_the_candidates(monkeypatch):
-    """A residue root of the pass-two locator that is not a candidate
-    sends the check to the full sweep, which still finds it; candidates
-    (ascending, as pass one's singles) that are not roots do no harm.
-    Each point is evaluated once: the sweep's roots reuse the values of
-    the candidates."""
-    code = CODE_15_2
+def test_pass2_resolves_a_plus_and_a_minus_error():
+    """The (15,2) locator of +1 at position 4 and -1 at position 13:
+    its residue roots are 4 and 13, and the values over R there tell
+    the signs apart."""
     err = [0] * 15
     err[4], err[13] = 1, 3
-    sigma = int_lists(locator_from_error(code, err))
-    sweeps, evaluated = [], []
-    sweep = decoder._sweep
-    monkeypatch.setattr(decoder, "_sweep", lambda mu, code: sweeps.append(1) or sweep(mu, code))
-    unit_values = decoder._unit_values
-    monkeypatch.setattr(decoder, "_unit_values",
-                        lambda *args: evaluated.extend(args[-1]) or unit_values(*args))
-    for candidates, swept in (([], True), ([7], True), ([4], True), ([4, 9], True),
-                              ([0, 4, 12], True), ([4, 13], False), ([4, 9, 13], False)):
-        del sweeps[:], evaluated[:]
-        assert decoder.resolve_unit_errors(sigma, code, candidates) == ([4, 13], [1, 3])
-        assert bool(sweeps) == swept
-        assert sorted(evaluated) == sorted(set(candidates) | {4, 13} if swept else candidates)
-        assert dense_unit_errors(sigma, code, candidates) == err
+    sigma = int_lists(locator_from_error(CODE_15_2, err))
+    assert decoder.resolve_unit_errors(sigma, CODE_15_2) == ([4, 13], [1, 3])
 
 
 @pytest.mark.parametrize("n,t", [(15, 2), (31, 5), (63, 4), (255, 4)])
@@ -513,6 +487,12 @@ def test_root_sweep_matches_per_point_loop(n, t):
     locators += [[], [0], [0, 0], [1], [field.size - 1], [0, 1], [0, 0, 1]]
     locators += [[rng.randrange(field.size) for _ in range(rng.randint(t + 2, 3 * t))]
                  for _ in range(20)]
+    # degrees at and past the field order, up to twice it: X^order = 1 at
+    # every unit, so 1 + X^order vanishes at all n points
+    q = field.order
+    locators += [[1] + [0] * (q - 1) + [1], [0] * q + [1, 1], [1] + [0] * (2 * q) + [3]]
+    locators += [[rng.randrange(field.size) for _ in range(rng.randint(q + 1, 2 * q + 2))]
+                 for _ in range(10)]
     found = 0
     for mu in locators:
         got = decoder._sweep(mu, code)[2].tolist()
@@ -552,8 +532,11 @@ def test_decode_outcome_holds_python_ints(form):
             json.dumps([out.success, out.reason, out.codeword, out.error, out.trace])
             assert np.array_equal(np.asarray(given), before)
     assert not code.residue_logs.flags.writeable
-    assert not code.field().exp_array.flags.writeable
-    assert code.field().exp_array.tolist() == code.field().exp
+    field = code.field()
+    q, exp_array = field.order, field.exp_array
+    assert not exp_array.flags.writeable
+    assert len(exp_array) == q * q
+    assert exp_array.tolist() == [field.exp[k % q] for k in range(q * q)]
 
 
 def test_decode_reads_numpy_bools_as_bits():
